@@ -283,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run-config file")
     common.add_argument("--seed", type=int, help="override config seed")
-    common.add_argument("--jobs", type=int, default=os.cpu_count(),
-                        help="worker cap (results independent of the value)")
     parser = argparse.ArgumentParser(
         prog="speedtrim",
         description="Early termination of speed tests: data, models, evaluation.")

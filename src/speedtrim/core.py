@@ -208,10 +208,6 @@ class Verdict(enum.Enum):
 
 # Enumerated stop causes.
 REASON_CLASSIFIER = "classifier"
-REASON_STATIC = "static"
-REASON_BBR = "bbr"
-REASON_TSH = "tsh"
-REASON_CIS = "cis"
 REASON_FALLBACK_TIMEOUT = "fallback-timeout"
 REASON_END_OF_TRACE = "end-of-trace"
 

@@ -5,6 +5,13 @@ once per tree and the sort orders are partitioned top-down, so split
 search is a cumulative-sum scan per node.  Leaf values are the mean
 residual, which makes per-round training MSE nonincreasing for any
 learning rate in (0, 1].
+
+A forest is one set of packed node arrays (``FOREST_DTYPES``): the trees'
+nodes back to back, tree t at ``offsets[t]:offsets[t + 1]``.  A node goes
+left iff ``x[feature] < threshold``; ``feature`` is -1 at a leaf, whose
+``left`` and ``right`` point to itself.  Child indices are local to their
+tree.  These arrays are both the in-memory model and what ``modelio``
+writes to disk.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS_GAIN = 1e-12
+
+FOREST_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+                 "right": np.int32, "value": np.float64, "offsets": np.int64}
 
 
 @dataclass(frozen=True)
@@ -35,9 +45,6 @@ class GbdtParams:
             raise ValueError("learning_rate must be in (0, 1]")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError("subsample must be in (0, 1]")
-        if self.objective == "rel":
-            # Config hook for a relative-error objective; not implemented.
-            raise NotImplementedError("relative-error objective is a config hook only")
         if self.objective not in ("mse", "log-mse"):
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -46,32 +53,20 @@ class GbdtParams:
 PAPER_SCALE = GbdtParams(max_depth=7, n_trees=1500, learning_rate=0.03)
 
 
-class Tree:
-    """Flat-array binary regression tree; leaves self-loop for batch predict."""
+def _leaf_values(forest: dict[str, np.ndarray], X: np.ndarray, depth: int) -> np.ndarray:
+    """Leaf value every tree of a packed forest gives every row, shape (rows, trees).
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "max_depth")
-
-    def __init__(self, feature, threshold, left, right, value, max_depth):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.value = np.asarray(value, dtype=np.float64)
-        self.max_depth = int(max_depth)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        m = len(X)
-        rows = np.arange(m)
-        node = np.zeros(m, dtype=np.int32)
-        for _ in range(self.max_depth):
-            feat = np.maximum(self.feature[node], 0)
-            go_left = X[rows, feat] < self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
-        return self.value[node]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left, "right": self.right, "value": self.value}
+    All trees descend together, one level per step; since leaves point to
+    themselves, ``depth`` steps put every row at a leaf of every tree.
+    """
+    feature, threshold, left, right, value, offsets = (forest[k] for k in FOREST_DTYPES)
+    start = offsets[:-1]
+    rows = np.arange(len(X))[:, None]
+    node = np.broadcast_to(start, (len(X), len(start)))
+    for _ in range(depth):
+        go_left = X[rows, np.maximum(feature[node], 0)] < threshold[node]
+        node = np.where(go_left, left[node], right[node]) + start
+    return value[node]
 
 
 class _TreeBuilder:
@@ -93,11 +88,14 @@ class _TreeBuilder:
         self.value.append(0.0)
         return i
 
-    def build(self, X: np.ndarray, g: np.ndarray, order: np.ndarray) -> Tree:
+    def build(self, X: np.ndarray, g: np.ndarray, order: np.ndarray) -> dict[str, np.ndarray]:
+        """Grow one tree; returns it as a one-tree forest."""
         root = self._new_node()
         self._grow(root, X, g, order, depth=0)
-        return Tree(self.feature, self.threshold, self.left, self.right,
-                    self.value, self.max_depth)
+        cols = {"feature": self.feature, "threshold": self.threshold, "left": self.left,
+                "right": self.right, "value": self.value, "offsets": [0, len(self.value)]}
+        return {name: np.asarray(cols[name], dtype=dtype)
+                for name, dtype in FOREST_DTYPES.items()}
 
     def _grow(self, node: int, Xn, gn, order, depth: int) -> None:
         n = len(gn)
@@ -158,12 +156,13 @@ def _partition_order(order: np.ndarray, mask: np.ndarray):
 
 
 class GbdtModel:
-    """Additive ensemble: base prediction + lr-weighted tree outputs."""
+    """Additive ensemble: base prediction + lr-weighted outputs of a packed forest."""
 
-    def __init__(self, base_prediction: float, trees: list[Tree], params: GbdtParams,
+    def __init__(self, base_prediction: float, forest: dict, params: GbdtParams,
                  n_features: int, train_mse: list[float]):
         self.base_prediction = float(base_prediction)
-        self.trees = trees
+        self.forest = {name: np.asarray(forest[name], dtype=dtype)
+                       for name, dtype in FOREST_DTYPES.items()}
         self.params = params
         self.n_features = int(n_features)
         self.train_mse = list(train_mse)
@@ -180,17 +179,12 @@ class GbdtModel:
             raise ValueError("non-finite features")
         out = np.full(len(X), self.base_prediction)
         lr = self.params.learning_rate
-        for tree in self.trees:
-            out += lr * tree.predict(X)
+        # tree by tree, in order, so the sum does not depend on the descent
+        for leaf in _leaf_values(self.forest, X, self.params.max_depth).T:
+            out += lr * leaf
         if self.params.objective == "log-mse":
             out = np.exp(out)
         return out[0] if single else out
-
-
-def predict_gbdt(model: GbdtModel, regressor_input) -> float:
-    """Predict final throughput (Mbps) for one model-ready input."""
-    features = getattr(regressor_input, "features", regressor_input)
-    return float(model.predict(np.asarray(features, dtype=np.float64)))
 
 
 def train_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = GbdtParams()) -> GbdtModel:
@@ -216,7 +210,7 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = GbdtParams()) 
     rng = np.random.default_rng(params.seed)
     full_order = np.argsort(X, axis=0, kind="stable")
 
-    trees: list[Tree] = []
+    trees: list[dict[str, np.ndarray]] = []
     train_mse: list[float] = []
     for _ in range(params.n_trees):
         residual = y - pred
@@ -230,7 +224,10 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = GbdtParams()) 
         builder = _TreeBuilder(params.max_depth, params.min_samples_leaf)
         tree = builder.build(Xs, gs, order)
         trees.append(tree)
-        pred = pred + params.learning_rate * tree.predict(X)
+        pred = pred + params.learning_rate * _leaf_values(tree, X, params.max_depth)[:, 0]
         train_mse.append(float(np.mean((y - pred) ** 2)))
 
-    return GbdtModel(base, trees, params, X.shape[1], train_mse)
+    forest = {name: np.concatenate([t[name] for t in trees])
+              for name in FOREST_DTYPES if name != "offsets"}
+    forest["offsets"] = np.cumsum([0] + [len(t["value"]) for t in trees])
+    return GbdtModel(base, forest, params, X.shape[1], train_mse)

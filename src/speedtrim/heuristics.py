@@ -52,11 +52,11 @@ def stop_static(trace: Trace, cap_bytes: int) -> HeuristicResult:
     # require t > 0 so the cumulative average at the stop is well defined
     hits = np.flatnonzero((trace.bytes_acked >= cap_bytes) & (trace.t_us > 0))
     if len(hits) == 0:
-        y = 8.0 * trace.bytes_acked[-1] / t_last
+        y = 8.0 * int(trace.bytes_acked[-1]) / t_last
         return HeuristicResult(t_last / 1000.0, y, False, y)
     i = int(hits[0])
     t_us = int(trace.t_us[i])
-    y = 8.0 * trace.bytes_acked[i] / t_us
+    y = 8.0 * int(trace.bytes_acked[i]) / t_us
     return HeuristicResult(t_us / 1000.0, y, t_us < t_last, y)
 
 

@@ -8,8 +8,6 @@ can be checked against finite differences.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +34,6 @@ class MlpParams:
             raise ValueError("layers must end in a single output unit")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
-
-    def hash(self) -> str:
-        payload = json.dumps(self.__dict__, sort_keys=True, default=list)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _init_weights(params: MlpParams, rng: np.random.Generator):

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .gbdt import GbdtModel, GbdtParams, Tree
+from .gbdt import FOREST_DTYPES, GbdtModel, GbdtParams
 from .mlp import MlpModel, MlpParams
 
 MAGIC = b"STPM"
@@ -82,17 +82,7 @@ def _read_arrays(fh) -> dict[str, np.ndarray]:
 
 def _model_payload(model) -> tuple[str, dict, dict[str, np.ndarray]]:
     if isinstance(model, GbdtModel):
-        trees = model.trees
-        offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-        for i, t in enumerate(trees):
-            offsets[i + 1] = offsets[i] + len(t.feature)
-        cat = {
-            key: np.concatenate([t.arrays()[key] for t in trees]) if trees
-            else np.zeros(0)
-            for key in ("feature", "threshold", "left", "right", "value")
-        }
-        arrays = dict(cat)
-        arrays["offsets"] = offsets
+        arrays = dict(model.forest)
         arrays["meta"] = np.array([model.base_prediction, model.n_features], dtype=np.float64)
         arrays["train_mse"] = np.asarray(model.train_mse, dtype=np.float64)
         return "gbdt", asdict(model.params), arrays
@@ -110,20 +100,39 @@ def _model_payload(model) -> tuple[str, dict, dict[str, np.ndarray]]:
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
+def _check_forest(forest: dict[str, np.ndarray], n_features: int) -> None:
+    """Reject packed arrays that would send a descent out of its own tree."""
+    n_nodes = forest["value"].size
+    if any(forest[name].shape != (n_nodes,) for name in FOREST_DTYPES if name != "offsets"):
+        raise ModelFormatError("gbdt node arrays differ in length")
+    offsets = forest["offsets"]
+    if (offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0
+            or offsets[-1] != n_nodes or np.any(np.diff(offsets) < 1)):
+        raise ModelFormatError("gbdt offsets must rise from 0 to the node count, "
+                               "one node or more per tree")
+    sizes = np.diff(offsets)
+    tree_size = np.repeat(sizes, sizes)
+    for name in ("left", "right"):
+        child = forest[name]
+        if np.any((child < 0) | (child >= tree_size)):
+            raise ModelFormatError(f"gbdt {name} child index outside its tree")
+    feature = forest["feature"]
+    if np.any((feature < -1) | (feature >= n_features)):
+        raise ModelFormatError(f"gbdt feature index outside -1..{n_features - 1}")
+
+
 def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
     if kind == "gbdt":
-        p = GbdtParams(**params)
-        offsets = arrays["offsets"]
-        trees = []
-        for i in range(len(offsets) - 1):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            trees.append(Tree(
-                arrays["feature"][lo:hi], arrays["threshold"][lo:hi],
-                arrays["left"][lo:hi], arrays["right"][lo:hi],
-                arrays["value"][lo:hi], p.max_depth))
+        missing = [name for name in (*FOREST_DTYPES, "meta", "train_mse") if name not in arrays]
+        if missing:
+            raise ModelFormatError(f"gbdt model lacks arrays {missing}")
+        if arrays["meta"].shape != (2,):
+            raise ModelFormatError("gbdt meta must hold base prediction and feature count")
         base, n_features = arrays["meta"]
-        return GbdtModel(float(base), trees, p, int(n_features),
-                         list(arrays["train_mse"]))
+        model = GbdtModel(float(base), arrays, GbdtParams(**params), int(n_features),
+                          list(arrays["train_mse"]))
+        _check_forest(model.forest, model.n_features)
+        return model
     if kind == "mlp":
         params = dict(params)
         params["layers"] = tuple(params["layers"])

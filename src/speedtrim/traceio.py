@@ -105,6 +105,8 @@ def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Tra
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
         if lineno == 1 and "t_us" not in obj:
             trace_id = str(obj.get("id", default_id))
             if "duration_us" in obj:
@@ -129,6 +131,8 @@ def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Tra
     cols = {name: data[:, i].copy() for i, name in enumerate(SNAPSHOT_FIELDS)}
     for name in CUMULATIVE_FIELDS:
         cols[name] = _repair_cumulative(cols[name], name, trace_id)
+    if cols["bytes_acked"][-1] <= 0:
+        raise ValidationError(f"trace {trace_id!r}: no bytes acked by the last snapshot")
     if duration_us is None:
         duration_us = int(cols["t_us"][-1])
     return Trace(trace_id, duration_us, cols)
@@ -342,7 +346,7 @@ def read_corpus(root: str) -> Corpus:
     return Corpus(root, entries, summaries, presets)
 
 
-def write_corpus(root: str, traces_and_presets, duration_check: bool = True) -> Corpus:
+def write_corpus(root: str, traces_and_presets) -> Corpus:
     """Write traces plus index.csv and manifest.csv under root.
 
     ``traces_and_presets`` yields (Trace, preset_name) pairs.

@@ -68,11 +68,20 @@ class TestIngest:
         corpus = read_corpus(out)
         assert len(corpus) == 1
 
-    def test_corrupt_input_is_data_error(self, tmp_path):
-        raw = tmp_path / "raw"
-        raw.mkdir()
-        (raw / "bad.jsonl").write_text("{not json\n")
-        assert run("ingest", "--in", str(raw), "--out", str(tmp_path / "c")) == 3
+    def test_corrupt_input_is_data_error(self, tmp_path, capsys):
+        from speedtrim.traceio import dump_trace
+        zero_bytes = dump_trace(util.make_trace([0, 500_000, 1_000_000], 0, id="idle"))
+        for i, (content, message) in enumerate([
+            (b"{not json\n", "line 1: malformed JSON"),
+            (b"[1, 2]\n", "line 1: expected a JSON object, got list"),
+            (zero_bytes, "trace 'idle': no bytes acked"),
+        ]):
+            raw = tmp_path / f"raw{i}"
+            raw.mkdir()
+            (raw / "bad.jsonl").write_bytes(content)
+            capsys.readouterr()
+            assert run("ingest", "--in", str(raw), "--out", str(tmp_path / f"c{i}")) == 3
+            assert message in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -157,6 +166,8 @@ class TestPipeline:
         assert run("sweep", "--corpus", cli_pipeline["corpus"],
                    "--method", "static", "--params", "10MB,25MB",
                    "--out", out) == 0
+        # the records hold plain numbers that report reads back
+        assert run("report", "--records", os.path.join(out, "records.csv")) == 0
 
     def test_report_matches_records(self, cli_pipeline, tmp_path, capsys):
         out = str(tmp_path / "sweep")

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from speedtrim.gbdt import GbdtModel, GbdtParams, PAPER_SCALE, train_gbdt
+from speedtrim.modelio import dump_model, load_model_bytes
+
+from util import NO_TREES
 
 
 def toy_step_data():
@@ -19,13 +22,17 @@ class TestParams:
             GbdtParams(learning_rate=0.0)
         with pytest.raises(ValueError):
             GbdtParams(learning_rate=1.5)
+        with pytest.raises(ValueError, match="unknown objective"):
+            GbdtParams(objective="mae")
 
     def test_paper_scale_preset(self):
         assert (PAPER_SCALE.max_depth, PAPER_SCALE.n_trees,
                 PAPER_SCALE.learning_rate) == (7, 1500, 0.03)
 
     def test_rel_objective_is_a_hook_only(self):
-        with pytest.raises(NotImplementedError):
+        # the relative-error loss is not implemented; "rel" is refused like
+        # any other unknown objective (a ValueError, exit 3 from the CLI)
+        with pytest.raises(ValueError, match="unknown objective"):
             GbdtParams(objective="rel")
 
 
@@ -83,8 +90,10 @@ class TestTraining:
                                             min_samples_leaf=30))
         # every leaf of the fitted trees is a mean over >= 30 samples, so
         # at most floor(200/30) = 6 leaves per tree
-        for tree in model.trees:
-            n_leaves = int(np.sum(tree.feature < 0))
+        offsets = model.forest["offsets"]
+        assert len(offsets) == 6
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            n_leaves = int(np.sum(model.forest["feature"][lo:hi] < 0))
             assert n_leaves <= 6
 
     def test_subsample_deterministic(self):
@@ -97,19 +106,47 @@ class TestTraining:
 
 class TestPredict:
     def test_zero_tree_base(self):
-        model = GbdtModel(100.0, [], GbdtParams(), 7, [])
+        model = GbdtModel(100.0, NO_TREES, GbdtParams(), 7, [])
         assert model.predict(np.zeros(7)) == 100.0
         np.testing.assert_array_equal(model.predict(np.ones((3, 7))), 100.0)
 
     def test_arity_mismatch(self):
-        model = GbdtModel(1.0, [], GbdtParams(), 7, [])
+        model = GbdtModel(1.0, NO_TREES, GbdtParams(), 7, [])
         with pytest.raises(ValueError, match="arity"):
             model.predict(np.zeros(8))
 
     def test_nonfinite_rejected(self):
-        model = GbdtModel(1.0, [], GbdtParams(), 2, [])
+        model = GbdtModel(1.0, NO_TREES, GbdtParams(), 2, [])
         with pytest.raises(ValueError):
             model.predict(np.array([1.0, np.inf]))
+
+    def test_equals_node_by_node_walk(self):
+        rng = np.random.default_rng(4)
+        X = rng.random((300, 6))
+        y = np.exp(2.0 * X[:, 0] + np.where(X[:, 3] < 0.4, 1.0, 0.0)) + 0.1
+        # min leaf 40 of 210 subsampled rows stops many branches above depth 5
+        params = GbdtParams(n_trees=25, max_depth=5, min_samples_leaf=40,
+                            subsample=0.7, seed=11, objective="log-mse")
+        model = train_gbdt(X, y, params)
+        f = model.forest
+        assert np.any(np.diff(f["offsets"]) < 2 ** (params.max_depth + 1) - 1)
+
+        def walk(x):
+            out = model.base_prediction
+            for lo in f["offsets"][:-1]:
+                node = 0
+                while f["feature"][lo + node] >= 0:
+                    i = lo + node
+                    node = f["left"][i] if x[f["feature"][i]] < f["threshold"][i] else f["right"][i]
+                out += params.learning_rate * f["value"][lo + node]
+            return np.exp(out)
+
+        Xq = rng.random((50, 6))
+        want = np.array([walk(x) for x in Xq])
+        back = load_model_bytes(dump_model(model))
+        for m in (model, back):
+            np.testing.assert_array_equal(m.predict(Xq), want)
+            np.testing.assert_array_equal(m.predict(Xq[7]), want[7])
 
     def test_trained_on_constant_trace(self, small_corpus, small_regressor):
         # sanity: on the corpus it was trained on, late-stride predictions

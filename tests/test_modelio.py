@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,71 @@ class TestCorruption:
         blob += struct.pack("<I", zlib.crc32(bytes(blob)))
         with pytest.raises(ModelFormatError, match="version"):
             load_model_bytes(bytes(blob))
+
+
+def _drop_offsets(f):
+    del f["offsets"]
+
+
+def _shorten_value(f):
+    f["value"] = f["value"][:-1]
+
+
+def _swap_offsets(f):
+    f["offsets"][[1, 2]] = f["offsets"][[2, 1]]
+
+
+def _empty_tree(f):
+    f["offsets"][2] = f["offsets"][1]
+
+
+def _child_into_next_tree(f):
+    f["left"][0] = f["offsets"][1]
+
+
+def _negative_child(f):
+    f["right"][0] = -1
+
+
+def _feature_past_arity(f):
+    f["feature"][0] = 5
+
+
+def _scalar_value(f):
+    f["value"] = f["value"][0]
+
+
+class TestForestValidation:
+    """Arrays corrupted before dump_model: the CRC is valid, the forest is not."""
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (_drop_offsets, "lacks arrays"),
+        (_shorten_value, "differ in length"),
+        (_scalar_value, "differ in length"),
+        (_swap_offsets, "offsets"),
+        (_empty_tree, "offsets"),
+        (_child_into_next_tree, "left child index outside its tree"),
+        (_negative_child, "right child index outside its tree"),
+        (_feature_past_arity, "feature index"),
+    ])
+    def test_rejected_on_load(self, gbdt_model, corrupt, match):
+        bad = copy.deepcopy(gbdt_model)
+        corrupt(bad.forest)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model_bytes(dump_model(bad))
+
+    def test_cli_exits_4(self, tmp_path, gbdt_model):
+        from speedtrim.cli import EXIT_MODEL, main
+        from speedtrim.traceio import dump_trace
+        import util
+        bad = copy.deepcopy(gbdt_model)
+        _child_into_next_tree(bad.forest)
+        path = str(tmp_path / "regressor.bin")
+        save_model(bad, path)
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
+        assert main(["run", "--trace", str(trace), "--regressor", path,
+                     "--classifier", path]) == EXIT_MODEL
 
 
 class TestArity:

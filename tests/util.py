@@ -72,9 +72,13 @@ def trace_snapshot_dicts(trace: Trace) -> list[dict]:
     ]
 
 
+# Packed arrays of a forest with no trees.
+NO_TREES = {"feature": [], "threshold": [], "left": [], "right": [], "value": [], "offsets": [0]}
+
+
 def constant_regressor(value: float, n_features: int = REGRESSOR_ARITY) -> GbdtModel:
     """Zero-tree model: predicts `value` for any input (base only)."""
-    return GbdtModel(value, [], GbdtParams(), n_features, [])
+    return GbdtModel(value, NO_TREES, GbdtParams(), n_features, [])
 
 
 def constant_classifier(p_stop: float, n_features: int = CLASSIFIER_ARITY) -> MlpModel:
