@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import evaluate, heuristics, label, modelio, synth, traceio
 from .config import RunConfig
 from .core import ValidationError
@@ -214,15 +212,12 @@ def cmd_sweep(args) -> int:
     if args.method == "ml":
         params = [float(p) for p in args.params.split(",")]
         policies = _ml_policies(args, config, params)
-        points, records_by_param = evaluate.pareto_sweep(
-            corpus, "ml", params, policies=policies, stride_ms=config.stride_ms)
     else:
-        if args.method == "static":
-            params = [heuristics.parse_size(p) for p in args.params.split(",")]
-        else:
-            params = [float(p) for p in args.params.split(",")]
-        points, records_by_param = evaluate.pareto_sweep(
-            corpus, args.method, params, stride_ms=config.stride_ms)
+        _, parse = heuristics.BASELINE_PARAMS[args.method]
+        params = [parse(p) for p in args.params.split(",")]
+        policies = None
+    points, records_by_param = evaluate.pareto_sweep(
+        corpus, args.method, params, policies=policies, stride_ms=config.stride_ms)
     frontier = evaluate.nondominated(points)
     evaluate.write_frontier_csv(os.path.join(args.out, "frontier.csv"), points, frontier)
     all_records = [r for p in params for r in records_by_param[p]]
@@ -260,22 +255,14 @@ def cmd_select(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.records, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
+    records = evaluate.read_records_csv(args.records)
+    if not records:
         _log("no records")
         return EXIT_DATA
-    errors = np.array([float(r["rel_error"]) for r in rows])
-    early = sum(int(r["bytes_early"]) for r in rows)
-    full = sum(int(r["bytes_full"]) for r in rows)
-    print(json.dumps({
-        "n": len(rows),
-        "median_rel_error": float(np.median(errors)),
-        "transfer_fraction": early / full,
-        "data_savings": 1.0 - early / full,
-        "error_percentiles": {str(p): float(np.percentile(errors, p))
-                              for p in (50, 75, 90, 95, 99)},
-    }, indent=2))
+    agg = evaluate.aggregates(records)
+    print(json.dumps({key: agg[key] for key in (
+        "n", "median_rel_error", "transfer_fraction", "data_savings", "error_percentiles")},
+        indent=2))
     return EXIT_OK
 
 
@@ -336,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Pareto sweep of one method", parents=[common])
     p.add_argument("--corpus", required=True)
     p.add_argument("--method", required=True,
-                   choices=["static", "bbr", "tsh", "cis", "ml"])
+                   choices=[*heuristics.BASELINE_PARAMS, "ml"])
     p.add_argument("--params", required=True, help="comma-separated values")
     p.add_argument("--regressor")
     p.add_argument("--models-dir", dest="models_dir")

@@ -207,26 +207,17 @@ class Session:
         )
 
 
-def run_trace(trace: Trace, policy: Policy, fast: bool = True,
+def run_trace(trace: Trace, policy: Policy,
               y_true_mbps: float | None = None) -> TerminationOutcome:
     """Replay a recorded trace through a policy.
 
-    The fast path resamples once and evaluates strides on prefix views of
-    the full series, which is decision-for-decision identical to feeding
-    snapshots one at a time (covered by tests).
+    Replay resamples once and evaluates strides on prefix views of the
+    full series, which is decision-for-decision identical to feeding
+    snapshots one at a time (tests compare the two).
     """
     if y_true_mbps is None:
         y_true_mbps = trace.summarize().y_true_mbps
     session = Session(policy)
-    if not fast:
-        for snap in trace.snapshots:
-            decision = session.feed(snap)
-            if decision.stopping:
-                break
-        if not session.terminal:
-            session.end_of_trace()
-        return session.finalize(y_true_mbps)
-
     for name in SNAPSHOT_FIELDS:
         session._cols[name] = list(getattr(trace, name))
     ws = resample(trace)

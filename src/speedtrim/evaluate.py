@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Trace, rel_error
 from .engine import Policy, run_trace
-from .heuristics import run_heuristic
+from .heuristics import BASELINE_PARAMS, run_heuristic
 from .traceio import STRIDE_MS, Corpus, resample
 
 STRATEGIES = ("global", "speed-only", "rtt-only", "rtt+speed", "oracle")
@@ -69,9 +69,16 @@ def evaluate_method(corpus: Corpus, method: str, param=None, *,
                     stride_ms: int = STRIDE_MS) -> list[Record]:
     """Per-trace termination records for one (method, parameter) setting.
 
-    `method` is one of full, static, bbr, tsh, cis, or ml; for ml,
-    `policies` maps epsilon to an engine Policy.
+    `method` is full, ml, or a baseline named in `BASELINE_PARAMS`, whose
+    parser reads `param` (text or a number); for ml, `policies` maps
+    epsilon to an engine Policy.
     """
+    if method in BASELINE_PARAMS:
+        key, parse = BASELINE_PARAMS[method]
+        value = parse(param)
+        label = f"{key}={value}"
+    elif method not in ("full", "ml"):
+        raise ValueError(f"unknown method {method!r}")
     records = []
     for trace in corpus.traces():
         s = corpus.summary(trace.id)
@@ -87,29 +94,14 @@ def evaluate_method(corpus: Corpus, method: str, param=None, *,
                          outcome.rel_error, s.speed_tier, s.rtt_bin,
                          outcome.ran_to_completion)
         else:
-            ws = resample(trace)
-            params = param if isinstance(param, dict) else _scalar_param(method, param)
-            res = run_heuristic(method, trace, ws, params, stride_ms=stride_ms)
+            res = run_heuristic(method, trace, resample(trace), value, stride_ms)
             err = rel_error(s.y_true_mbps, res.estimate_mbps) if res.stopped_early else 0.0
             bytes_early = _bytes_at(trace, res.stop_time_ms) if res.stopped_early else full_bytes
-            rec = Record(trace.id, method, _param_label(params), res.stop_time_ms,
+            rec = Record(trace.id, method, label, res.stop_time_ms,
                          bytes_early, full_bytes, res.estimate_mbps, err,
                          s.speed_tier, s.rtt_bin, not res.stopped_early)
         records.append(rec)
     return records
-
-
-def _scalar_param(method: str, value) -> dict:
-    return {
-        "static": lambda v: {"cap_bytes": int(v)},
-        "bbr": lambda v: {"k": int(v)},
-        "tsh": lambda v: {"tol_pct": float(v)},
-        "cis": lambda v: {"beta": float(v)},
-    }[method](value)
-
-
-def _param_label(params: dict) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
 def aggregates(records: list[Record]) -> dict:
@@ -279,17 +271,43 @@ def percentile_curve(records_by_param: dict, percentiles: list[float], *,
 # CSV emission (formats documented in docs/formats.md)
 
 
+RECORD_COLUMNS = ("trace_id", "method", "param", "stop_ms", "bytes_early", "bytes_full",
+                  "estimate", "rel_error", "tier", "rtt_bin", "ran_to_completion")
+
+
 def write_records_csv(path: str, records: list[Record]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["trace_id", "method", "param", "stop_ms", "bytes_early",
-                    "bytes_full", "estimate", "rel_error", "tier", "rtt_bin",
-                    "ran_to_completion"])
+        w.writerow(RECORD_COLUMNS)
         for r in records:
             w.writerow([r.trace_id, r.method, r.param, repr(r.stop_ms),
                         r.bytes_early, r.bytes_full, repr(r.estimate_mbps),
                         repr(r.rel_error), r.tier, r.rtt_bin,
                         int(r.ran_to_completion)])
+
+
+def read_records_csv(path: str) -> list[Record]:
+    """Records of a records.csv; a bad row raises ValueError naming its line."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            missing = [c for c in RECORD_COLUMNS if row.get(c) is None]
+            if missing:
+                raise ValueError(f"{where}: missing {', '.join(missing)}")
+            try:
+                r = Record(row["trace_id"], row["method"], row["param"],
+                           float(row["stop_ms"]), int(row["bytes_early"]),
+                           int(row["bytes_full"]), float(row["estimate"]),
+                           float(row["rel_error"]), int(row["tier"]), int(row["rtt_bin"]),
+                           bool(int(row["ran_to_completion"])))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if r.bytes_full <= 0:
+                raise ValueError(f"{where}: bytes_full must be positive, got {r.bytes_full}")
+            records.append(r)
+    return records
 
 
 def write_frontier_csv(path: str, points: list[FrontierPoint],
@@ -321,11 +339,3 @@ def write_groups_csv(path: str, policies: list[GroupPolicy],
                             repr(agg["median_rel_error"]),
                             repr(agg["transfer_fraction"])])
 
-
-def write_percentiles_csv(path: str, curves: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "percentile", "transfer_fraction"])
-        for method, curve in curves.items():
-            for pct, fraction in curve:
-                w.writerow([method, repr(float(pct)), repr(fraction)])

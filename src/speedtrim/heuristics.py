@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import F_CUM_AVG, F_PIPE_FULL, F_TPUT, Trace, WindowSeries
+from .traceio import STRIDE_MS, stride_times
 
-DEFAULT_STRIDE_MS = 500
-TSH_DEFAULT_WINDOW_MS = 1000
+# Trailing window over which TSH requires throughput to stay within tolerance.
+TSH_WINDOW_MS = 1000
 # Fraction of samples the CIS crucial interval must cover.
 CIS_COVERAGE = 0.8
 
@@ -25,19 +26,10 @@ class HeuristicResult:
     stop_time_ms: float          # trace end when no early stop fired
     estimate_mbps: float
     stopped_early: bool
-    cum_avg_mbps: float          # cumulative average at stop (== estimate except CIS)
 
 
 def _full_run(ws: WindowSeries) -> HeuristicResult:
-    y = float(ws.frames[-1, F_CUM_AVG])
-    return HeuristicResult(ws.duration_ms, y, False, y)
-
-
-def _stride_boundaries(ws: WindowSeries, stride_ms: int, first_ms: int | None = None):
-    if stride_ms % ws.window_ms != 0:
-        raise ValueError(f"stride {stride_ms} not a multiple of window {ws.window_ms}")
-    start = first_ms if first_ms is not None else stride_ms
-    return range(start, ws.duration_ms + 1, stride_ms)
+    return HeuristicResult(ws.duration_ms, float(ws.frames[-1, F_CUM_AVG]), False)
 
 
 def _cum_avg_at(ws: WindowSeries, t_ms: int) -> float:
@@ -52,40 +44,34 @@ def stop_static(trace: Trace, cap_bytes: int) -> HeuristicResult:
     # require t > 0 so the cumulative average at the stop is well defined
     hits = np.flatnonzero((trace.bytes_acked >= cap_bytes) & (trace.t_us > 0))
     if len(hits) == 0:
-        y = 8.0 * int(trace.bytes_acked[-1]) / t_last
-        return HeuristicResult(t_last / 1000.0, y, False, y)
+        return HeuristicResult(t_last / 1000.0, 8.0 * int(trace.bytes_acked[-1]) / t_last, False)
     i = int(hits[0])
     t_us = int(trace.t_us[i])
-    y = 8.0 * int(trace.bytes_acked[i]) / t_us
-    return HeuristicResult(t_us / 1000.0, y, t_us < t_last, y)
+    return HeuristicResult(t_us / 1000.0, 8.0 * int(trace.bytes_acked[i]) / t_us, t_us < t_last)
 
 
-def stop_bbr(ws: WindowSeries, k: int, stride_ms: int = DEFAULT_STRIDE_MS) -> HeuristicResult:
+def stop_bbr(ws: WindowSeries, k: int, stride_ms: int = STRIDE_MS) -> HeuristicResult:
     """Stop at the first stride with at least k cumulative pipe-full events."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pf = ws.frames[:, F_PIPE_FULL]
-    for t_ms in _stride_boundaries(ws, stride_ms):
+    for t_ms in stride_times(ws.duration_ms, stride_ms):
         end = t_ms // ws.window_ms
         if pf[:end].max() >= k and t_ms < ws.duration_ms:
-            y = _cum_avg_at(ws, t_ms)
-            return HeuristicResult(t_ms, y, True, y)
+            return HeuristicResult(t_ms, _cum_avg_at(ws, t_ms), True)
     return _full_run(ws)
 
 
-def stop_tsh(ws: WindowSeries, tol_pct: float, stable_ms: int = TSH_DEFAULT_WINDOW_MS,
-             stride_ms: int = DEFAULT_STRIDE_MS) -> HeuristicResult:
+def stop_tsh(ws: WindowSeries, tol_pct: float, stride_ms: int = STRIDE_MS) -> HeuristicResult:
     """Stop once instantaneous throughput stays within tol of its running
-    average for a trailing stability window."""
+    average for the trailing TSH_WINDOW_MS."""
     if tol_pct <= 0:
         raise ValueError("tol_pct must be positive")
-    if stable_ms % ws.window_ms != 0:
-        raise ValueError("stable_ms must be a multiple of the window size")
-    need = stable_ms // ws.window_ms
+    need = TSH_WINDOW_MS // ws.window_ms
     inst = ws.frames[:, F_TPUT]
     avg = ws.frames[:, F_CUM_AVG]
     tol = tol_pct / 100.0
-    for t_ms in _stride_boundaries(ws, stride_ms):
+    for t_ms in stride_times(ws.duration_ms, stride_ms):
         end = t_ms // ws.window_ms
         if end < need:
             continue
@@ -95,8 +81,7 @@ def stop_tsh(ws: WindowSeries, tol_pct: float, stable_ms: int = TSH_DEFAULT_WIND
             continue
         dev = np.abs(inst[lo:end] - window_avg) / window_avg
         if np.all(dev <= tol) and t_ms < ws.duration_ms:
-            y = _cum_avg_at(ws, t_ms)
-            return HeuristicResult(t_ms, y, True, y)
+            return HeuristicResult(t_ms, _cum_avg_at(ws, t_ms), True)
     return _full_run(ws)
 
 
@@ -126,31 +111,31 @@ def interval_similarity(a: tuple[float, float], b: tuple[float, float]) -> float
     return inter / union
 
 
-def stop_cis(ws: WindowSeries, beta: float, stride_ms: int = DEFAULT_STRIDE_MS,
-             coverage: float = CIS_COVERAGE) -> HeuristicResult:
+def stop_cis(ws: WindowSeries, beta: float, stride_ms: int = STRIDE_MS) -> HeuristicResult:
     """Stop once consecutive crucial intervals are at least beta-similar.
 
     The reported estimate is the interval midpoint (the CIS-style
-    aggregate); the cumulative average at the stop is recorded alongside.
+    aggregate).
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must be in (0, 1]")
     inst = ws.frames[:, F_TPUT]
     prev_interval = None
-    boundaries = list(_stride_boundaries(ws, stride_ms))
-    for t_ms in boundaries:
+    for t_ms in stride_times(ws.duration_ms, stride_ms):
         end = t_ms // ws.window_ms
-        interval = crucial_interval(inst[:end], coverage)
+        interval = crucial_interval(inst[:end])
         if prev_interval is not None and t_ms < ws.duration_ms:
             if interval_similarity(prev_interval, interval) >= beta:
-                mid = 0.5 * (interval[0] + interval[1])
-                return HeuristicResult(t_ms, mid, True, _cum_avg_at(ws, t_ms))
+                return HeuristicResult(t_ms, 0.5 * (interval[0] + interval[1]), True)
         prev_interval = interval
     return _full_run(ws)
 
 
-def parse_size(text: str) -> int:
-    """Parse sizes like 250MB, 1GB, 512KB, 1000B, or plain byte counts."""
+def parse_size(text) -> int:
+    """Parse sizes like 250MB, 1GB, 512KB, 1000B, or plain byte counts; a
+    number is taken as a byte count."""
+    if not isinstance(text, str):
+        return int(text)
     text = text.strip().upper()
     units = {"GB": 10 ** 9, "MB": 10 ** 6, "KB": 10 ** 3, "B": 1}
     for suffix, mult in units.items():
@@ -159,42 +144,25 @@ def parse_size(text: str) -> int:
     return int(text)
 
 
-def parse_heuristic_spec(text: str) -> tuple[str, dict]:
-    """Parse CLI grammar like `static:cap=250MB` or `tsh:tol=25,window=1000`."""
-    if ":" not in text:
-        raise ValueError(f"bad heuristic spec {text!r} (expected name:key=value,...)")
-    name, _, rest = text.partition(":")
-    name = name.strip().lower()
-    kv = {}
-    for part in rest.split(","):
-        if not part.strip():
-            continue
-        key, _, value = part.partition("=")
-        if not value:
-            raise ValueError(f"bad parameter {part!r} in {text!r}")
-        kv[key.strip().lower()] = value.strip()
-    if name == "static":
-        return name, {"cap_bytes": parse_size(kv["cap"])}
-    if name == "bbr":
-        return name, {"k": int(kv["k"])}
-    if name == "tsh":
-        params = {"tol_pct": float(kv["tol"])}
-        if "window" in kv:
-            params["stable_ms"] = int(kv["window"])
-        return name, params
-    if name == "cis":
-        return name, {"beta": float(kv["beta"])}
-    raise ValueError(f"unknown heuristic {name!r}")
+# Each baseline's one parameter: the keyword its stop rule takes and the
+# parser that turns a CLI value (text) or a library value (a number) into it.
+BASELINE_PARAMS = {
+    "static": ("cap_bytes", parse_size),
+    "bbr": ("k", int),
+    "tsh": ("tol_pct", float),
+    "cis": ("beta", float),
+}
 
 
-def run_heuristic(name: str, trace: Trace, ws: WindowSeries, params: dict,
-                  stride_ms: int = DEFAULT_STRIDE_MS) -> HeuristicResult:
+def run_heuristic(name: str, trace: Trace, ws: WindowSeries, value,
+                  stride_ms: int = STRIDE_MS) -> HeuristicResult:
+    """Run one baseline with its parameter value, parsed by BASELINE_PARAMS."""
     if name == "static":
-        return stop_static(trace, **params)
+        return stop_static(trace, value)
     if name == "bbr":
-        return stop_bbr(ws, stride_ms=stride_ms, **params)
+        return stop_bbr(ws, value, stride_ms)
     if name == "tsh":
-        return stop_tsh(ws, stride_ms=stride_ms, **params)
+        return stop_tsh(ws, value, stride_ms)
     if name == "cis":
-        return stop_cis(ws, stride_ms=stride_ms, **params)
+        return stop_cis(ws, value, stride_ms)
     raise ValueError(f"unknown heuristic {name!r}")

@@ -24,6 +24,7 @@ from .traceio import (
     classifier_input,
     regressor_input,
     resample,
+    stride_times,
 )
 
 EPSILON_SWEEP = (5, 10, 15, 20, 25, 30, 35)
@@ -37,10 +38,6 @@ class OracleLabeling:
     t_star_ms: int | None
     stride_ms: int
     labels: np.ndarray          # one entry per stride, step function
-
-
-def stride_times(duration_ms: float, stride_ms: int = STRIDE_MS) -> list[int]:
-    return [t for t in range(stride_ms, int(duration_ms) + 1, stride_ms)]
 
 
 def build_regression_dataset(corpus: Corpus, stride_ms: int = STRIDE_MS):

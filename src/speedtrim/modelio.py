@@ -13,7 +13,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -121,6 +121,46 @@ def _check_forest(forest: dict[str, np.ndarray], n_features: int) -> None:
         raise ModelFormatError(f"gbdt feature index outside -1..{n_features - 1}")
 
 
+# JSON types a parameter block may hold for each params field type.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list,)}
+
+
+def _params(cls, params: dict):
+    """The params dataclass a model file's JSON block describes."""
+    types = {f.name: type(f.default) for f in fields(cls)}
+    for key, value in params.items():
+        if key not in types:
+            raise ModelFormatError(f"unknown {cls.__name__} parameter {key!r}")
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
+            raise ModelFormatError(
+                f"{cls.__name__} parameter {key!r} has type {type(value).__name__}")
+    if "layers" in params:
+        params = dict(params, layers=tuple(params["layers"]))
+    try:
+        return cls(**params)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"bad {cls.__name__}: {exc}") from None
+
+
+def _check_mlp(arrays: dict[str, np.ndarray], layers: tuple) -> None:
+    """Reject arrays that do not give the layer sizes the parameters name."""
+    n = len(layers) - 1
+    shapes = {"input_mean": (layers[0],), "input_std": (layers[0],)}
+    for i in range(n):
+        shapes[f"W{i}"] = (layers[i], layers[i + 1])
+        shapes[f"b{i}"] = (layers[i + 1],)
+    missing = [name for name in (*shapes, "loss_curve") if name not in arrays]
+    if missing:
+        raise ModelFormatError(f"mlp model lacks arrays {missing}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ModelFormatError(
+                f"mlp {name} has shape {arrays[name].shape}, layers {list(layers)} "
+                f"need {shape}")
+    if arrays["loss_curve"].ndim != 1:
+        raise ModelFormatError("mlp loss_curve must be 1-D")
+
+
 def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
     if kind == "gbdt":
         missing = [name for name in (*FOREST_DTYPES, "meta", "train_mse") if name not in arrays]
@@ -129,19 +169,14 @@ def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
         if arrays["meta"].shape != (2,):
             raise ModelFormatError("gbdt meta must hold base prediction and feature count")
         base, n_features = arrays["meta"]
-        model = GbdtModel(float(base), arrays, GbdtParams(**params), int(n_features),
+        model = GbdtModel(float(base), arrays, _params(GbdtParams, params), int(n_features),
                           list(arrays["train_mse"]))
         _check_forest(model.forest, model.n_features)
         return model
     if kind == "mlp":
-        params = dict(params)
-        params["layers"] = tuple(params["layers"])
-        p = MlpParams(**params)
-        weights = []
-        i = 0
-        while f"W{i}" in arrays:
-            weights.append((arrays[f"W{i}"], arrays[f"b{i}"]))
-            i += 1
+        p = _params(MlpParams, params)
+        _check_mlp(arrays, p.layers)
+        weights = [(arrays[f"W{i}"], arrays[f"b{i}"]) for i in range(len(p.layers) - 1)]
         return MlpModel(weights, arrays["input_mean"], arrays["input_std"], p,
                         list(arrays["loss_curve"]))
     raise ModelFormatError(f"unknown model kind {kind!r}")

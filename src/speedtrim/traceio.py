@@ -147,8 +147,8 @@ def dump_trace(trace: Trace) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def resample(trace: Trace, window_ms: int = WINDOW_MS) -> WindowSeries:
-    """Resample a trace to fixed windows of per-channel statistics.
+def resample(trace: Trace) -> WindowSeries:
+    """Resample a trace to WINDOW_MS windows of per-channel statistics.
 
     Statistics cover snapshots whose t_us falls in [w*W, (w+1)*W); the
     final snapshot of the trace, when it lands exactly on the trailing
@@ -156,7 +156,7 @@ def resample(trace: Trace, window_ms: int = WINDOW_MS) -> WindowSeries:
     100 frames.  Windows without snapshots carry the previous frame
     forward with zeroed std channels.
     """
-    win_us = window_ms * 1000
+    win_us = WINDOW_MS * 1000
     t = trace.t_us
     n_windows = max(1, math.ceil(t[-1] / win_us))
     w_of = np.minimum(t // win_us, n_windows - 1).astype(np.int64)
@@ -235,7 +235,14 @@ def resample(trace: Trace, window_ms: int = WINDOW_MS) -> WindowSeries:
             frames[w, F_PIPE_FULL] = max(frames[w, F_PIPE_FULL], frames[prev, F_PIPE_FULL])
         prev = w
 
-    return WindowSeries(window_ms=window_ms, frames=frames, filled=filled)
+    return WindowSeries(window_ms=WINDOW_MS, frames=frames, filled=filled)
+
+
+def stride_times(duration_ms: float, stride_ms: int = STRIDE_MS) -> list[int]:
+    """Decision-stride boundaries in (0, duration_ms], ms."""
+    if stride_ms % WINDOW_MS != 0:
+        raise ValueError(f"stride {stride_ms} not a multiple of window {WINDOW_MS}")
+    return list(range(stride_ms, int(duration_ms) + 1, stride_ms))
 
 
 def regressor_input(ws: WindowSeries, t_ms: int) -> RegressorInput:
@@ -311,12 +318,6 @@ class Corpus:
         if trace_id not in self._summaries:
             self._summaries[trace_id] = self.load(trace_id).summarize()
         return self._summaries[trace_id]
-
-    @property
-    def summaries(self) -> dict[str, TraceSummary]:
-        for tid in self.ids:
-            self.summary(tid)
-        return self._summaries
 
 
 def read_corpus(root: str) -> Corpus:

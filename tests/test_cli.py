@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from speedtrim.cli import main
@@ -149,17 +150,27 @@ class TestPipeline:
         assert len(rows[0]) == 3 + 1301
         assert all(r[2] in ("0", "1") for r in rows[1:])
 
-    def test_sweep_bbr_frontier(self, cli_pipeline, tmp_path):
+    @pytest.mark.parametrize("method, params, labels", [
+        ("static", "10MB,25MB", ["cap_bytes=10000000", "cap_bytes=25000000"]),
+        ("bbr", "1,2,3,5,7", ["k=1", "k=2", "k=3", "k=5", "k=7"]),
+        ("tsh", "10,20,30", ["tol_pct=10.0", "tol_pct=20.0", "tol_pct=30.0"]),
+        ("cis", "0.7,0.9", ["beta=0.7", "beta=0.9"]),
+    ], ids=["static", "bbr", "tsh", "cis"])
+    def test_sweep_bbr_frontier(self, cli_pipeline, tmp_path, method, params, labels):
         out = str(tmp_path / "sweep")
         assert run("sweep", "--corpus", cli_pipeline["corpus"],
-                   "--method", "bbr", "--params", "1,2,3,5,7",
+                   "--method", method, "--params", params,
                    "--out", out) == 0
         with open(os.path.join(out, "frontier.csv"), newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 5
+        assert [r["param"] for r in rows] == labels
         assert {r["nondominated"] for r in rows} <= {"0", "1"}
         with open(os.path.join(out, "records.csv"), newline="") as fh:
-            assert len(list(csv.DictReader(fh))) == 50
+            records = list(csv.DictReader(fh))
+        assert [r["param"] for r in records] == [p for p in labels for _ in range(10)]
+        if method != "static":
+            # stride stops and full runs are whole milliseconds, written as ints
+            assert all(r["stop_ms"].isdigit() for r in records)
 
     def test_sweep_static_accepts_sizes(self, cli_pipeline, tmp_path):
         out = str(tmp_path / "sweep")
@@ -178,6 +189,53 @@ class TestPipeline:
         report = json.loads(capsys.readouterr().out)
         assert report["n"] == 10
         assert 0 <= report["transfer_fraction"] <= 1
+        with open(os.path.join(out, "records.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        errors = np.array([float(r["rel_error"]) for r in rows])
+        fraction = (sum(int(r["bytes_early"]) for r in rows)
+                    / sum(int(r["bytes_full"]) for r in rows))
+        assert report == {
+            "n": 10,
+            "median_rel_error": float(np.median(errors)),
+            "transfer_fraction": fraction,
+            "data_savings": 1.0 - fraction,
+            "error_percentiles": {str(p): float(np.percentile(errors, p))
+                                  for p in (50, 75, 90, 95, 99)},
+        }
+
+    def test_report_bad_row_is_data_error(self, cli_pipeline, tmp_path, capsys):
+        out = str(tmp_path / "sweep")
+        run("sweep", "--corpus", cli_pipeline["corpus"], "--method", "bbr",
+            "--params", "3", "--out", out)
+        with open(os.path.join(out, "records.csv"), newline="") as fh:
+            reader = csv.DictReader(fh)
+            columns, rows = reader.fieldnames, list(reader)
+        good = rows[0]
+        for i, (row, drop, message) in enumerate([
+            (good, "rel_error", "line 2: missing rel_error"),
+            (good, "ran_to_completion", "line 3: missing ran_to_completion"),
+            (dict(good, bytes_early="lots"), None, "line 3: invalid literal"),
+            (dict(good, rel_error="np.float64(0.1)"), None,
+             "line 3: could not convert string to float"),
+            (dict(good, bytes_full="0"), None, "line 3: bytes_full must be positive, got 0"),
+        ]):
+            path = str(tmp_path / f"bad{i}.csv")
+            with open(path, "w", newline="") as fh:
+                if drop == "rel_error":
+                    # the column is gone from the header and every row
+                    keep = [c for c in columns if c != drop]
+                    w = csv.DictWriter(fh, keep, extrasaction="ignore")
+                    w.writeheader()
+                    w.writerow(row)
+                else:
+                    w = csv.writer(fh)
+                    w.writerow(columns)
+                    w.writerow([good[c] for c in columns])
+                    # a short row when drop names the last column
+                    w.writerow([row[c] for c in columns if c != drop])
+            capsys.readouterr()
+            assert run("report", "--records", path) == 3, message
+            assert message in capsys.readouterr().err
 
     def test_select_writes_groups(self, cli_pipeline, tmp_path):
         out = str(tmp_path / "select")

@@ -53,21 +53,20 @@ class TestVariabilityGuard:
 
 class TestSessionFeed:
     def test_always_stop_fires_at_first_stride(self):
-        out = run_trace(util.constant_rate_trace(100.0), make_policy(1.0), fast=False)
+        out = util.feed_trace(util.constant_rate_trace(100.0), make_policy(1.0))
         assert out.stop_time_ms == 500.0
         assert not out.ran_to_completion
         assert out.reason == "classifier"
 
     def test_never_stop_runs_to_completion(self):
-        out = run_trace(util.constant_rate_trace(100.0), make_policy(0.0), fast=False)
+        out = util.feed_trace(util.constant_rate_trace(100.0), make_policy(0.0))
         assert out.ran_to_completion
         assert out.reason == "end-of-trace"
         assert out.stop_time_ms == pytest.approx(10000.0)
         assert out.rel_error == 0.0
 
     def test_guard_suppresses_despite_classifier(self):
-        out = run_trace(spiky_trace(),
-                        make_policy(1.0, guard=GuardConfig()), fast=False)
+        out = util.feed_trace(spiky_trace(), make_policy(1.0, guard=GuardConfig()))
         assert out.ran_to_completion
 
     def test_out_of_order_rejected(self):
@@ -144,8 +143,8 @@ class TestReplayEquivalence:
         policy = Policy(small_regressor, small_classifier15, 15.0)
         for tid in small_corpus.ids[:10]:
             trace = small_corpus.load(tid)
-            a = run_trace(trace, policy, fast=True)
-            b = run_trace(trace, policy, fast=False)
+            a = run_trace(trace, policy)
+            b = util.feed_trace(trace, policy)
             assert a.stop_time_ms == b.stop_time_ms, tid
             assert a.estimate_mbps == b.estimate_mbps, tid
             assert a.reason == b.reason, tid

@@ -47,6 +47,21 @@ class TestEvaluateMethod:
             assert r.stop_ms == out.stop_time_ms
             assert r.bytes_early == out.bytes_at_stop
 
+    @pytest.mark.parametrize("method, values, label", [
+        ("static", ("10MB", 10 ** 7, 1e7), "cap_bytes=10000000"),
+        ("bbr", ("3", 3, 3.0), "k=3"),
+        ("tsh", ("10", 10, 10.0), "tol_pct=10.0"),
+        ("cis", ("0.7", 0.7), "beta=0.7"),
+    ])
+    def test_param_label_from_text_or_number(self, small_corpus, method, values, label):
+        for value in values:
+            records = E.evaluate_method(small_corpus, method, value)
+            assert {r.param for r in records} == {label}, value
+
+    def test_unknown_method(self, small_corpus):
+        with pytest.raises(ValueError, match="unknown method"):
+            E.evaluate_method(small_corpus, "wat", 1)
+
     def test_shuffle_invariance(self, small_corpus):
         records = E.evaluate_method(small_corpus, "bbr", 3)
         by_id = {r.trace_id: r for r in records}

@@ -92,7 +92,7 @@ class TestBbr:
 class TestTsh:
     def test_constant_trace_stops_at_first_covering_stride(self):
         ws = resample(util.constant_rate_trace(100.0))
-        res = H.stop_tsh(ws, tol_pct=20, stable_ms=1000)
+        res = H.stop_tsh(ws, tol_pct=20)
         assert res.stopped_early
         assert res.stop_time_ms == 1000
 
@@ -175,7 +175,6 @@ class TestCis:
             end = int(res.stop_time_ms) // 100
             lo, hi = H.crucial_interval(noisy_series.frames[:end, F_TPUT])
             assert res.estimate_mbps == pytest.approx(0.5 * (lo + hi))
-            assert res.cum_avg_mbps == pytest.approx(noisy_series.frames[end - 1, 1])
 
     def test_bad_beta(self):
         with pytest.raises(ValueError):
@@ -201,15 +200,12 @@ class TestParsing:
         assert H.parse_size("512KB") == 512000
         assert H.parse_size("123") == 123
 
-    def test_parse_specs(self):
-        assert H.parse_heuristic_spec("static:cap=250MB") == ("static", {"cap_bytes": 250 * 10 ** 6})
-        assert H.parse_heuristic_spec("bbr:k=5") == ("bbr", {"k": 5})
-        assert H.parse_heuristic_spec("tsh:tol=25,window=1000") == (
-            "tsh", {"tol_pct": 25.0, "stable_ms": 1000})
-        assert H.parse_heuristic_spec("cis:beta=0.9") == ("cis", {"beta": 0.9})
-
     def test_parse_errors(self):
         with pytest.raises(ValueError):
-            H.parse_heuristic_spec("bbr")
+            H.parse_size("10XB")
+        _, parse_k = H.BASELINE_PARAMS["bbr"]
         with pytest.raises(ValueError):
-            H.parse_heuristic_spec("wat:k=1")
+            parse_k("three")
+        ws = resample(util.constant_rate_trace(100.0))
+        with pytest.raises(ValueError, match="unknown heuristic"):
+            H.run_heuristic("wat", None, ws, 1)

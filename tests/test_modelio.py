@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from speedtrim import modelio
 from speedtrim.gbdt import GbdtParams, train_gbdt
 from speedtrim.mlp import MlpParams, train_mlp
 from speedtrim.modelio import (
@@ -146,6 +147,72 @@ class TestForestValidation:
         trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
         assert main(["run", "--trace", str(trace), "--regressor", path,
                      "--classifier", path]) == EXIT_MODEL
+
+
+def dump_edited(model, edit) -> bytes:
+    """dump_model after edit(params, arrays): a valid CRC over a bad payload."""
+    kind, params, arrays = modelio._model_payload(model)
+    edit(params, arrays)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelio, "_model_payload", lambda _: (kind, params, arrays))
+        return dump_model(model)
+
+
+class TestParamsAndMlpValidation:
+    """Parameter blocks and mlp arrays edited before dump_model (valid CRC)."""
+
+    @pytest.mark.parametrize("model, edit, match", [
+        pytest.param("gbdt", lambda p, a: p.update(colour="red"),
+                     "unknown GbdtParams parameter 'colour'", id="gbdt-unknown-key"),
+        pytest.param("gbdt", lambda p, a: p.update(max_depth="5"),
+                     "'max_depth' has type str", id="gbdt-str-for-int"),
+        pytest.param("gbdt", lambda p, a: p.update(max_depth=True),
+                     "'max_depth' has type bool", id="gbdt-bool-for-int"),
+        pytest.param("gbdt", lambda p, a: p.update(n_trees=0),
+                     "n_trees must be >= 1", id="gbdt-zero-trees"),
+        pytest.param("mlp", lambda p, a: p.update(colour="red"),
+                     "unknown MlpParams parameter 'colour'", id="mlp-unknown-key"),
+        pytest.param("mlp", lambda p, a: p.update(layers="5,4,1"),
+                     "'layers' has type str", id="mlp-str-layers"),
+        pytest.param("mlp", lambda p, a: a.pop("b1"), r"lacks arrays \['b1'\]", id="mlp-no-b1"),
+        pytest.param("mlp", lambda p, a: a.pop("W0"), r"lacks arrays \['W0'\]", id="mlp-no-W0"),
+        pytest.param("mlp", lambda p, a: a.pop("input_std"), "lacks arrays",
+                     id="mlp-no-input_std"),
+        pytest.param("mlp", lambda p, a: a.pop("loss_curve"), "lacks arrays",
+                     id="mlp-no-loss_curve"),
+        pytest.param("mlp", lambda p, a: a.update(W1=a["W1"][:3]), "W1 has shape",
+                     id="mlp-W1-rows"),
+        pytest.param("mlp", lambda p, a: a.update(b0=a["b0"][None, :]), "b0 has shape",
+                     id="mlp-b0-2d"),
+        pytest.param("mlp", lambda p, a: a.update(input_mean=a["input_mean"][:4]),
+                     "input_mean has shape", id="mlp-input_mean-short"),
+        pytest.param("mlp", lambda p, a: p.update(layers=[5, 3, 1]), "W0 has shape",
+                     id="mlp-layers-disagree"),
+        pytest.param("mlp", lambda p, a: a.update(loss_curve=np.zeros((2, 2))),
+                     "loss_curve must be 1-D", id="mlp-loss_curve-2d"),
+    ])
+    def test_rejected_on_load(self, gbdt_model, mlp_model, model, edit, match):
+        model = {"gbdt": gbdt_model, "mlp": mlp_model}[model]
+        blob = dump_edited(model, edit)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model_bytes(blob)
+
+    def test_cli_exits_4(self, tmp_path, gbdt_model, mlp_model):
+        from speedtrim.cli import EXIT_MODEL, main
+        from speedtrim.traceio import dump_trace
+        import util
+        good = str(tmp_path / "good.bin")
+        save_model(gbdt_model, good)
+        extra_param = tmp_path / "regressor.bin"
+        extra_param.write_bytes(dump_edited(
+            gbdt_model, lambda p, a: p.update(colour="red")))
+        no_bias = tmp_path / "classifier.bin"
+        no_bias.write_bytes(dump_edited(mlp_model, lambda p, a: a.pop("b1")))
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
+        for regressor, classifier in ((extra_param, good), (good, no_bias)):
+            assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
+                         "--classifier", str(classifier)]) == EXIT_MODEL
 
 
 class TestArity:

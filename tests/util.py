@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from speedtrim.core import SNAPSHOT_FIELDS, Snapshot, Trace
+from speedtrim.core import SNAPSHOT_FIELDS, Snapshot, TerminationOutcome, Trace
+from speedtrim.engine import Session
 from speedtrim.gbdt import GbdtModel, GbdtParams
 from speedtrim.mlp import MlpModel, MlpParams
 from speedtrim.traceio import CLASSIFIER_ARITY, REGRESSOR_ARITY
@@ -70,6 +71,18 @@ def trace_snapshot_dicts(trace: Trace) -> list[dict]:
         {name: int(getattr(trace, name)[i]) for name in SNAPSHOT_FIELDS}
         for i in range(len(trace))
     ]
+
+
+def feed_trace(trace: Trace, policy) -> TerminationOutcome:
+    """Feed a trace to a Session one snapshot at a time, as a live test
+    would; the reference that engine.run_trace replay must match."""
+    session = Session(policy)
+    for snap in trace.snapshots:
+        if session.feed(snap).stopping:
+            break
+    if not session.terminal:
+        session.end_of_trace()
+    return session.finalize(trace.summarize().y_true_mbps)
 
 
 # Packed arrays of a forest with no trees.
