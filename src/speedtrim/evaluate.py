@@ -71,36 +71,44 @@ def evaluate_method(corpus: Corpus, method: str, param=None, *,
 
     `method` is full, ml, or a baseline named in `BASELINE_PARAMS`, whose
     parser reads `param` (text or a number); for ml, `policies` maps
-    epsilon to an engine Policy.
+    epsilon to an engine Policy.  Full records come from the corpus
+    summaries alone, so with a manifest they decode no trace.
     """
+    return _sweep(corpus, method, [param], policies, stride_ms)[param]
+
+
+def _sweep(corpus: Corpus, method: str, params: list, policies, stride_ms: int) -> dict:
+    """Records per parameter, in corpus order, from one pass over the corpus:
+    each trace is decoded, and for a baseline resampled, once for all."""
     if method in BASELINE_PARAMS:
         key, parse = BASELINE_PARAMS[method]
-        value = parse(param)
-        label = f"{key}={value}"
-    elif method not in ("full", "ml"):
+        values = {p: parse(p) for p in params}
+    elif method in ("full", "ml"):
+        values = dict.fromkeys(params)
+    else:
         raise ValueError(f"unknown method {method!r}")
-    records = []
-    for trace in corpus.traces():
-        s = corpus.summary(trace.id)
-        full_bytes = s.total_bytes
-        if method == "full":
-            rec = Record(trace.id, method, "", s.duration_ms, full_bytes, full_bytes,
-                         s.y_true_mbps, 0.0, s.speed_tier, s.rtt_bin, True)
-        elif method == "ml":
-            policy = policies[param]
-            outcome = run_trace(trace, policy, y_true_mbps=s.y_true_mbps)
-            rec = Record(trace.id, method, str(param), outcome.stop_time_ms,
-                         outcome.bytes_at_stop, full_bytes, outcome.estimate_mbps,
-                         outcome.rel_error, s.speed_tier, s.rtt_bin,
-                         outcome.ran_to_completion)
-        else:
-            res = run_heuristic(method, trace, resample(trace), value, stride_ms)
-            err = rel_error(s.y_true_mbps, res.estimate_mbps) if res.stopped_early else 0.0
-            bytes_early = _bytes_at(trace, res.stop_time_ms) if res.stopped_early else full_bytes
-            rec = Record(trace.id, method, label, res.stop_time_ms,
-                         bytes_early, full_bytes, res.estimate_mbps, err,
-                         s.speed_tier, s.rtt_bin, not res.stopped_early)
-        records.append(rec)
+    records = {p: [] for p in values}
+    for tid in corpus.ids:
+        trace = None if method == "full" else corpus.load(tid)
+        s = corpus.summary(tid)
+        ws = resample(trace) if method in BASELINE_PARAMS else None
+        for p, value in values.items():
+            if method == "full":
+                label, stop_ms, early, estimate, err, complete = (
+                    "", s.duration_ms, s.total_bytes, s.y_true_mbps, 0.0, True)
+            elif method == "ml":
+                out = run_trace(trace, policies[p], y_true_mbps=s.y_true_mbps)
+                label, stop_ms, early, estimate, err, complete = (
+                    str(p), out.stop_time_ms, out.bytes_at_stop, out.estimate_mbps,
+                    out.rel_error, out.ran_to_completion)
+            else:
+                res = run_heuristic(method, trace, ws, value, stride_ms)
+                label, stop_ms, estimate = f"{key}={value}", res.stop_time_ms, res.estimate_mbps
+                complete = not res.stopped_early
+                err = 0.0 if complete else rel_error(s.y_true_mbps, estimate)
+                early = s.total_bytes if complete else _bytes_at(trace, stop_ms)
+            records[p].append(Record(tid, method, label, stop_ms, early, s.total_bytes,
+                                     estimate, err, s.speed_tier, s.rtt_bin, complete))
     return records
 
 
@@ -139,14 +147,8 @@ def pareto_sweep(corpus: Corpus, method: str, params: list, *,
     """One frontier point per parameter; returns (points, records_by_param)."""
     if not params:
         raise ValueError("need at least one parameter")
-    points = []
-    records_by_param = {}
-    for p in params:
-        records = evaluate_method(corpus, method, p, policies=policies,
-                                  stride_ms=stride_ms)
-        records_by_param[p] = records
-        points.append(frontier_point(records))
-    return points, records_by_param
+    records_by_param = _sweep(corpus, method, params, policies, stride_ms)
+    return [frontier_point(records_by_param[p]) for p in params], records_by_param
 
 
 def nondominated(points: list[FrontierPoint]) -> list[FrontierPoint]:
@@ -248,10 +250,8 @@ def percentile_curve(records_by_param: dict, percentiles: list[float], *,
                      ids: set | None = None) -> list[tuple[float, float]]:
     """Minimal transfer over configurations whose p-th percentile error
     stays within the bound; 1.0 when none qualifies."""
-    if any(not (50 <= p < 100) for p in percentiles):
+    if any(not (50 <= p < 100) for p in percentiles) or list(percentiles) != sorted(percentiles):
         raise ValueError("percentiles must be ascending in [50, 100)")
-    if list(percentiles) != sorted(percentiles):
-        raise ValueError("percentiles must be ascending")
     bound = bound_pct / 100.0
     stats = []
     for p, recs in records_by_param.items():

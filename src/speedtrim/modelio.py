@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 import zlib
@@ -64,7 +65,14 @@ def _read_arrays(fh) -> dict[str, np.ndarray]:
     arrays = {}
     for _ in range(count):
         name = _read_bytes(fh).decode("utf-8")
-        dtype = np.dtype(_read_bytes(fh).decode("ascii"))
+        code = _read_bytes(fh).decode("ascii", errors="replace")
+        try:
+            dtype = np.dtype(code)
+        except (TypeError, ValueError):
+            raise ModelFormatError(f"array {name!r}: unknown dtype {code!r}") from None
+        if dtype.kind not in "iuf":
+            raise ModelFormatError(f"array {name!r}: dtype {dtype.str!r} is not "
+                                   "an integer or floating-point type")
         raw = fh.read(1)
         if len(raw) != 1:
             raise ModelFormatError("truncated model file")
@@ -76,6 +84,9 @@ def _read_arrays(fh) -> dict[str, np.ndarray]:
                 raise ModelFormatError("truncated model file")
             shape.append(struct.unpack("<Q", raw)[0])
         data = _read_bytes(fh)
+        if len(data) != dtype.itemsize * math.prod(shape):
+            raise ModelFormatError(f"array {name!r}: {len(data)} bytes do not fill "
+                                   f"shape {tuple(shape)} of {dtype.str}")
         arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
     return arrays
 

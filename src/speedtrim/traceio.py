@@ -97,6 +97,7 @@ def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Tra
 
     trace_id = default_id
     duration_us = None
+    header = 0
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -110,21 +111,34 @@ def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Tra
         if lineno == 1 and "t_us" not in obj:
             trace_id = str(obj.get("id", default_id))
             if "duration_us" in obj:
-                duration_us = int(obj["duration_us"])
+                try:
+                    duration_us = int(obj["duration_us"])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(f"line 1: non-integer duration_us ({exc})") from exc
+            header = 1
             continue
         missing = [k for k in SNAPSHOT_FIELDS if k not in obj]
         if missing:
             raise ParseError(f"line {lineno}: missing keys {missing}")
         try:
             rows.append(tuple(int(obj[k]) for k in SNAPSHOT_FIELDS))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"line {lineno}: non-integer field ({exc})") from exc
 
     if not rows:
         raise ParseError("no snapshots")
-    data = np.array(rows, dtype=np.int64)
+    try:
+        data = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        # the first row outside int64; snapshot lines are the non-blank ones past the header
+        int64 = range(-(1 << 63), 1 << 63)
+        i = next(i for i, row in enumerate(rows) if any(v not in int64 for v in row))
+        lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][header + i]
+        raise ParseError(f"line {lineno}: value outside the 64-bit integer range") from None
     order = np.argsort(data[:, 0], kind="stable")
     data = data[order]
+    if data[0, 0] < 0:
+        raise ValidationError(f"trace {trace_id!r}: negative t_us {int(data[0, 0])}")
     if np.any(np.diff(data[:, 0]) <= 0):
         raise ValidationError(f"trace {trace_id!r}: nonmonotonic timestamps")
 
@@ -308,7 +322,10 @@ class Corpus:
 
     def load(self, trace_id: str) -> Trace:
         path = os.path.join(self.root, self._file_of[trace_id])
-        return parse_trace(path, default_id=trace_id)
+        trace = parse_trace(path, default_id=trace_id)
+        if trace_id not in self._summaries:     # no manifest row: keep one decode
+            self._summaries[trace_id] = trace.summarize()
+        return trace
 
     def traces(self):
         for tid in self.ids:
@@ -316,7 +333,7 @@ class Corpus:
 
     def summary(self, trace_id: str) -> TraceSummary:
         if trace_id not in self._summaries:
-            self._summaries[trace_id] = self.load(trace_id).summarize()
+            self.load(trace_id)     # records the summary
         return self._summaries[trace_id]
 
 

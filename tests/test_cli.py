@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -72,10 +73,15 @@ class TestIngest:
     def test_corrupt_input_is_data_error(self, tmp_path, capsys):
         from speedtrim.traceio import dump_trace
         zero_bytes = dump_trace(util.make_trace([0, 500_000, 1_000_000], 0, id="idle"))
+        huge = dump_trace(util.make_trace([0, 500_000, 1_000_000], [0, 10, 20], id="huge"))
+        huge = huge.replace(b'"bytes_acked": 20', b'"bytes_acked": %d' % 2 ** 70)
+        early = dump_trace(util.make_trace([-500_000, 0, 500_000], [0, 10, 20], id="early"))
         for i, (content, message) in enumerate([
             (b"{not json\n", "line 1: malformed JSON"),
             (b"[1, 2]\n", "line 1: expected a JSON object, got list"),
             (zero_bytes, "trace 'idle': no bytes acked"),
+            (huge, "line 4: value outside the 64-bit integer range"),
+            (early, "trace 'early': negative t_us -500000"),
         ]):
             raw = tmp_path / f"raw{i}"
             raw.mkdir()
@@ -236,6 +242,26 @@ class TestPipeline:
             capsys.readouterr()
             assert run("report", "--records", path) == 3, message
             assert message in capsys.readouterr().err
+
+    def test_sweep_and_select_decode_each_trace_once(self, cli_pipeline, tmp_path,
+                                                     monkeypatch):
+        corpus = cli_pipeline["corpus"]
+        models = tmp_path / "models"
+        models.mkdir()
+        for eps in (10, 15):
+            shutil.copy(cli_pipeline["classifier"], models / f"classifier_eps{eps}.bin")
+        with open(os.path.join(corpus, "index.csv"), newline="") as fh:
+            once = {row["file"]: 1 for row in csv.DictReader(fh)}
+        decodes = util.count_decodes(monkeypatch)
+        for argv in (
+            ["sweep", "--corpus", corpus, "--method", "bbr", "--params", "1,3,5",
+             "--out", str(tmp_path / "sweep")],
+            ["select", "--corpus", corpus, "--regressor", cli_pipeline["regressor"],
+             "--models-dir", str(models), "--params", "10,15", "--out", str(tmp_path / "select")],
+        ):
+            decodes.clear()
+            assert run(*argv) == 0
+            assert decodes == once, argv[0]
 
     def test_select_writes_groups(self, cli_pipeline, tmp_path):
         out = str(tmp_path / "select")

@@ -1,11 +1,12 @@
 import csv
+import shutil
 
 import numpy as np
 import pytest
 
 from speedtrim import evaluate as E
 from speedtrim.engine import GuardConfig, Policy
-from speedtrim.traceio import resample
+from speedtrim.traceio import read_corpus, resample
 
 import util
 
@@ -87,6 +88,67 @@ class TestParetoSweep:
     def test_empty_params_rejected(self, small_corpus):
         with pytest.raises(ValueError):
             E.pareto_sweep(small_corpus, "bbr", [])
+
+
+class TestOnePassSweep:
+    """pareto_sweep walks the corpus once, traces outside, parameters inside."""
+
+    @pytest.mark.parametrize("method, params", [
+        ("static", ["10MB", 25_000_000, "50MB"]),
+        ("bbr", [1, 3, 5, 7]),
+        ("tsh", [10, 20.0, "30"]),
+        ("cis", [0.7, 0.8, 0.9]),
+        ("ml", [10.0, 15.0]),
+    ])
+    def test_records_equal_per_parameter_evaluation(self, small_corpus, small_regressor,
+                                                    small_classifier15, method, params):
+        policies = {eps: Policy(small_regressor, small_classifier15, eps)
+                    for eps in (10.0, 15.0)} if method == "ml" else None
+        points, by_param = E.pareto_sweep(small_corpus, method, params, policies=policies)
+        assert list(by_param) == params
+        for p, point in zip(params, points):
+            records = E.evaluate_method(small_corpus, method, p, policies=policies)
+            assert by_param[p] == records
+            assert point == E.frontier_point(records)
+
+    def test_repeated_parameter_keeps_one_point_each(self, small_corpus):
+        points, by_param = E.pareto_sweep(small_corpus, "bbr", [3, 5, 3])
+        assert [p.param for p in points] == ["k=3", "k=5", "k=3"]
+        assert by_param[3] == E.evaluate_method(small_corpus, "bbr", 3)
+
+    def test_each_trace_decoded_and_resampled_once(self, small_corpus, monkeypatch):
+        corpus = read_corpus(small_corpus.root)
+        files = {fn: 1 for fn, _ in corpus.entries}
+        decodes = util.count_decodes(monkeypatch)
+        resampled = []
+
+        def counting_resample(trace):
+            resampled.append(trace.id)
+            return resample(trace)
+
+        monkeypatch.setattr(E, "resample", counting_resample)
+        E.pareto_sweep(corpus, "bbr", [1, 3, 5, 7])
+        assert decodes == files
+        assert resampled == corpus.ids
+
+    def test_without_manifest_each_trace_decoded_once(self, small_corpus, tmp_path,
+                                                      monkeypatch):
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus.root, root, ignore=shutil.ignore_patterns("manifest.csv"))
+        corpus = read_corpus(str(root))
+        decodes = util.count_decodes(monkeypatch)
+        _, by_param = E.pareto_sweep(corpus, "tsh", [10, 30])
+        assert decodes == {fn: 1 for fn, _ in corpus.entries}
+        assert by_param[10] == E.evaluate_method(small_corpus, "tsh", 10)
+
+    def test_full_records_decode_nothing(self, small_corpus, monkeypatch):
+        corpus = read_corpus(small_corpus.root)
+        decodes = util.count_decodes(monkeypatch)
+        records = E.evaluate_method(corpus, "full")
+        assert not decodes
+        assert [r.trace_id for r in records] == corpus.ids
+        assert [r.bytes_early for r in records] == [
+            small_corpus.summary(tid).total_bytes for tid in corpus.ids]
 
 
 class TestNondominated:

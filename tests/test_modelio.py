@@ -1,4 +1,6 @@
 import copy
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -211,6 +213,50 @@ class TestParamsAndMlpValidation:
         trace = tmp_path / "t.jsonl"
         trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
         for regressor, classifier in ((extra_param, good), (good, no_bias)):
+            assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
+                         "--classifier", str(classifier)]) == EXIT_MODEL
+
+
+def with_dtype(blob: bytes, old: bytes, new: bytes) -> bytes:
+    """blob with its first array dtype string `old` replaced by `new` and a
+    recomputed CRC."""
+    body = blob[:-4]
+    tag = struct.pack("<I", len(old)) + old
+    i = body.index(tag)
+    body = body[:i] + struct.pack("<I", len(new)) + new + body[i + len(tag):]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestArrayDtypes:
+    """A dtype string rewritten in a dumped model, with the CRC made valid again."""
+
+    @pytest.mark.parametrize("model", ["gbdt", "mlp"])
+    @pytest.mark.parametrize("new, match", [
+        pytest.param(b"<x8", "unknown dtype '<x8'", id="unknown"),
+        pytest.param(b"|O8", "dtype '|O8' is not an integer or floating-point type",
+                     id="object"),
+        pytest.param(b"<f4", "bytes do not fill shape", id="wrong-size"),
+    ])
+    def test_rejected_on_load(self, gbdt_model, mlp_model, model, new, match):
+        model = {"gbdt": gbdt_model, "mlp": mlp_model}[model]
+        blob = with_dtype(dump_model(model), b"<f8", new)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model_bytes(blob)
+
+    def test_cli_exits_4(self, tmp_path, gbdt_model, mlp_model):
+        from speedtrim.cli import EXIT_MODEL, main
+        from speedtrim.traceio import dump_trace
+        import util
+        good_regressor, good_classifier = tmp_path / "r.bin", tmp_path / "c.bin"
+        good_regressor.write_bytes(dump_model(gbdt_model))
+        good_classifier.write_bytes(dump_model(mlp_model))
+        unknown = tmp_path / "unknown.bin"
+        unknown.write_bytes(with_dtype(dump_model(gbdt_model), b"<f8", b"<x8"))
+        obj = tmp_path / "object.bin"
+        obj.write_bytes(with_dtype(dump_model(mlp_model), b"<f8", b"|O8"))
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
+        for regressor, classifier in ((unknown, good_classifier), (good_regressor, obj)):
             assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
                          "--classifier", str(classifier)]) == EXIT_MODEL
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from speedtrim.core import F_CUM_AVG, F_TPUT, STD_CHANNELS, ValidationError
+from speedtrim.engine import Policy, Session
 from speedtrim.traceio import (
     CLASSIFIER_ARITY,
     REGRESSOR_ARITY,
@@ -79,6 +80,38 @@ class TestParseTrace:
     def test_duplicate_timestamps_rejected(self):
         with pytest.raises(ValidationError, match="nonmonotonic"):
             parse_trace(jsonl([snap_obj(0, 0), snap_obj(0, 5), snap_obj(10, 9)]))
+
+    @pytest.mark.parametrize("value", [2 ** 70, -(2 ** 70), 2 ** 63],
+                             ids=["2**70", "-2**70", "2**63"])
+    def test_int64_overflow_names_the_line(self, value):
+        # the header and the blank line count, as in every line number
+        head = jsonl([{"id": "big"}, snap_obj(0, 0)]).getvalue()
+        tail = jsonl([snap_obj(10000, 100), snap_obj(20000, value)]).getvalue()
+        with pytest.raises(ParseError, match="line 5: value outside the 64-bit integer range"):
+            parse_trace(io.BytesIO(head + b"\n" + tail))
+
+    def test_int64_extremes_accepted(self):
+        tr = parse_trace(jsonl([snap_obj(0, 0, dup_acks=-(2 ** 63)),
+                                snap_obj(10000, 2 ** 63 - 1, dup_acks=-(2 ** 63))]))
+        assert tr.bytes_acked[-1] == 2 ** 63 - 1
+
+    def test_non_finite_and_bad_header_duration(self):
+        inf = b'{"t_us": Infinity, "bytes_acked": 1, "cwnd_bytes": 1, "bytes_in_flight": 1, ' \
+              b'"rtt_us": 1, "retrans": 0, "dup_acks": 0, "pipe_full": 0}\n'
+        with pytest.raises(ParseError, match="line 1: non-integer field"):
+            parse_trace(io.BytesIO(inf))
+        for duration in (None, "soon", 1e400):
+            objs = [{"id": "h", "duration_us": duration}, snap_obj(0, 0), snap_obj(10000, 100)]
+            with pytest.raises(ParseError, match="line 1: non-integer duration_us"):
+                parse_trace(jsonl(objs))
+
+    def test_negative_timestamp_rejected_like_the_session(self):
+        objs = [{"id": "early"}, snap_obj(10000, 100), snap_obj(-5, 0)]
+        with pytest.raises(ValidationError, match="trace 'early': negative t_us -5"):
+            parse_trace(jsonl(objs))
+        policy = Policy(util.constant_regressor(50.0), util.constant_classifier(0.0), 15.0)
+        with pytest.raises(ValidationError, match="t_us must be >= 0"):
+            Session(policy).feed(util.snapshot(-5, 0))
 
 
 class TestResample:

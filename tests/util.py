@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+import os
+
 import numpy as np
 
+from speedtrim import traceio
 from speedtrim.core import SNAPSHOT_FIELDS, Snapshot, TerminationOutcome, Trace
 from speedtrim.engine import Session
 from speedtrim.gbdt import GbdtModel, GbdtParams
@@ -101,3 +105,21 @@ def constant_classifier(p_stop: float, n_features: int = CLASSIFIER_ARITY) -> Ml
     weights = [(np.zeros((n_features, 1)), np.array([logit]))]
     params = MlpParams(layers=(n_features, 1))
     return MlpModel(weights, np.zeros(n_features), np.ones(n_features), params, [])
+
+
+def count_decodes(monkeypatch) -> collections.Counter:
+    """Counter of the file names traceio.parse_trace decodes from now on.
+
+    A decode is a call on a path; the call parse_trace then makes on the
+    open file is not counted again.
+    """
+    counts = collections.Counter()
+    original = traceio.parse_trace
+
+    def counting(stream, *args, **kwargs):
+        if isinstance(stream, (str, os.PathLike)):
+            counts[os.path.basename(stream)] += 1
+        return original(stream, *args, **kwargs)
+
+    monkeypatch.setattr(traceio, "parse_trace", counting)
+    return counts
