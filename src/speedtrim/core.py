@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +54,9 @@ class ValidationError(ValueError):
     """A trace or snapshot violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """One raw transport-telemetry sample (tcp_info style)."""
+class Snapshot(NamedTuple):
+    """One raw transport-telemetry sample (tcp_info style); its values come
+    in SNAPSHOT_FIELDS order."""
 
     t_us: int
     bytes_acked: int
@@ -67,6 +68,9 @@ class Snapshot:
     pipe_full: int
 
     def validate(self) -> None:
+        for name, value in zip(SNAPSHOT_FIELDS, self):
+            if type(value) is not int and not isinstance(value, np.integer):  # not bool
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.rtt_us <= 0:
             raise ValidationError(f"rtt_us must be > 0, got {self.rtt_us}")
         if self.bytes_in_flight < 0:
@@ -95,11 +99,8 @@ class Trace:
 
     @classmethod
     def from_snapshots(cls, id: str, duration_us: int, snapshots: list[Snapshot]) -> "Trace":
-        cols = {
-            name: np.array([getattr(s, name) for s in snapshots], dtype=np.int64)
-            for name in SNAPSHOT_FIELDS
-        }
-        return cls(id, duration_us, cols)
+        rows = np.array(snapshots, dtype=np.int64).reshape(-1, len(SNAPSHOT_FIELDS))
+        return cls(id, duration_us, dict(zip(SNAPSHOT_FIELDS, rows.T)))
 
     def _validate(self) -> None:
         n = len(self.t_us)
@@ -127,10 +128,8 @@ class Trace:
 
     @property
     def snapshots(self) -> list[Snapshot]:
-        return [
-            Snapshot(*(int(getattr(self, name)[i]) for name in SNAPSHOT_FIELDS))
-            for i in range(len(self))
-        ]
+        columns = [getattr(self, name).tolist() for name in SNAPSHOT_FIELDS]
+        return [Snapshot(*row) for row in zip(*columns)]
 
     def summarize(self) -> "TraceSummary":
         """Ground-truth summary over the full snapshot sequence.

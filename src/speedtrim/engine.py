@@ -1,9 +1,12 @@
 """Online termination pipeline: one session per test.
 
-A session buffers raw snapshots, evaluates the stop classifier at each
-decision stride (after a variability guard), and invokes the regressor
-exactly once when the test stops early.  End of trace is always a valid
-stop; the engine never fails a test, late stopping only costs data.
+A session windows snapshots as they arrive: at each decision stride the
+snapshots received since the previous one fill the 100 ms windows up to
+the boundary, through the window statistics ``resample`` uses.  It then
+evaluates the stop classifier (after a variability guard), and invokes
+the regressor exactly once when the test stops early.  Replay feeds a
+recorded trace through the same session.  End of trace is always a
+valid stop; the engine never fails a test, late stopping only costs data.
 """
 
 from __future__ import annotations
@@ -15,22 +18,27 @@ import numpy as np
 
 from .core import (
     CONTINUE,
+    CUMULATIVE_FIELDS,
     F_TPUT,
+    N_FEATURES,
     REASON_CLASSIFIER,
     REASON_END_OF_TRACE,
     SNAPSHOT_FIELDS,
-    STD_CHANNELS,
     Snapshot,
     StopDecision,
     TerminationOutcome,
     Trace,
+    ValidationError,
     Verdict,
     WindowSeries,
     rel_error,
 )
 from .gbdt import GbdtModel
 from .mlp import MlpModel, predict_stop_prob
-from .traceio import STRIDE_MS, classifier_input, regressor_input, resample
+from .traceio import STRIDE_MS, WINDOW_MS, classifier_input, regressor_input, window_frames
+from .traceio import resample  # noqa: F401  engine.resample stays available to its readers
+
+_CUMULATIVE = [SNAPSHOT_FIELDS.index(name) for name in CUMULATIVE_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,10 @@ class Policy:
     threshold: float = 0.5
     guard: GuardConfig = field(default_factory=GuardConfig)
 
+    def __post_init__(self):   # a session fills whole windows at each stride
+        if self.stride_ms <= 0 or self.stride_ms % WINDOW_MS:
+            raise ValueError(f"stride {self.stride_ms} not a positive multiple of {WINDOW_MS}")
+
 
 def variability_guard(ws: WindowSeries, t_ms: int, guard: GuardConfig) -> bool:
     """True when stopping is allowed at t_ms; False suppresses the stop."""
@@ -71,20 +83,6 @@ def variability_guard(ws: WindowSeries, t_ms: int, guard: GuardConfig) -> bool:
     return std / mean <= guard.v_max
 
 
-def _pad_series(ws: WindowSeries, n_target: int) -> WindowSeries:
-    """Extend a series to n_target windows by carrying the last frame."""
-    if len(ws) >= n_target:
-        return ws
-    frames = np.zeros((n_target, ws.frames.shape[1]))
-    frames[: len(ws)] = ws.frames
-    tail = ws.frames[-1].copy()
-    tail[list(STD_CHANNELS)] = 0.0
-    frames[len(ws):] = tail
-    filled = np.ones(n_target, dtype=bool)
-    filled[: len(ws)] = ws.filled
-    return WindowSeries(window_ms=ws.window_ms, frames=frames, filled=filled)
-
-
 class SessionError(RuntimeError):
     pass
 
@@ -94,13 +92,15 @@ class Session:
 
     def __init__(self, policy: Policy):
         self.policy = policy
-        self._cols: dict[str, list[int]] = {name: [] for name in SNAPSHOT_FIELDS}
+        self._series = WindowSeries(WINDOW_MS, np.zeros((0, N_FEATURES)))
+        self._pending: list[Snapshot] = []  # received, not yet in the series
+        self._windowed = 0                  # snapshots in the series
+        self._prev: Snapshot | None = None  # last snapshot in the series
+        self._last: Snapshot | None = None  # last snapshot received
         self._next_stride_ms = policy.stride_ms
         self._terminal: StopDecision | None = None
         self._finalized = False
         self._stop_ms: int | None = None
-        self._stop_series: WindowSeries | None = None
-        self._regressor_calls = 0
         self.classifier_latency_s: list[float] = []
         self.regressor_latency_s: float | None = None
 
@@ -112,12 +112,15 @@ class Session:
         if self.terminal:
             raise SessionError("feed after stop")
         snapshot.validate()
-        ts = self._cols["t_us"]
-        if ts and snapshot.t_us <= ts[-1]:
-            raise SessionError(
-                f"out-of-order snapshot: t_us={snapshot.t_us} after {ts[-1]}")
-        for name in SNAPSHOT_FIELDS:
-            self._cols[name].append(getattr(snapshot, name))
+        last = self._last
+        if last is not None:
+            if snapshot.t_us <= last.t_us:
+                raise SessionError(
+                    f"out-of-order snapshot: t_us={snapshot.t_us} after {last.t_us}")
+            for k in _CUMULATIVE:
+                if snapshot[k] < last[k]:
+                    raise ValidationError(
+                        f"{SNAPSHOT_FIELDS[k]} decreases at t_us={snapshot.t_us}")
         # strict inequality: a stride is judged at the first snapshot past
         # its boundary, so the final stride of a trace is never an early stop
         while self._next_stride_ms * 1000 < snapshot.t_us:
@@ -128,22 +131,26 @@ class Session:
                 self._terminal = decision
                 self._stop_ms = t_ms
                 return decision
+        self._pending.append(snapshot)
+        self._last = snapshot
         return CONTINUE
 
-    def _prefix_series(self, t_ms: int) -> WindowSeries | None:
-        upto_us = t_ms * 1000
-        n = sum(1 for t in self._cols["t_us"] if t < upto_us)
-        if n < 2:
-            return None
-        cols = {name: np.asarray(vals[:n], dtype=np.int64)
-                for name, vals in self._cols.items()}
-        trace = Trace("session", upto_us, cols)
-        return _pad_series(resample(trace), t_ms // 100)
-
-    def _evaluate_stride(self, t_ms: int, ws: WindowSeries | None = None) -> StopDecision:
-        if ws is None:
-            ws = self._prefix_series(t_ms)
-        if ws is None:
+    def _evaluate_stride(self, t_ms: int) -> StopDecision:
+        # the snapshots received since the previous stride fill the windows
+        # before t_ms; one exactly on the boundary opens the next window
+        pending, ws = self._pending, self._series
+        n = len(pending) - (bool(pending) and pending[-1].t_us == t_ms * 1000)
+        run, self._pending = pending[:n], pending[n:]
+        cols = np.array(run, dtype=np.int64).reshape(n, len(SNAPSHOT_FIELDS)).T
+        frames, filled = window_frames(
+            cols, cols[0] // (WINDOW_MS * 1000), len(ws), t_ms // WINDOW_MS,
+            self._prev, ws.frames[-1] if self._prev is not None else None)
+        ws = self._series = WindowSeries(WINDOW_MS, np.concatenate([ws.frames, frames]),
+                                         np.concatenate([ws.filled, filled]))
+        if run:
+            self._prev = run[-1]
+            self._windowed += n
+        if self._windowed < 2:
             return CONTINUE
         if not variability_guard(ws, t_ms, self.policy.guard):
             return CONTINUE
@@ -151,7 +158,6 @@ class Session:
         p = predict_stop_prob(self.policy.classifier, classifier_input(ws, t_ms))
         self.classifier_latency_s.append(time.perf_counter() - t0)
         if p >= self.policy.threshold:
-            self._stop_series = ws
             return StopDecision(Verdict.STOP, REASON_CLASSIFIER)
         return CONTINUE
 
@@ -159,10 +165,9 @@ class Session:
         """Declare the stream complete; stopping here is always valid."""
         if self.terminal:
             return self._terminal
-        if not self._cols["t_us"]:
+        if self._last is None:
             raise SessionError("end_of_trace before any snapshot")
         self._terminal = StopDecision(Verdict.STOP, REASON_END_OF_TRACE)
-        self._stop_ms = int(self._cols["t_us"][-1] // 1000)
         return self._terminal
 
     def finalize(self, y_true_mbps: float | None = None) -> TerminationOutcome:
@@ -172,64 +177,41 @@ class Session:
         if self._finalized:
             raise SessionError("finalize called twice")
         self._finalized = True
-        t_arr = np.asarray(self._cols["t_us"], dtype=np.int64)
-        b_arr = np.asarray(self._cols["bytes_acked"], dtype=np.int64)
-
-        if self._terminal.reason == REASON_CLASSIFIER:
-            stop_us = self._stop_ms * 1000
-            idx = int(np.searchsorted(t_arr, stop_us, side="right")) - 1
-            bytes_at_stop = int(b_arr[idx])
+        early = self._terminal.reason == REASON_CLASSIFIER
+        t_last, bytes_last = int(self._last.t_us), int(self._last.bytes_acked)
+        if early:
+            # the snapshot that triggered the stop lies past the boundary,
+            # so the last one received is the last at or before it
             t0 = time.perf_counter()
             estimate = float(self.policy.regressor.predict(
-                regressor_input(self._stop_series, self._stop_ms).features))
+                regressor_input(self._series, self._stop_ms).features))
             self.regressor_latency_s = time.perf_counter() - t0
-            self._regressor_calls += 1
-            assert self._regressor_calls <= 1
+            stop_ms = float(self._stop_ms)
             err = rel_error(y_true_mbps, estimate) if y_true_mbps is not None else None
-            return TerminationOutcome(
-                stop_time_ms=float(self._stop_ms),
-                bytes_at_stop=bytes_at_stop,
-                estimate_mbps=estimate,
-                rel_error=err,
-                ran_to_completion=False,
-                reason=self._terminal.reason,
-            )
-
-        # ran to completion: report the full-run aggregate, error zero
-        estimate = 8.0 * int(b_arr[-1]) / int(t_arr[-1])
+        else:
+            # ran to completion: report the full-run aggregate, error zero
+            stop_ms, estimate, err = t_last / 1000.0, 8.0 * bytes_last / t_last, 0.0
         return TerminationOutcome(
-            stop_time_ms=float(t_arr[-1]) / 1000.0,
-            bytes_at_stop=int(b_arr[-1]),
+            stop_time_ms=stop_ms,
+            bytes_at_stop=bytes_last,
             estimate_mbps=estimate,
-            rel_error=0.0,
-            ran_to_completion=True,
+            rel_error=err,
+            ran_to_completion=not early,
             reason=self._terminal.reason,
         )
 
 
 def run_trace(trace: Trace, policy: Policy,
               y_true_mbps: float | None = None) -> TerminationOutcome:
-    """Replay a recorded trace through a policy.
-
-    Replay resamples once and evaluates strides on prefix views of the
-    full series, which is decision-for-decision identical to feeding
-    snapshots one at a time (tests compare the two).
-    """
+    """Replay a recorded trace through a policy: feed its snapshots to a
+    Session one at a time, as a live test would."""
     if y_true_mbps is None:
         y_true_mbps = trace.summarize().y_true_mbps
     session = Session(policy)
-    for name in SNAPSHOT_FIELDS:
-        session._cols[name] = list(getattr(trace, name))
-    ws = resample(trace)
-    t_last_us = int(trace.t_us[-1])
-    t_ms = policy.stride_ms
-    while t_ms * 1000 < t_last_us:
-        decision = session._evaluate_stride(t_ms, ws)
-        if decision.stopping:
-            session._terminal = decision
-            session._stop_ms = t_ms
+    columns = [getattr(trace, name).tolist() for name in SNAPSHOT_FIELDS]
+    for row in zip(*columns):
+        if session.feed(Snapshot(*row)).stopping:
             break
-        t_ms += policy.stride_ms
-    if not session.terminal:
+    else:
         session.end_of_trace()
     return session.finalize(y_true_mbps)

@@ -38,6 +38,11 @@ class Record:
     rtt_bin: int
     ran_to_completion: bool
 
+    def __post_init__(self):
+        if self.bytes_full <= 0:
+            raise ValueError(f"bytes_full must be positive, got {self.bytes_full} "
+                             f"(trace {self.trace_id!r})")
+
 
 @dataclass(frozen=True)
 class FrontierPoint:
@@ -304,8 +309,6 @@ def read_records_csv(path: str) -> list[Record]:
                            bool(int(row["ran_to_completion"])))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            if r.bytes_full <= 0:
-                raise ValueError(f"{where}: bytes_full must be positive, got {r.bytes_full}")
             records.append(r)
     return records
 

@@ -64,7 +64,7 @@ def _read_arrays(fh) -> dict[str, np.ndarray]:
     (count,) = struct.unpack("<I", raw)
     arrays = {}
     for _ in range(count):
-        name = _read_bytes(fh).decode("utf-8")
+        name = _read_bytes(fh).decode("utf-8", errors="replace")
         code = _read_bytes(fh).decode("ascii", errors="replace")
         try:
             dtype = np.dtype(code)
@@ -215,8 +215,13 @@ def load_model_bytes(data: bytes):
     (version,) = struct.unpack("<I", fh.read(4))
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
-    kind = _read_bytes(fh).decode("ascii")
-    params = json.loads(_read_bytes(fh).decode("utf-8"))
+    try:
+        kind = _read_bytes(fh).decode("ascii")
+        params = json.loads(_read_bytes(fh).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelFormatError(f"model kind or parameter block: {exc}") from None
+    if not isinstance(params, dict):
+        raise ModelFormatError("parameter block is not a JSON object")
     arrays = _read_arrays(fh)
     return _restore(kind, params, arrays)
 

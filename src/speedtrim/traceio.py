@@ -111,19 +111,21 @@ def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Tra
         if lineno == 1 and "t_us" not in obj:
             trace_id = str(obj.get("id", default_id))
             if "duration_us" in obj:
-                try:
-                    duration_us = int(obj["duration_us"])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ParseError(f"line 1: non-integer duration_us ({exc})") from exc
+                duration_us = obj["duration_us"]
+                if type(duration_us) is not int:
+                    raise ParseError(f"line 1: non-integer duration_us {duration_us!r}")
             header = 1
             continue
-        missing = [k for k in SNAPSHOT_FIELDS if k not in obj]
-        if missing:
-            raise ParseError(f"line {lineno}: missing keys {missing}")
         try:
-            rows.append(tuple(int(obj[k]) for k in SNAPSHOT_FIELDS))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"line {lineno}: non-integer field ({exc})") from exc
+            row = tuple([obj[k] for k in SNAPSHOT_FIELDS])
+        except KeyError:
+            missing = [k for k in SNAPSHOT_FIELDS if k not in obj]
+            raise ParseError(f"line {lineno}: missing keys {missing}") from None
+        # JSON true, 1.9 and "7" decode to bool, float and str: none is an int
+        for k, value in zip(SNAPSHOT_FIELDS, row):
+            if type(value) is not int:
+                raise ParseError(f"line {lineno}: non-integer field {k}={value!r}")
+        rows.append(row)
 
     if not rows:
         raise ParseError("no snapshots")
@@ -161,6 +163,86 @@ def dump_trace(trace: Trace) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
+def _window_stats(values: np.ndarray, members: np.ndarray, n_windows: int):
+    cnt = np.bincount(members, minlength=n_windows).astype(np.float64)
+    s = np.bincount(members, weights=values, minlength=n_windows)
+    sq = np.bincount(members, weights=values * values, minlength=n_windows)
+    safe = np.maximum(cnt, 1.0)
+    mean = s / safe
+    var = np.maximum(sq / safe - mean * mean, 0.0)
+    return mean, np.sqrt(var)
+
+
+def window_frames(cols, w_of: np.ndarray, w0: int, w1: int,
+                  prev: tuple | None = None, prev_frame: np.ndarray | None = None):
+    """Frames and ``filled`` flags of windows [w0, w1) from a run of snapshots.
+
+    ``cols`` holds the run's columns in SNAPSHOT_FIELDS order, ``w_of`` the
+    window of each snapshot, all in [w0, w1); the run may be empty.
+    ``prev`` is the snapshot just before the run and ``prev_frame`` the
+    frame of window w0 - 1, both None when no snapshot comes before.  A
+    window depends only on its own snapshots and the one before them, so
+    filling a series run by run gives the frames of filling it at once.
+    """
+    t, acked, cwnd, bif, rtt, retrans, dup_acks, pipe_full = cols
+    n = w1 - w0
+    members = w_of - w0
+    frames = np.zeros((n, N_FEATURES), dtype=np.float64)
+
+    # Level channels: every snapshot contributes at its own window.
+    for mean_ch, std_ch, values in (
+        (3, 4, cwnd.astype(np.float64)),
+        (5, 6, bif.astype(np.float64)),
+        (7, 8, rtt / 1000.0),
+    ):
+        frames[:, mean_ch], frames[:, std_ch] = _window_stats(values, members, n)
+
+    # Delta channels: per-snapshot differences, attributed to the window of
+    # the interval's endpoint; the run's first snapshot pairs with prev.
+    def diff(k: int, col: np.ndarray) -> np.ndarray:
+        return np.diff(col) if prev is None else np.diff(col, prepend=prev[k])
+
+    delta_members = members[1:] if prev is None else members
+    dt = diff(0, t).astype(np.float64)
+    inst = 8.0 * diff(1, acked) / dt
+    frames[:, F_TPUT] = _window_stats(inst, delta_members, n)[0]
+    for mean_ch, std_ch, k, col in (
+        (9, 10, 5, retrans),
+        (11, 12, 6, dup_acks),
+    ):
+        d = diff(k, col).astype(np.float64)
+        frames[:, mean_ch], frames[:, std_ch] = _window_stats(d, delta_members, n)
+
+    # Cumulative-average channel: bytes-so-far over elapsed time, taken at
+    # the last snapshot (with t > 0) in each window.
+    last_idx = np.full(n, -1, dtype=np.int64)
+    positive = t > 0
+    np.maximum.at(last_idx, members[positive], np.flatnonzero(positive))
+    has_last = last_idx >= 0
+    frames[has_last, F_CUM_AVG] = 8.0 * acked[last_idx[has_last]] / t[last_idx[has_last]]
+
+    # Pipe-full channel: max cumulative count observed within the window.
+    pf = np.zeros(n, dtype=np.float64)
+    np.maximum.at(pf, members, pipe_full.astype(np.float64))
+    frames[:, F_PIPE_FULL] = pf
+
+    # Carry-forward for empty windows.  Every window past the first that
+    # holds a snapshot holds one with t > 0, so its cum-avg is its own.
+    filled = np.bincount(members, minlength=n) == 0
+    std_cols = list(STD_CHANNELS)
+    for w in range(n):
+        if filled[w]:
+            if prev_frame is not None:
+                frames[w] = prev_frame
+                frames[w, std_cols] = 0.0
+            continue
+        if prev_frame is not None:
+            # cumulative counter never drops across a carried gap
+            frames[w, F_PIPE_FULL] = max(frames[w, F_PIPE_FULL], prev_frame[F_PIPE_FULL])
+        prev_frame = frames[w]
+    return frames, filled
+
+
 def resample(trace: Trace) -> WindowSeries:
     """Resample a trace to WINDOW_MS windows of per-channel statistics.
 
@@ -171,84 +253,10 @@ def resample(trace: Trace) -> WindowSeries:
     forward with zeroed std channels.
     """
     win_us = WINDOW_MS * 1000
-    t = trace.t_us
-    n_windows = max(1, math.ceil(t[-1] / win_us))
-    w_of = np.minimum(t // win_us, n_windows - 1).astype(np.int64)
-
-    frames = np.zeros((n_windows, N_FEATURES), dtype=np.float64)
-    counts = np.bincount(w_of, minlength=n_windows)
-
-    def window_stats(values: np.ndarray, members: np.ndarray, minlength: int):
-        cnt = np.bincount(members, minlength=minlength).astype(np.float64)
-        s = np.bincount(members, weights=values, minlength=minlength)
-        sq = np.bincount(members, weights=values * values, minlength=minlength)
-        safe = np.maximum(cnt, 1.0)
-        mean = s / safe
-        var = np.maximum(sq / safe - mean * mean, 0.0)
-        return mean, np.sqrt(var), cnt
-
-    # Level channels: every snapshot contributes at its own window.
-    for mean_ch, std_ch, col in (
-        (3, 4, trace.cwnd_bytes),
-        (5, 6, trace.bytes_in_flight),
-    ):
-        mean, std, _ = window_stats(col.astype(np.float64), w_of, n_windows)
-        frames[:, mean_ch] = mean
-        frames[:, std_ch] = std
-    rtt_mean, rtt_std, _ = window_stats(trace.rtt_us / 1000.0, w_of, n_windows)
-    frames[:, 7] = rtt_mean
-    frames[:, 8] = rtt_std
-
-    # Delta channels: per-snapshot differences, attributed to the window of
-    # the interval's endpoint.
-    if len(t) > 1:
-        dt = np.diff(t).astype(np.float64)
-        inst = 8.0 * np.diff(trace.bytes_acked) / dt
-        members = w_of[1:]
-        mean, _, _ = window_stats(inst, members, n_windows)
-        frames[:, F_TPUT] = mean
-        for mean_ch, std_ch, col in (
-            (9, 10, trace.retrans),
-            (11, 12, trace.dup_acks),
-        ):
-            d = np.diff(col).astype(np.float64)
-            mean, std, _ = window_stats(d, members, n_windows)
-            frames[:, mean_ch] = mean
-            frames[:, std_ch] = std
-
-    # Cumulative-average channel: bytes-so-far over elapsed time, taken at
-    # the last snapshot (with t > 0) in each window.
-    last_idx = np.full(n_windows, -1, dtype=np.int64)
-    positive = t > 0
-    np.maximum.at(last_idx, w_of[positive], np.flatnonzero(positive))
-    has_last = last_idx >= 0
-    frames[has_last, F_CUM_AVG] = (
-        8.0 * trace.bytes_acked[last_idx[has_last]] / t[last_idx[has_last]]
-    )
-
-    # Pipe-full channel: max cumulative count observed within the window.
-    pf = np.zeros(n_windows, dtype=np.float64)
-    np.maximum.at(pf, w_of, trace.pipe_full.astype(np.float64))
-    frames[:, F_PIPE_FULL] = pf
-
-    # Carry-forward for empty windows (and the cum-avg of windows whose only
-    # snapshot sits at t == 0).
-    filled = counts == 0
-    std_cols = list(STD_CHANNELS)
-    prev = None
-    for w in range(n_windows):
-        if filled[w]:
-            if prev is not None:
-                frames[w] = frames[prev]
-                frames[w, std_cols] = 0.0
-            continue
-        if prev is not None:
-            if not has_last[w]:
-                frames[w, F_CUM_AVG] = frames[prev, F_CUM_AVG]
-            # cumulative counter never drops across a carried gap
-            frames[w, F_PIPE_FULL] = max(frames[w, F_PIPE_FULL], frames[prev, F_PIPE_FULL])
-        prev = w
-
+    n_windows = max(1, math.ceil(trace.t_us[-1] / win_us))
+    w_of = np.minimum(trace.t_us // win_us, n_windows - 1)
+    cols = [getattr(trace, name) for name in SNAPSHOT_FIELDS]
+    frames, filled = window_frames(cols, w_of, 0, n_windows)
     return WindowSeries(window_ms=WINDOW_MS, frames=frames, filled=filled)
 
 

@@ -68,6 +68,16 @@ class TestSnapshot:
         with pytest.raises(ValidationError):
             util.snapshot(0, 0, bytes_in_flight=-1).validate()
 
+    @pytest.mark.parametrize("value", [1.0, True, np.float64(2.0), np.bool_(True), "7"],
+                             ids=["float", "bool", "np-float", "np-bool", "string"])
+    def test_non_integer_rejected(self, value):
+        # the session takes what the trace parser takes: integers only
+        with pytest.raises(ValidationError, match="retrans must be an integer"):
+            util.snapshot(0, 0, retrans=value).validate()
+
+    def test_numpy_integers_accepted(self):
+        util.snapshot(np.int64(0), np.int64(5), rtt_us=np.int32(1)).validate()
+
 
 class TestTrace:
     def test_needs_two_snapshots(self):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from speedtrim.core import F_TPUT, WindowSeries
+from speedtrim import engine
+from speedtrim.core import CUMULATIVE_FIELDS, F_TPUT, ValidationError, WindowSeries
 from speedtrim.engine import (
     GuardConfig,
     Policy,
@@ -163,3 +165,117 @@ class TestReplayEquivalence:
         out = run_trace(util.constant_rate_trace(100.0, duration_s=0.9),
                         make_policy(0.0))
         assert out.ran_to_completion
+
+
+def judged_series(trace):
+    """(t_ms, frames, filled) of every stride a never-stopping session
+    judges while the trace is fed to it, read where the guard sees them."""
+    seen = []
+
+    def recording(ws, t_ms, cfg):
+        seen.append((t_ms, ws.frames.copy(), ws.filled.copy()))
+        return variability_guard(ws, t_ms, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "variability_guard", recording)
+        util.feed_trace(trace, make_policy(0.0, guard=GuardConfig(enabled=False)))
+    return seen
+
+
+def assert_frames_match_resample(trace):
+    ws = resample(trace)
+    seen = judged_series(trace)
+    for t_ms, frames, filled in seen:
+        n = t_ms // ws.window_ms
+        assert frames.shape[0] == n
+        assert frames.tobytes() == ws.frames[:n].tobytes(), t_ms
+        np.testing.assert_array_equal(filled, ws.filled[:n])
+    return seen
+
+
+@st.composite
+def timings(draw):
+    """Strictly rising snapshot times up to 3 s, mixing exact 100 ms
+    boundaries with arbitrary microseconds, so that gaps can span whole
+    strides; the other columns are random but valid."""
+    boundary = st.integers(0, 30).map(lambda k: k * 100_000)
+    t_us = sorted(draw(st.sets(st.one_of(boundary, st.integers(0, 3_000_000)),
+                               min_size=2, max_size=60)))
+    n = len(t_us)
+
+    def rising(hi):
+        return np.cumsum(draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)))
+
+    def level(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    return util.make_trace(t_us, rising(10 ** 6), cwnd_bytes=level(0, 10 ** 6),
+                           bytes_in_flight=level(0, 10 ** 6), rtt_us=level(1, 10 ** 6),
+                           retrans=rising(5), dup_acks=rising(5), pipe_full=rising(2))
+
+
+class TestOneDecisionPath:
+    """A session builds its frames as snapshots arrive; at every judged
+    stride they equal the frames resample gives for the whole trace, so
+    live feeding and replay decide alike."""
+
+    def test_frames_equal_resample_on_corpus(self, small_corpus):
+        for tid in small_corpus.ids:
+            seen = assert_frames_match_resample(small_corpus.load(tid))
+            assert len(seen) == 19, tid
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace=timings())
+    def test_frames_equal_resample_on_any_timing(self, trace):
+        assert_frames_match_resample(trace)
+
+    def test_boundary_snapshot_before_gap(self):
+        # every 100 ms, 124 Mbps from 300 to 400 ms, nothing from 400 to
+        # 600 ms: the 400 ms snapshot belongs to window 4, not window 3
+        t_ms = [0, 100, 200, 300, 400] + list(range(600, 3001, 100))
+        rates = [100.0, 100.0, 100.0, 124.0] + [100.0] * (len(t_ms) - 5)
+        steps = [r * 1e5 / 8 * (b - a) / 100 for r, a, b in zip(rates, t_ms, t_ms[1:])]
+        trace = util.make_trace(np.array(t_ms) * 1000,
+                                np.concatenate([[0], np.cumsum(steps)]).astype(np.int64))
+        tput = resample(trace).frames[:5, F_TPUT]
+        np.testing.assert_allclose(tput, [0, 100, 100, 100, 124])
+        # the CoV is 0.512 on these frames and would be 0.504 had window 3
+        # taken the 400 ms snapshot; a v_max between them tells them apart
+        guard = GuardConfig(v_max=0.508)
+        assert not variability_guard(resample(trace), 500, guard)
+        policy = make_policy(1.0, guard=guard)
+        live, replay = util.feed_trace(trace, policy), run_trace(trace, policy)
+        assert live == replay
+        assert live.stop_time_ms == 1000.0
+        assert_frames_match_resample(trace)
+
+    def test_one_snapshot_before_first_stride(self):
+        # a single snapshot shows no throughput: stride 500 is not judged
+        t_us = [0] + list(range(600_000, 2_000_001, 100_000))
+        trace = util.make_trace(t_us, [t * 10 for t in t_us])
+        policy = make_policy(1.0)
+        live, replay = util.feed_trace(trace, policy), run_trace(trace, policy)
+        assert live == replay
+        assert replay.stop_time_ms == 1000.0
+        assert replay.bytes_at_stop == 10_000_000   # the 1000 ms snapshot
+
+    @pytest.mark.parametrize("field", CUMULATIVE_FIELDS)
+    def test_dip_rejected_at_the_dipped_snapshot(self, field):
+        # the counter rises to 9, then dips to 8 before any stride is judged
+        session = Session(make_policy(0.0))
+        for t_us, value in ((0, 0), (100_000, 9)):
+            session.feed(util.snapshot(**dict(t_us=t_us, bytes_acked=0) | {field: value}))
+        dipped = util.snapshot(**dict(t_us=200_000, bytes_acked=0) | {field: 8})
+        with pytest.raises(ValidationError, match=f"{field} decreases at t_us=200000"):
+            session.feed(dipped)
+
+    def test_non_integer_fields_rejected(self):
+        for bad in (dict(bytes_acked=1.0), dict(rtt_us=True), dict(retrans="7")):
+            session = Session(make_policy(0.0))
+            session.feed(util.snapshot(0, 0))
+            snap = util.snapshot(**dict(t_us=100_000, bytes_acked=10) | bad)
+            with pytest.raises(ValidationError, match="must be an integer"):
+                session.feed(snap)
+        session = Session(make_policy(0.0))
+        session.feed(util.snapshot(np.int64(0), np.int64(0)))
+        session.feed(util.snapshot(np.int64(100_000), np.int64(10)))

@@ -19,6 +19,13 @@ def rec(tid="t0", method="ml", param="15", stop=5000.0, early=50, full=100,
                     tier, rtt_bin, complete)
 
 
+class TestRecord:
+    @pytest.mark.parametrize("full", [0, -5])
+    def test_nonpositive_full_bytes_rejected(self, full):
+        with pytest.raises(ValueError, match=r"bytes_full must be positive.*trace 't7'"):
+            rec(tid="t7", full=full)
+
+
 class TestEvaluateMethod:
     def test_full_policy_identity(self, small_corpus):
         records = E.evaluate_method(small_corpus, "full")

@@ -1,4 +1,5 @@
 import copy
+import json
 import struct
 import zlib
 
@@ -217,9 +218,10 @@ class TestParamsAndMlpValidation:
                          "--classifier", str(classifier)]) == EXIT_MODEL
 
 
-def with_dtype(blob: bytes, old: bytes, new: bytes) -> bytes:
-    """blob with its first array dtype string `old` replaced by `new` and a
-    recomputed CRC."""
+def with_block(blob: bytes, old: bytes, new: bytes) -> bytes:
+    """blob with its first length-prefixed block `old` (a kind, parameter
+    block, array name or dtype string) replaced by `new` and a recomputed
+    CRC."""
     body = blob[:-4]
     tag = struct.pack("<I", len(old)) + old
     i = body.index(tag)
@@ -239,7 +241,7 @@ class TestArrayDtypes:
     ])
     def test_rejected_on_load(self, gbdt_model, mlp_model, model, new, match):
         model = {"gbdt": gbdt_model, "mlp": mlp_model}[model]
-        blob = with_dtype(dump_model(model), b"<f8", new)
+        blob = with_block(dump_model(model), b"<f8", new)
         with pytest.raises(ModelFormatError, match=match):
             load_model_bytes(blob)
 
@@ -251,12 +253,65 @@ class TestArrayDtypes:
         good_regressor.write_bytes(dump_model(gbdt_model))
         good_classifier.write_bytes(dump_model(mlp_model))
         unknown = tmp_path / "unknown.bin"
-        unknown.write_bytes(with_dtype(dump_model(gbdt_model), b"<f8", b"<x8"))
+        unknown.write_bytes(with_block(dump_model(gbdt_model), b"<f8", b"<x8"))
         obj = tmp_path / "object.bin"
-        obj.write_bytes(with_dtype(dump_model(mlp_model), b"<f8", b"|O8"))
+        obj.write_bytes(with_block(dump_model(mlp_model), b"<f8", b"|O8"))
         trace = tmp_path / "t.jsonl"
         trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
         for regressor, classifier in ((unknown, good_classifier), (good_regressor, obj)):
+            assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
+                         "--classifier", str(classifier)]) == EXIT_MODEL
+
+
+# (block to replace, replacement, error) per header block that does not decode
+BAD_BLOCKS = [
+    pytest.param("params", b"[1, 2]", "parameter block is not a JSON object",
+                 id="params-list"),
+    pytest.param("params", b'"gbdt"', "parameter block is not a JSON object",
+                 id="params-string"),
+    pytest.param("params", b"{not json", "parameter block: Expecting property name",
+                 id="params-not-json"),
+    pytest.param("params", b'{"n_trees": "\xff"}', "'utf-8' codec can't decode",
+                 id="params-not-utf8"),
+    pytest.param("kind", "\u00e9t\u00e9".encode(), "'ascii' codec can't decode",
+                 id="kind-not-ascii"),
+    pytest.param("array", b"\xffname", "lacks arrays", id="array-name-not-utf8"),
+]
+
+
+def with_bad_block(model, which: str, new: bytes) -> bytes:
+    kind, params, _ = modelio._model_payload(model)
+    old = {"params": json.dumps(params, sort_keys=True).encode(), "kind": kind.encode(),
+           "array": b"meta" if kind == "gbdt" else b"loss_curve"}[which]
+    return with_block(dump_model(model), old, new)
+
+
+class TestHeaderBlocks:
+    """The kind, the parameter block or an array name rewritten in a dumped
+    model, with the CRC made valid again."""
+
+    @pytest.mark.parametrize("model", ["gbdt", "mlp"])
+    @pytest.mark.parametrize("which, new, match", BAD_BLOCKS)
+    def test_rejected_on_load(self, gbdt_model, mlp_model, model, which, new, match):
+        model = {"gbdt": gbdt_model, "mlp": mlp_model}[model]
+        with pytest.raises(ModelFormatError, match=match):
+            load_model_bytes(with_bad_block(model, which, new))
+
+    @pytest.mark.parametrize("which, new, match", BAD_BLOCKS)
+    def test_cli_exits_4(self, tmp_path, gbdt_model, mlp_model, which, new, match):
+        from speedtrim.cli import EXIT_MODEL, main
+        from speedtrim.traceio import dump_trace
+        import util
+        good_regressor, good_classifier = tmp_path / "r.bin", tmp_path / "c.bin"
+        good_regressor.write_bytes(dump_model(gbdt_model))
+        good_classifier.write_bytes(dump_model(mlp_model))
+        bad_regressor, bad_classifier = tmp_path / "bad_r.bin", tmp_path / "bad_c.bin"
+        bad_regressor.write_bytes(with_bad_block(gbdt_model, which, new))
+        bad_classifier.write_bytes(with_bad_block(mlp_model, which, new))
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
+        for regressor, classifier in ((bad_regressor, good_classifier),
+                                      (good_regressor, bad_classifier)):
             assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
                          "--classifier", str(classifier)]) == EXIT_MODEL
 

@@ -105,6 +105,16 @@ class TestParseTrace:
             with pytest.raises(ParseError, match="line 1: non-integer duration_us"):
                 parse_trace(jsonl(objs))
 
+    @pytest.mark.parametrize("value", [1.9, 7.0, True, "7", None],
+                             ids=["float", "whole-float", "true", "string", "null"])
+    def test_non_integer_value_names_the_line(self, value):
+        objs = [{"id": "x"}, snap_obj(0, 0), snap_obj(10000, 100, retrans=value)]
+        with pytest.raises(ParseError, match="line 3: non-integer field retrans"):
+            parse_trace(jsonl(objs))
+        header = [{"id": "x", "duration_us": value}, snap_obj(0, 0), snap_obj(10000, 100)]
+        with pytest.raises(ParseError, match="line 1: non-integer duration_us"):
+            parse_trace(jsonl(header))
+
     def test_negative_timestamp_rejected_like_the_session(self):
         objs = [{"id": "early"}, snap_obj(10000, 100), snap_obj(-5, 0)]
         with pytest.raises(ValidationError, match="trace 'early': negative t_us -5"):
