@@ -19,9 +19,10 @@ from . import evaluate, heuristics, label, modelio, synth, traceio
 from .config import RunConfig
 from .core import ValidationError
 from .engine import GuardConfig, Policy, run_trace
-from .gbdt import train_gbdt
-from .mlp import train_mlp
+from .gbdt import GbdtModel, train_gbdt
+from .mlp import MlpModel, train_mlp
 from .modelio import ModelFormatError
+from .traceio import CLASSIFIER_ARITY, REGRESSOR_ARITY
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,6 +63,22 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
+
+
+# the model class and input width each model role takes
+_MODEL_ROLES = {"regressor": (GbdtModel, REGRESSOR_ARITY),
+                "classifier": (MlpModel, CLASSIFIER_ARITY)}
+
+
+def _load_models(paths_and_roles: list[tuple[str, str]]) -> list:
+    """The model in each file; once all have loaded, each must fit its role."""
+    models = [modelio.load_model(path) for path, _ in paths_and_roles]
+    for model, (path, role) in zip(models, paths_and_roles):
+        cls, n_features = _MODEL_ROLES[role]
+        if not isinstance(model, cls) or model.n_features != n_features:
+            raise ModelFormatError(
+                f"{path}: a {role} must be a {cls.__name__} over {n_features} features")
+    return models
 
 
 def _corpus_inputs(corpus_dir: str) -> list[str]:
@@ -132,14 +149,14 @@ def cmd_train_regressor(args) -> int:
 def cmd_label(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
-    regressor = modelio.load_model(args.regressor)
+    (regressor,) = _load_models([(args.regressor, "regressor")])
     X, labels, meta = label.build_classification_dataset(
-        corpus, regressor, args.epsilon, config.stride_ms)
+        corpus, regressor, (args.epsilon,), config.stride_ms)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trace_id", "t_ms", "label"]
                    + [f"feature_{i}" for i in range(X.shape[1])])
-        for (tid, t_ms), lab, row in zip(meta, labels, X):
+        for (tid, t_ms), (lab,), row in zip(meta, labels, X):
             w.writerow([tid, t_ms, int(lab)] + [repr(v) for v in row])
     _log(f"wrote {len(X)} labeled samples (epsilon={args.epsilon}) to {args.out}")
     return EXIT_OK
@@ -148,14 +165,14 @@ def cmd_label(args) -> int:
 def cmd_train_classifier(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
-    regressor = modelio.load_model(args.regressor)
+    (regressor,) = _load_models([(args.regressor, "regressor")])
     params = dataclasses.replace(config.mlp, seed=config.seed)
     if args.epochs:
         params = dataclasses.replace(params, epochs=args.epochs)
     X, labels, _ = label.build_classification_dataset(
-        corpus, regressor, args.epsilon, config.stride_ms)
+        corpus, regressor, (args.epsilon,), config.stride_ms)
     _log(f"training classifier (epsilon={args.epsilon}) on {len(X)} samples")
-    model = train_mlp(X, labels, params)
+    model = train_mlp(X, labels[:, 0], params)
     out = args.out or f"classifier_eps{int(args.epsilon)}.bin"
     modelio.save_model(model, out)
     _write_manifest(os.path.dirname(out) or ".", "train-classifier",
@@ -166,12 +183,12 @@ def cmd_train_classifier(args) -> int:
 
 
 def _build_policy(args, config: RunConfig, epsilon: float) -> Policy:
-    regressor = modelio.load_model(args.regressor)
     classifier_path = args.classifier
     if classifier_path is None:
         classifier_path = os.path.join(args.models_dir,
                                        f"classifier_eps{int(epsilon)}.bin")
-    classifier = modelio.load_model(classifier_path)
+    regressor, classifier = _load_models([(args.regressor, "regressor"),
+                                          (classifier_path, "classifier")])
     guard = config.guard
     if getattr(args, "no_guard", False):
         guard = GuardConfig(enabled=False)
@@ -196,13 +213,11 @@ def cmd_run(args) -> int:
 
 
 def _ml_policies(args, config: RunConfig, epsilons) -> dict:
-    regressor = modelio.load_model(args.regressor)
-    policies = {}
-    for eps in epsilons:
-        path = os.path.join(args.models_dir, f"classifier_eps{int(eps)}.bin")
-        policies[eps] = Policy(regressor, modelio.load_model(path), eps,
-                               config.stride_ms, guard=config.guard)
-    return policies
+    paths = [os.path.join(args.models_dir, f"classifier_eps{int(eps)}.bin") for eps in epsilons]
+    regressor, *classifiers = _load_models(
+        [(args.regressor, "regressor")] + [(path, "classifier") for path in paths])
+    return {eps: Policy(regressor, classifier, eps, config.stride_ms, guard=config.guard)
+            for eps, classifier in zip(epsilons, classifiers)}
 
 
 def cmd_sweep(args) -> int:

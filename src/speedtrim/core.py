@@ -207,7 +207,6 @@ class Verdict(enum.Enum):
 
 # Enumerated stop causes.
 REASON_CLASSIFIER = "classifier"
-REASON_FALLBACK_TIMEOUT = "fallback-timeout"
 REASON_END_OF_TRACE = "end-of-trace"
 
 

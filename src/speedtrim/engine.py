@@ -41,6 +41,18 @@ from .traceio import resample  # noqa: F401  engine.resample stays available to 
 _CUMULATIVE = [SNAPSHOT_FIELDS.index(name) for name in CUMULATIVE_FIELDS]
 
 
+def _int64_columns(snapshots: list[Snapshot]) -> np.ndarray:
+    """The snapshots' values as int64 columns in SNAPSHOT_FIELDS order; a
+    value outside that range is looked for only when the conversion fails."""
+    try:
+        return np.array(snapshots, dtype=np.int64).reshape(-1, len(SNAPSHOT_FIELDS)).T
+    except OverflowError:
+        name, t_us = next((name, snap.t_us) for snap in snapshots
+                          for name, value in zip(SNAPSHOT_FIELDS, snap)
+                          if not -(1 << 63) <= value < 1 << 63)
+        raise ValidationError(f"{name} outside the 64-bit integer range at t_us={t_us}") from None
+
+
 @dataclass(frozen=True)
 class GuardConfig:
     """Variability fallback: suppress stopping while the trailing-window
@@ -123,6 +135,9 @@ class Session:
                         f"{SNAPSHOT_FIELDS[k]} decreases at t_us={snapshot.t_us}")
         # strict inequality: a stride is judged at the first snapshot past
         # its boundary, so the final stride of a trace is never an early stop
+        if self._next_stride_ms * 1000 < snapshot.t_us:
+            # a snapshot that stops the test never joins a run: check it here
+            _int64_columns([snapshot])
         while self._next_stride_ms * 1000 < snapshot.t_us:
             t_ms = self._next_stride_ms
             self._next_stride_ms += self.policy.stride_ms
@@ -141,7 +156,7 @@ class Session:
         pending, ws = self._pending, self._series
         n = len(pending) - (bool(pending) and pending[-1].t_us == t_ms * 1000)
         run, self._pending = pending[:n], pending[n:]
-        cols = np.array(run, dtype=np.int64).reshape(n, len(SNAPSHOT_FIELDS)).T
+        cols = _int64_columns(run)
         frames, filled = window_frames(
             cols, cols[0] // (WINDOW_MS * 1000), len(ws), t_ms // WINDOW_MS,
             self._prev, ws.frames[-1] if self._prev is not None else None)
@@ -165,8 +180,12 @@ class Session:
         """Declare the stream complete; stopping here is always valid."""
         if self.terminal:
             return self._terminal
-        if self._last is None:
-            raise SessionError("end_of_trace before any snapshot")
+        n = self._windowed + len(self._pending)
+        if n < 2:
+            raise ValidationError(f"a test needs >= 2 snapshots, got {n}")
+        _int64_columns(self._pending)
+        if self._last.bytes_acked <= 0:
+            raise ValidationError(f"no bytes acked by the last snapshot (t_us={self._last.t_us})")
         self._terminal = StopDecision(Verdict.STOP, REASON_END_OF_TRACE)
         return self._terminal
 
@@ -184,7 +203,7 @@ class Session:
             # so the last one received is the last at or before it
             t0 = time.perf_counter()
             estimate = float(self.policy.regressor.predict(
-                regressor_input(self._series, self._stop_ms).features))
+                regressor_input(self._series, self._stop_ms)))
             self.regressor_latency_s = time.perf_counter() - t0
             stop_ms = float(self._stop_ms)
             err = rel_error(y_true_mbps, estimate) if y_true_mbps is not None else None

@@ -124,10 +124,9 @@ class MlpModel:
         return p[0] if single else p
 
 
-def predict_stop_prob(model: MlpModel, classifier_input) -> float:
+def predict_stop_prob(model: MlpModel, features: np.ndarray) -> float:
     """Probability that it is safe to stop, for one model-ready input."""
-    features = getattr(classifier_input, "features", classifier_input)
-    return float(model.predict_proba(np.asarray(features, dtype=np.float64)))
+    return float(model.predict_proba(features))
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams()) -> MlpModel:

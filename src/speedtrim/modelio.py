@@ -68,7 +68,7 @@ def _read_arrays(fh) -> dict[str, np.ndarray]:
         code = _read_bytes(fh).decode("ascii", errors="replace")
         try:
             dtype = np.dtype(code)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, SyntaxError):   # numpy parses some codes as Python
             raise ModelFormatError(f"array {name!r}: unknown dtype {code!r}") from None
         if dtype.kind not in "iuf":
             raise ModelFormatError(f"array {name!r}: dtype {dtype.str!r} is not "
@@ -87,7 +87,10 @@ def _read_arrays(fh) -> dict[str, np.ndarray]:
         if len(data) != dtype.itemsize * math.prod(shape):
             raise ModelFormatError(f"array {name!r}: {len(data)} bytes do not fill "
                                    f"shape {tuple(shape)} of {dtype.str}")
-        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:   # more or larger dimensions than numpy allows
+            raise ModelFormatError(f"array {name!r}: {exc}") from None
     return arrays
 
 
@@ -177,9 +180,11 @@ def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
         missing = [name for name in (*FOREST_DTYPES, "meta", "train_mse") if name not in arrays]
         if missing:
             raise ModelFormatError(f"gbdt model lacks arrays {missing}")
-        if arrays["meta"].shape != (2,):
-            raise ModelFormatError("gbdt meta must hold base prediction and feature count")
-        base, n_features = arrays["meta"]
+        meta = arrays["meta"]
+        if meta.shape != (2,) or not np.isfinite(meta).all() or meta[1] < 0 or meta[1] % 1:
+            raise ModelFormatError("gbdt meta must hold a finite base prediction "
+                                   "and a whole feature count")
+        base, n_features = meta
         model = GbdtModel(float(base), arrays, _params(GbdtParams, params), int(n_features),
                           list(arrays["train_mse"]))
         _check_forest(model.forest, model.n_features)

@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,28 +44,6 @@ MANIFEST_COLUMNS = ("id", "y_true_mbps", "total_bytes", "min_rtt_ms", "tier", "r
 
 class ParseError(ValueError):
     """Malformed trace file; message carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class RegressorInput:
-    """Flat 20-window x 13-feature view ending at t_ms, plus elapsed time.
-
-    When fewer than 20 windows exist, the missing leading slots duplicate
-    the earliest available frame.
-    """
-
-    features: np.ndarray     # shape (261,): 260 window entries + elapsed_ms
-    t_ms: int
-    n_padded: int
-
-
-@dataclass(frozen=True)
-class ClassifierInput:
-    """Zero-padded full-history view: 100 windows x 13 features + elapsed."""
-
-    features: np.ndarray     # shape (1301,)
-    mask: np.ndarray         # shape (100,), uint8; 1 iff window is within t_ms
-    t_ms: int
 
 
 def _repair_cumulative(values: np.ndarray, name: str, trace_label: str) -> np.ndarray:
@@ -267,8 +244,9 @@ def stride_times(duration_ms: float, stride_ms: int = STRIDE_MS) -> list[int]:
     return list(range(stride_ms, int(duration_ms) + 1, stride_ms))
 
 
-def regressor_input(ws: WindowSeries, t_ms: int) -> RegressorInput:
-    """Most recent 2 s of frames ending at t_ms, front-padded when short."""
+def _window_end(ws: WindowSeries, t_ms: int) -> int:
+    """Number of whole windows up to t_ms; t_ms must be a window boundary
+    of the series past its start."""
     if t_ms < ws.window_ms:
         raise ValueError(f"t_ms must be >= {ws.window_ms}, got {t_ms}")
     if t_ms % ws.window_ms != 0:
@@ -276,36 +254,33 @@ def regressor_input(ws: WindowSeries, t_ms: int) -> RegressorInput:
     end = t_ms // ws.window_ms
     if end > len(ws):
         raise ValueError(f"t_ms={t_ms} beyond end of series ({len(ws)} windows)")
+    return end
+
+
+def regressor_input(ws: WindowSeries, t_ms: int) -> np.ndarray:
+    """Most recent 2 s of frames ending at t_ms, then t_ms: shape (261,).
+
+    When fewer than 20 windows exist, the missing leading slots repeat
+    the earliest frame.
+    """
+    end = _window_end(ws, t_ms)
     start = end - REGRESSOR_WINDOWS
-    n_padded = max(0, -start)
     block = ws.frames[max(start, 0):end]
-    if n_padded:
-        pad = np.repeat(block[:1], n_padded, axis=0)
-        block = np.concatenate([pad, block], axis=0)
-    features = np.empty(REGRESSOR_ARITY, dtype=np.float64)
+    if start < 0:
+        block = np.concatenate([np.repeat(block[:1], -start, axis=0), block])
+    features = np.empty(REGRESSOR_ARITY)
     features[:-1] = block.ravel()
-    features[-1] = float(t_ms)
-    return RegressorInput(features=features, t_ms=t_ms, n_padded=n_padded)
+    features[-1] = t_ms
+    return features
 
 
-def classifier_input(ws: WindowSeries, t_ms: int) -> ClassifierInput:
-    """Full feature history up to t_ms, zero-padded to 100 windows."""
-    if t_ms < ws.window_ms:
-        raise ValueError(f"t_ms must be >= {ws.window_ms}, got {t_ms}")
-    if t_ms % ws.window_ms != 0:
-        raise ValueError(f"t_ms must be a multiple of {ws.window_ms}, got {t_ms}")
-    end = t_ms // ws.window_ms
-    if end > len(ws):
-        raise ValueError(f"t_ms={t_ms} beyond end of series ({len(ws)} windows)")
-    end = min(end, CLASSIFIER_WINDOWS)
-    block = np.zeros((CLASSIFIER_WINDOWS, N_FEATURES), dtype=np.float64)
-    block[:end] = ws.frames[:end]
-    mask = np.zeros(CLASSIFIER_WINDOWS, dtype=np.uint8)
-    mask[:end] = 1
-    features = np.empty(CLASSIFIER_ARITY, dtype=np.float64)
-    features[:-1] = block.ravel()
-    features[-1] = float(t_ms)
-    return ClassifierInput(features=features, mask=mask, t_ms=t_ms)
+def classifier_input(ws: WindowSeries, t_ms: int) -> np.ndarray:
+    """Frames up to t_ms, zero-filled to 100 windows, then t_ms: shape (1301,)."""
+    end = min(_window_end(ws, t_ms), CLASSIFIER_WINDOWS)
+    features = np.zeros(CLASSIFIER_ARITY)
+    features[:end * N_FEATURES] = ws.frames[:end].ravel()
+    features[-1] = t_ms
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +358,12 @@ def write_corpus(root: str, traces_and_presets) -> Corpus:
     presets = {}
     for trace, preset in traces_and_presets:
         filename = f"{trace.id}.jsonl"
+        # the id names a file in root: one printable path component of <= 255 bytes
+        if (not filename.isprintable() or os.path.basename(filename) != filename
+                or len(filename.encode()) > 255):
+            raise ValidationError(f"trace id {trace.id!r} cannot name a corpus file")
+        if trace.id in summaries:
+            raise ValidationError(f"duplicate trace id {trace.id!r}")
         with open(os.path.join(root, filename), "wb") as fh:
             fh.write(dump_trace(trace))
         entries.append((filename, trace.id))

@@ -2,8 +2,8 @@
 
 Each test prints a PASS/FAIL line for its criterion; run with -s to see
 them inline.  The shared fixtures build one training corpus, one natural
-evaluation corpus, a regressor, and one classifier per tolerance; the
-classifier feature matrix is built once and relabeled per tolerance.
+evaluation corpus, a regressor, and one classifier per tolerance, all
+trained on one classification dataset with a label column per tolerance.
 """
 
 import hashlib
@@ -24,13 +24,12 @@ from speedtrim.gbdt import GbdtParams, train_gbdt
 from speedtrim.heuristics import stop_bbr, stop_cis, stop_static, stop_tsh
 from speedtrim.label import (
     EPSILON_SWEEP,
+    build_classification_dataset,
     build_regression_dataset,
     oracle_labeling,
-    oracle_stop_time,
-    stride_predictions,
 )
 from speedtrim.mlp import MlpParams, loss_and_grads, train_mlp
-from speedtrim.traceio import classifier_input, resample
+from speedtrim.traceio import regressor_input, resample, stride_times
 
 CONSTRAINT_PCT = 20.0
 STATIC_CAPS = [int(s * 1e6) for s in (5, 10, 25, 50, 100, 250)]
@@ -81,45 +80,25 @@ def regressor(train_corpus):
 
 @pytest.fixture(scope="session")
 def stride_errors(train_corpus, regressor):
-    """Per trace: (times, regressor relative error per stride)."""
+    """Per trace: (times, regressor relative error per stride), computed
+    here rather than by the labeling module, so that C1 can check it."""
     out = {}
     for trace in train_corpus.traces():
         s = train_corpus.summary(trace.id)
         ws = resample(trace)
-        times, preds = stride_predictions(ws, regressor)
+        times = stride_times(ws.duration_ms)
+        preds = regressor.predict(np.vstack([regressor_input(ws, t) for t in times]))
         errs = np.array([rel_error(s.y_true_mbps, float(p)) for p in preds])
         out[trace.id] = (times, errs)
     return out
 
 
 @pytest.fixture(scope="session")
-def classifiers(train_corpus, regressor, stride_errors):
+def classifiers(train_corpus, regressor):
     """One stop classifier per tolerance, sharing one feature matrix."""
-    rows, owners = [], []
-    for trace in train_corpus.traces():
-        ws = resample(trace)
-        times, _ = stride_errors[trace.id]
-        for t_ms in times:
-            rows.append(classifier_input(ws, t_ms).features)
-            owners.append(trace.id)
-    X = np.vstack(rows)
-    del rows
-    models = {}
-    for eps in EPSILON_SWEEP:
-        tol = eps / 100.0
-        labels = np.zeros(len(X))
-        pos = 0
-        for tid, (times, errs) in stride_errors.items():
-            hit = np.flatnonzero(errs <= tol)
-            if len(hit):
-                start = pos + int(hit[0])
-                labels[start: pos + len(times)] = 1.0
-            pos += len(times)
-        # owners walk the corpus in the same order as stride_errors
-        assert pos == len(X)
-        params = MlpParams(epochs=6, seed=9)
-        models[eps] = train_mlp(X, labels, params)
-    return models
+    X, labels, _ = build_classification_dataset(train_corpus, regressor, EPSILON_SWEEP)
+    return {eps: train_mlp(X, labels[:, j], MlpParams(epochs=6, seed=9))
+            for j, eps in enumerate(EPSILON_SWEEP)}
 
 
 @pytest.fixture(scope="session")
@@ -157,6 +136,9 @@ class TestCriterion1Oracle:
                 s = train_corpus.summary(trace.id)
                 ws = resample(trace)
                 times, errs = stride_errors[trace.id]
+                lab = oracle_labeling(ws, regressor, s.y_true_mbps)
+                assert lab.stride_times == times
+                assert lab.errors.tobytes() == errs.tobytes(), trace.id
                 prev_t_star = None
                 for eps in EPSILON_SWEEP:
                     # independent naive scan over precomputed errors
@@ -166,17 +148,12 @@ class TestCriterion1Oracle:
                         if e <= tol:
                             naive = t_ms
                             break
-                    got = oracle_stop_time(ws, regressor, eps,
-                                           y_true=s.y_true_mbps)
-                    assert got == naive, (trace.id, eps)
-                    lab = oracle_labeling(trace.id, ws, regressor, eps,
-                                          s.y_true_mbps)
-                    assert lab.t_star_ms == naive
+                    assert lab.t_star_ms(eps) == naive, (trace.id, eps)
                     # labels are a step function switching at t*
                     expect = np.zeros(len(times), dtype=np.int8)
                     if naive is not None:
                         expect[times.index(naive):] = 1
-                    np.testing.assert_array_equal(lab.labels, expect)
+                    np.testing.assert_array_equal(lab.labels(eps), expect)
                     # t* weakly decreasing as the tolerance loosens
                     if prev_t_star is not None:
                         assert naive is not None and naive <= prev_t_star

@@ -91,6 +91,30 @@ class TestIngest:
             assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("trace_id", ["../up", "a/b", "a" * 300, "tab\there"])
+    def test_id_must_name_a_corpus_file(self, tmp_path, capsys, trace_id):
+        # a header id becomes the trace's file name under --out
+        from speedtrim.traceio import dump_trace
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        trace = util.constant_rate_trace(50.0, duration_s=1, id=trace_id)
+        (raw / "x.jsonl").write_bytes(dump_trace(trace))
+        assert run("ingest", "--in", str(raw), "--out", str(tmp_path / "out")) == 3
+        assert "cannot name a corpus file" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["out", "raw"]
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_duplicate_ids_rejected(self, tmp_path, capsys):
+        from speedtrim.traceio import dump_trace
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for name, rate in (("a", 50.0), ("b", 60.0)):
+            trace = util.constant_rate_trace(rate, duration_s=1, id="same")
+            (raw / f"{name}.jsonl").write_bytes(dump_trace(trace))
+        assert run("ingest", "--in", str(raw), "--out", str(tmp_path / "out")) == 3
+        assert "duplicate trace id 'same'" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -176,9 +176,11 @@ def judged_series(trace):
         seen.append((t_ms, ws.frames.copy(), ws.filled.copy()))
         return variability_guard(ws, t_ms, cfg)
 
+    session = Session(make_policy(0.0, guard=GuardConfig(enabled=False)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "variability_guard", recording)
-        util.feed_trace(trace, make_policy(0.0, guard=GuardConfig(enabled=False)))
+        for snap in trace.snapshots:    # strides are judged while feeding
+            session.feed(snap)
     return seen
 
 
@@ -279,3 +281,60 @@ class TestOneDecisionPath:
         session = Session(make_policy(0.0))
         session.feed(util.snapshot(np.int64(0), np.int64(0)))
         session.feed(util.snapshot(np.int64(100_000), np.int64(10)))
+
+
+class TestSessionAcceptsWhatTheParserAccepts:
+    """Values outside int64, fewer than two snapshots and a test with no
+    bytes acked are input errors, as they are in parse_trace."""
+
+    def test_out_of_range_value_named_at_the_next_stride(self):
+        session = Session(make_policy(0.0))
+        session.feed(util.snapshot(0, 0))
+        session.feed(util.snapshot(100_000, 10, cwnd_bytes=2 ** 70))
+        with pytest.raises(ValidationError,
+                           match="cwnd_bytes outside the 64-bit integer range at t_us=100000"):
+            session.feed(util.snapshot(600_000, 20))
+
+    @pytest.mark.parametrize("field, value", [("t_us", 2 ** 70), ("cwnd_bytes", -2 ** 63 - 1),
+                                              ("pipe_full", np.uint64(2 ** 64 - 1))])
+    def test_out_of_range_value_rejected_where_it_ends_a_stride(self, field, value):
+        # a snapshot that ends a stride may also stop the test, so it is
+        # checked before the stride is judged
+        session = Session(make_policy(1.0))
+        session.feed(util.snapshot(0, 0))
+        session.feed(util.snapshot(100_000, 10))
+        snap = util.snapshot(600_000, 20)._replace(**{field: value})
+        with pytest.raises(ValidationError, match=f"{field} outside the 64-bit integer range "
+                                                  f"at t_us={snap.t_us}"):
+            session.feed(snap)
+        assert not session.terminal
+
+    def test_out_of_range_value_rejected_at_end_of_trace(self):
+        session = Session(make_policy(0.0))
+        session.feed(util.snapshot(0, 0))
+        session.feed(util.snapshot(100_000, 2 ** 64))
+        with pytest.raises(ValidationError, match="bytes_acked outside the 64-bit"):
+            session.end_of_trace()
+
+    def test_int64_extremes_accepted(self):
+        session = Session(make_policy(0.0))
+        session.feed(util.snapshot(0, 0, cwnd_bytes=-2 ** 63))
+        session.feed(util.snapshot(100_000, 10, cwnd_bytes=2 ** 63 - 1, retrans=2 ** 63 - 1))
+        session.feed(util.snapshot(600_000, 2 ** 63 - 1, retrans=2 ** 63 - 1))
+        session.end_of_trace()
+        assert session.finalize(10.0).ran_to_completion
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_snapshots_rejected(self, n):
+        session = Session(make_policy(0.0))
+        for i in range(n):
+            session.feed(util.snapshot(0, 1000))
+        with pytest.raises(ValidationError, match=f"needs >= 2 snapshots, got {n}"):
+            session.end_of_trace()
+
+    def test_no_bytes_acked_rejected(self):
+        session = Session(make_policy(0.0))
+        for t_us in range(0, 1_100_000, 100_000):
+            session.feed(util.snapshot(t_us, 0))
+        with pytest.raises(ValidationError, match="no bytes acked by the last snapshot"):
+            session.end_of_trace()

@@ -238,6 +238,8 @@ class TestArrayDtypes:
         pytest.param(b"|O8", "dtype '|O8' is not an integer or floating-point type",
                      id="object"),
         pytest.param(b"<f4", "bytes do not fill shape", id="wrong-size"),
+        pytest.param(b"04", "unknown dtype '04'", id="python-literal"),
+        pytest.param(b",", "unknown dtype ','", id="python-syntax"),
     ])
     def test_rejected_on_load(self, gbdt_model, mlp_model, model, new, match):
         model = {"gbdt": gbdt_model, "mlp": mlp_model}[model]
@@ -321,3 +323,54 @@ class TestArity:
         back = load_model_bytes(dump_model(mlp_model))
         with pytest.raises(ValueError, match="expects 5, got 7"):
             back.predict_proba(np.zeros(7))
+
+    def test_cli_checks_each_model_role(self, tmp_path, gbdt_model, mlp_model):
+        # a model of the wrong kind or input width exits 4 from `run`,
+        # where it used to load and then fail at its first prediction
+        from speedtrim.cli import EXIT_MODEL, EXIT_OK, main
+        from speedtrim.traceio import dump_trace
+        import util
+        files = {"regressor": util.constant_regressor(50.0),
+                 "classifier": util.constant_classifier(0.5),
+                 "narrow_regressor": gbdt_model, "narrow_classifier": mlp_model}
+        for name, model in files.items():
+            save_model(model, str(tmp_path / name))
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
+
+        def run(regressor, classifier):
+            return main(["run", "--trace", str(trace), "--regressor", str(tmp_path / regressor),
+                         "--classifier", str(tmp_path / classifier)])
+
+        assert run("regressor", "classifier") == EXIT_OK
+        for regressor, classifier in (("narrow_regressor", "classifier"),
+                                      ("regressor", "narrow_classifier"),
+                                      ("classifier", "classifier"),
+                                      ("regressor", "regressor")):
+            assert run(regressor, classifier) == EXIT_MODEL, (regressor, classifier)
+
+
+class TestMetaAndShapes:
+    """Values a dumped model's arrays may not hold, with a valid CRC."""
+
+    @pytest.mark.parametrize("n_features", [float("nan"), float("inf"), 2.5, -1.0])
+    def test_bad_feature_count_rejected(self, gbdt_model, n_features):
+        blob = dump_edited(gbdt_model, lambda p, a: a["meta"].__setitem__(1, n_features))
+        with pytest.raises(ModelFormatError, match="gbdt meta"):
+            load_model_bytes(blob)
+
+    def test_non_finite_base_rejected(self, gbdt_model):
+        blob = dump_edited(gbdt_model, lambda p, a: a["meta"].__setitem__(0, float("nan")))
+        with pytest.raises(ModelFormatError, match="gbdt meta"):
+            load_model_bytes(blob)
+
+    @pytest.mark.parametrize("dim", [2 ** 62, 2 ** 63, 2 ** 64 - 1])
+    def test_empty_array_with_huge_dimension_rejected(self, gbdt_model, dim):
+        # zero elements fill a (0, dim) shape, so only numpy's limits object
+        blob = dump_edited(gbdt_model, lambda p, a: a.update(extra=np.zeros((0, 1))))
+        body = blob[:-4]
+        header = b"extra\x03\x00\x00\x00<f8" + struct.pack("<B2Q", 2, 0, 1)
+        assert body.count(header) == 1
+        body = body.replace(header, header[:-8] + struct.pack("<Q", dim))
+        with pytest.raises(ModelFormatError, match="array 'extra'"):
+            load_model_bytes(body + struct.pack("<I", zlib.crc32(body)))

@@ -189,50 +189,66 @@ class TestRegressorInput:
 
     def test_padding_at_500ms(self, ramp_ws):
         ri = regressor_input(ramp_ws, 500)
-        assert ri.features.shape == (REGRESSOR_ARITY,)
-        assert ri.n_padded == 15
-        block = ri.features[:-1].reshape(REGRESSOR_WINDOWS, -1)
+        assert ri.shape == (REGRESSOR_ARITY,) and ri.dtype == np.float64
+        block = ri[:-1].reshape(REGRESSOR_WINDOWS, -1)
         for i in range(15):
             np.testing.assert_array_equal(block[i], ramp_ws.frames[0])
         np.testing.assert_array_equal(block[15:], ramp_ws.frames[0:5])
-        assert ri.features[-1] == 500.0
+        assert ri[-1] == 500.0
 
     def test_exact_fit_at_2000ms(self, ramp_ws):
         ri = regressor_input(ramp_ws, 2000)
-        assert ri.n_padded == 0
         np.testing.assert_array_equal(
-            ri.features[:-1].reshape(REGRESSOR_WINDOWS, -1), ramp_ws.frames[0:20])
+            ri[:-1].reshape(REGRESSOR_WINDOWS, -1), ramp_ws.frames[0:20])
 
     def test_tail_window_at_10s(self, ramp_ws):
         ri = regressor_input(ramp_ws, 10000)
         np.testing.assert_array_equal(
-            ri.features[:-1].reshape(REGRESSOR_WINDOWS, -1), ramp_ws.frames[80:100])
+            ri[:-1].reshape(REGRESSOR_WINDOWS, -1), ramp_ws.frames[80:100])
 
     def test_padded_frame_count_property(self, ramp_ws):
+        # the leading 20 - t/100 rows repeat frame 0; the rest are the
+        # series' own frames up to t
         for t in range(100, 2100, 100):
-            assert regressor_input(ramp_ws, t).n_padded == max(0, 20 - t // 100)
+            n_padded = max(0, 20 - t // 100)
+            rows = regressor_input(ramp_ws, t)[:-1].reshape(REGRESSOR_WINDOWS, -1)
+            np.testing.assert_array_equal(rows[:n_padded],
+                                          np.repeat(ramp_ws.frames[:1], n_padded, axis=0))
+            np.testing.assert_array_equal(rows[n_padded:], ramp_ws.frames[:t // 100])
 
     def test_beyond_end_rejected(self, ramp_ws):
         with pytest.raises(ValueError, match="beyond end"):
             regressor_input(ramp_ws, 10500)
 
+    @pytest.mark.parametrize("t_ms, message", [(0, "must be >= 100"), (250, "multiple of 100"),
+                                               (10500, "beyond end")])
+    def test_bad_t_ms_rejected_by_both_views(self, ramp_ws, t_ms, message):
+        for view in (regressor_input, classifier_input):
+            with pytest.raises(ValueError, match=message):
+                view(ramp_ws, t_ms)
+
 
 class TestClassifierInput:
 
     def test_mask_at_1000ms(self, const_ws):
+        # rows of the first 10 windows hold frames, the other 90 are zero
         ci = classifier_input(const_ws, 1000)
-        assert ci.features.shape == (CLASSIFIER_ARITY,)
-        np.testing.assert_array_equal(ci.mask[:10], 1)
-        np.testing.assert_array_equal(ci.mask[10:], 0)
+        assert ci.shape == (CLASSIFIER_ARITY,) and ci.dtype == np.float64
+        rows = ci[:-1].reshape(100, -1)
+        assert np.all(rows[:10].any(axis=1))
+        assert not rows[10:].any()
 
     def test_full_mask_at_10s(self, const_ws):
-        assert classifier_input(const_ws, 10000).mask.sum() == 100
+        rows = classifier_input(const_ws, 10000)[:-1].reshape(100, -1)
+        np.testing.assert_array_equal(rows, const_ws.frames)
+        assert np.all(rows.any(axis=1))
 
     def test_masked_region_zero(self, const_ws):
         ci = classifier_input(const_ws, 1500)
-        block = ci.features[:-1].reshape(100, -1)
-        assert np.all(block[ci.mask == 0] == 0.0)
+        block = ci[:-1].reshape(100, -1)
+        assert np.all(block[15:] == 0.0)
         np.testing.assert_array_equal(block[:15], const_ws.frames[:15])
+        assert ci[-1] == 1500.0
 
 
 class TestCorpusRoundTrip:
