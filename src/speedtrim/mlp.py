@@ -90,7 +90,8 @@ def loss_and_grads(weights, X: np.ndarray, y: np.ndarray, dropout_masks=None):
         dzi = dh * (acts[i + 1] > 0.0)
         W, _ = weights[i]
         grads[i] = (acts[i].T @ dzi, dzi.sum(axis=0))
-        dh = dzi @ W.T
+        if i:       # no gradient flows into the inputs
+            dh = dzi @ W.T
     return loss, grads
 
 

@@ -124,16 +124,17 @@ def _pipe_full_counter(t_us: np.ndarray, inst_rate: np.ndarray, round_us: float)
     by less than 25% for three consecutive rounds the plateau is declared
     and every further plateau round registers one event.
     """
-    counts = np.zeros(len(t_us), dtype=np.int64)
+    counts = [0]
     max_bw = 0.0
     plateau_rounds = 0
     total = 0
     round_end = round_us
     round_max = 0.0
-    j = 0
-    for i in range(1, len(t_us)):
-        round_max = max(round_max, inst_rate[i - 1])
-        if t_us[i] >= round_end:
+    # over Python lists: indexing a NumPy array per element is several times slower
+    for t, rate in zip(t_us[1:].tolist(), inst_rate.tolist()):
+        if rate > round_max:
+            round_max = rate
+        if t >= round_end:
             if max_bw > 0 and round_max < 1.25 * max_bw:
                 plateau_rounds += 1
             else:
@@ -143,8 +144,8 @@ def _pipe_full_counter(t_us: np.ndarray, inst_rate: np.ndarray, round_us: float)
             max_bw = max(max_bw, round_max)
             round_max = 0.0
             round_end += round_us
-        counts[i] = total
-    return counts
+        counts.append(total)
+    return np.array(counts, dtype=np.int64)
 
 
 def _simulate(rng: np.random.Generator, spec: GenSpec, trace_id: str,

@@ -11,10 +11,12 @@ summaries.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import math
+import operator
 import os
+from typing import NoReturn
 
 import numpy as np
 
@@ -60,6 +62,13 @@ def _repair_cumulative(values: np.ndarray, name: str, trace_label: str) -> np.nd
     return out
 
 
+_SCAN = json.JSONDecoder().scan_once     # the C scanner json.loads runs
+_ROW = operator.itemgetter(*SNAPSHOT_FIELDS)
+_INT64 = range(-(1 << 63), 1 << 63)
+# one snapshot line as dump_trace writes it; json.dumps writes an int as its repr
+_SNAPSHOT_LINE = "{{" + ", ".join(f'"{k}": {{}}' for k in SNAPSHOT_FIELDS) + "}}\n"
+
+
 def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Trace:
     """Parse a JSON-Lines telemetry stream into a validated Trace."""
     if format != "jsonl":
@@ -67,53 +76,44 @@ def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Tra
     if isinstance(stream, (str, os.PathLike)):
         with open(stream, "rb") as fh:
             return parse_trace(fh, format=format, default_id=default_id)
-    if isinstance(stream, io.TextIOBase):
-        lines = stream.read().splitlines()
-    else:
-        lines = stream.read().decode("utf-8").splitlines()
-
-    trace_id = default_id
-    duration_us = None
-    header = 0
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
-        if lineno == 1 and "t_us" not in obj:
-            trace_id = str(obj.get("id", default_id))
-            if "duration_us" in obj:
-                duration_us = obj["duration_us"]
-                if type(duration_us) is not int:
-                    raise ParseError(f"line 1: non-integer duration_us {duration_us!r}")
-            header = 1
-            continue
-        try:
-            row = tuple([obj[k] for k in SNAPSHOT_FIELDS])
-        except KeyError:
-            missing = [k for k in SNAPSHOT_FIELDS if k not in obj]
-            raise ParseError(f"line {lineno}: missing keys {missing}") from None
-        # JSON true, 1.9 and "7" decode to bool, float and str: none is an int
-        for k, value in zip(SNAPSHOT_FIELDS, row):
-            if type(value) is not int:
-                raise ParseError(f"line {lineno}: non-integer field {k}={value!r}")
-        rows.append(row)
-
-    if not rows:
-        raise ParseError("no snapshots")
+    raw = stream.read()
     try:
-        data = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        # the first row outside int64; snapshot lines are the non-blank ones past the header
-        int64 = range(-(1 << 63), 1 << 63)
-        i = next(i for i, row in enumerate(rows) if any(v not in int64 for v in row))
-        lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][header + i]
-        raise ParseError(f"line {lineno}: value outside the 64-bit integer range") from None
+        text = raw if isinstance(raw, str) else raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # count lines as splitlines does, up to and including the bad byte's line
+        lineno = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from None
+    lines = text.splitlines()
+
+    # Decode each non-blank line with the C scanner; json.loads takes a line
+    # the scanner does not consume whole (padding, or an error to report).
+    objs = []
+    try:
+        for line in filter(str.strip, lines):
+            try:
+                obj, end = _SCAN(line, 0)
+            except StopIteration:
+                end = -1
+            objs.append(obj if end == len(line) else json.loads(line))
+    except (ValueError, RecursionError):
+        _raise_first_error(lines)
+    # Column-wise checks; when one fails, the line loop finds and names the line.
+    header = bool(objs) and bool(lines[0].strip()) and type(objs[0]) is dict \
+        and "t_us" not in objs[0]
+    head = objs[0] if header else {}
+    trace_id = str(head.get("id", default_id))
+    duration_us = head.get("duration_us", 0)
+    snaps = objs[header:]
+    if (type(duration_us) is not int or duration_us not in _INT64
+            or set(map(type, snaps)) != {dict}):
+        _raise_first_error(lines)
+    try:
+        values = list(itertools.chain.from_iterable(map(_ROW, snaps)))
+        if set(map(type, values)) != {int}:
+            _raise_first_error(lines)
+        data = np.fromiter(values, np.int64, len(values)).reshape(len(snaps), -1)
+    except (KeyError, OverflowError):
+        _raise_first_error(lines)
     order = np.argsort(data[:, 0], kind="stable")
     data = data[order]
     if data[0, 0] < 0:
@@ -126,18 +126,56 @@ def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Tra
         cols[name] = _repair_cumulative(cols[name], name, trace_id)
     if cols["bytes_acked"][-1] <= 0:
         raise ValidationError(f"trace {trace_id!r}: no bytes acked by the last snapshot")
-    if duration_us is None:
+    if "duration_us" not in head:
         duration_us = int(cols["t_us"][-1])
     return Trace(trace_id, duration_us, cols)
 
 
+def _raise_first_error(lines: list[str]) -> NoReturn:
+    """Raise the ParseError of the first bad line in file order.
+
+    Runs only after a column-wise check in parse_trace failed, so some line
+    is bad or no line is a snapshot: it always raises.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {lineno}: malformed JSON ({exc.msg})") from None
+        except ValueError:      # an integer literal past Python's digit limit
+            raise ParseError(f"line {lineno}: value outside the 64-bit integer range") from None
+        except RecursionError:
+            raise ParseError(f"line {lineno}: malformed JSON (nesting too deep)") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+        if lineno == 1 and "t_us" not in obj:
+            duration_us = obj.get("duration_us", 0)
+            if type(duration_us) is not int:
+                raise ParseError(f"line 1: non-integer duration_us {duration_us!r}")
+            if duration_us not in _INT64:
+                raise ParseError("line 1: duration_us outside the 64-bit integer range")
+            continue
+        try:
+            row = _ROW(obj)
+        except KeyError:
+            missing = [k for k in SNAPSHOT_FIELDS if k not in obj]
+            raise ParseError(f"line {lineno}: missing keys {missing}") from None
+        # JSON true, 1.9 and "7" decode to bool, float and str: none is an int
+        for k, value in zip(SNAPSHOT_FIELDS, row):
+            if type(value) is not int:
+                raise ParseError(f"line {lineno}: non-integer field {k}={value!r}")
+        if any(value not in _INT64 for value in row):
+            raise ParseError(f"line {lineno}: value outside the 64-bit integer range")
+    raise ParseError("no snapshots")
+
+
 def dump_trace(trace: Trace) -> bytes:
     """Serialize a Trace to its JSON-Lines wire form (round-trip exact)."""
-    out = [json.dumps({"id": trace.id, "duration_us": trace.duration_us})]
-    for i in range(len(trace)):
-        obj = {name: int(getattr(trace, name)[i]) for name in SNAPSHOT_FIELDS}
-        out.append(json.dumps(obj))
-    return ("\n".join(out) + "\n").encode("utf-8")
+    head = json.dumps({"id": trace.id, "duration_us": trace.duration_us}) + "\n"
+    cols = [getattr(trace, name).tolist() for name in SNAPSHOT_FIELDS]
+    return (head + "".join(map(_SNAPSHOT_LINE.format, *cols))).encode("utf-8")
 
 
 def _window_stats(values: np.ndarray, members: np.ndarray, n_windows: int):

@@ -82,6 +82,11 @@ class TestIngest:
             (zero_bytes, "trace 'idle': no bytes acked"),
             (huge, "line 4: value outside the 64-bit integer range"),
             (early, "trace 'early': negative t_us -500000"),
+            (b'{"id": "x", "duration_us": %d}\n' % 2 ** 70 + zero_bytes.split(b"\n", 1)[1],
+             "line 1: duration_us outside the 64-bit integer range"),
+            (b"{}\n" + b"[" * 200000 + b"]" * 200000 + b"\n",
+             "line 2: malformed JSON (nesting too deep)"),
+            (zero_bytes.replace(b'"id"', b'"\xffd"'), "line 1: invalid UTF-8"),
         ]):
             raw = tmp_path / f"raw{i}"
             raw.mkdir()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from speedtrim import synth
 from speedtrim.core import CUMULATIVE_FIELDS
@@ -70,6 +71,47 @@ class TestGenTrace:
         trace = synth._simulate(rng, spec, "x", capacity=100.0, tau_s=1.0,
                                 base_rtt_ms=20.0)
         assert trace.pipe_full[-1] >= 1
+
+
+def reference_pipe_full_counter(t_us, inst_rate, round_us):
+    """synth._pipe_full_counter as it was, indexing NumPy scalars."""
+    counts = np.zeros(len(t_us), dtype=np.int64)
+    max_bw = 0.0
+    plateau_rounds = 0
+    total = 0
+    round_end = round_us
+    round_max = 0.0
+    for i in range(1, len(t_us)):
+        round_max = max(round_max, inst_rate[i - 1])
+        if t_us[i] >= round_end:
+            if max_bw > 0 and round_max < 1.25 * max_bw:
+                plateau_rounds += 1
+            else:
+                plateau_rounds = 0
+            if plateau_rounds >= 3:
+                total += 1
+            max_bw = max(max_bw, round_max)
+            round_max = 0.0
+            round_end += round_us
+        counts[i] = total
+    return counts
+
+
+class TestPipeFullCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 150), step=st.integers(1, 50000),
+           round_us=st.one_of(st.floats(1.0, 2e6), st.integers(1, 50000).map(float)))
+    def test_equals_the_numpy_scalar_loop(self, data, n, round_us, step):
+        # whole round lengths and rates on the 1.25 boundary reach both sides of each test
+        gaps = data.draw(st.lists(st.integers(1, step), min_size=n - 1, max_size=n - 1))
+        t_us = np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)]).astype(np.int64)
+        rate = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, 1.0, 1.2, 1.25, 1.3, 1.6]))
+        rates = data.draw(st.lists(rate, min_size=n - 1, max_size=n - 1))
+        inst_rate = np.array(rates, dtype=np.float64)
+        got = synth._pipe_full_counter(t_us, inst_rate, round_us)
+        want = reference_pipe_full_counter(t_us, inst_rate, np.float64(round_us))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 class TestGenCorpus:

@@ -1,10 +1,20 @@
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from speedtrim.core import F_CUM_AVG, F_TPUT, STD_CHANNELS, ValidationError
+from speedtrim.core import (
+    CUMULATIVE_FIELDS,
+    F_CUM_AVG,
+    F_TPUT,
+    SNAPSHOT_FIELDS,
+    STD_CHANNELS,
+    Trace,
+    ValidationError,
+)
 from speedtrim.engine import Policy, Session
 from speedtrim.traceio import (
     CLASSIFIER_ARITY,
@@ -12,6 +22,7 @@ from speedtrim.traceio import (
     REGRESSOR_WINDOWS,
     ParseError,
     classifier_input,
+    dump_trace,
     parse_trace,
     read_corpus,
     regressor_input,
@@ -115,6 +126,54 @@ class TestParseTrace:
         with pytest.raises(ParseError, match="line 1: non-integer duration_us"):
             parse_trace(jsonl(header))
 
+    @pytest.mark.parametrize("value", [2 ** 70, -(2 ** 70), 2 ** 63, -(2 ** 63) - 1],
+                             ids=["2**70", "-2**70", "2**63", "-2**63-1"])
+    def test_header_duration_outside_int64_names_line_1(self, value):
+        objs = [{"id": "h", "duration_us": value}, snap_obj(0, 0), snap_obj(10000, 100)]
+        message = "line 1: duration_us outside the 64-bit integer range"
+        with pytest.raises(ParseError, match=message):
+            parse_trace(jsonl(objs))
+
+    def test_header_duration_int64_max_accepted(self):
+        objs = [{"id": "h", "duration_us": 2 ** 63 - 1}, snap_obj(0, 0), snap_obj(10000, 100)]
+        assert parse_trace(jsonl(objs)).duration_us == 2 ** 63 - 1
+
+    def test_nesting_too_deep_names_the_line(self):
+        deep = b"[" * 200000 + b"]" * 200000
+        for data in (jsonl([snap_obj(0, 0)]).getvalue() + deep + b"\n",
+                     b'{"id": "x"}\n' + b'{"t_us": ' + deep + b"}\n"):
+            with pytest.raises(ParseError, match=r"line 2: malformed JSON \(nesting too deep\)"):
+                parse_trace(io.BytesIO(data))
+
+    def test_invalid_utf8_names_the_line(self):
+        good = jsonl([{"id": "u"}, snap_obj(0, 0)]).getvalue()
+        with pytest.raises(ParseError, match=r"line 3: invalid UTF-8 \(invalid start byte\)"):
+            parse_trace(io.BytesIO(good + b'{"t_us": "\xff"}\n'))
+        # lines end where every other error counts them: at \r too
+        with pytest.raises(ParseError, match="line 3: invalid UTF-8"):
+            parse_trace(io.BytesIO(good.replace(b"\n", b"\r") + b"\xc3("))
+
+    def test_integer_past_the_digit_limit_names_the_line(self):
+        # json refuses to convert a literal this long, with a plain ValueError
+        line = json.dumps(snap_obj(10000, 0)).replace(": 0,", ": " + "9" * 5000 + ",", 1)
+        with pytest.raises(ParseError, match="line 2: value outside the 64-bit integer range"):
+            parse_trace(io.BytesIO(json.dumps(snap_obj(0, 0)).encode() + b"\n" + line.encode()))
+
+    def test_first_bad_line_in_file_order(self):
+        big = snap_obj(10000, 2 ** 64)
+        late = snap_obj(20000, 100, retrans=1.5)
+        with pytest.raises(ParseError, match="line 2: value outside the 64-bit integer range"):
+            parse_trace(jsonl([snap_obj(0, 0), big, late]))
+        with pytest.raises(ParseError, match="line 2: non-integer field retrans=1.5"):
+            parse_trace(jsonl([snap_obj(0, 0), late, big]))
+
+    def test_padded_blank_and_headerless_lines_parse(self):
+        lines = [json.dumps(snap_obj(0, 0)), "  \t", "",
+                 " \t" + json.dumps(snap_obj(10000, 100)) + "  ", "\xa0"]
+        tr = parse_trace(io.BytesIO("\r\n".join(lines).encode()), default_id="d")
+        assert tr.id == "d" and tr.duration_us == 10000
+        np.testing.assert_array_equal(tr.bytes_acked, [0, 100])
+
     def test_negative_timestamp_rejected_like_the_session(self):
         objs = [{"id": "early"}, snap_obj(10000, 100), snap_obj(-5, 0)]
         with pytest.raises(ValidationError, match="trace 'early': negative t_us -5"):
@@ -122,6 +181,129 @@ class TestParseTrace:
         policy = Policy(util.constant_regressor(50.0), util.constant_classifier(0.0), 15.0)
         with pytest.raises(ValidationError, match="t_us must be >= 0"):
             Session(policy).feed(util.snapshot(-5, 0))
+
+
+INT64 = range(-(2 ** 63), 2 ** 63)
+# values a snapshot or header field must not hold, 2**63 among them
+BAD_VALUES = st.sampled_from([True, False, 1.5, 7.0, "7", None, [1], 2 ** 63,
+                              -(2 ** 63) - 1, 2 ** 70])
+NOT_OBJECTS = st.sampled_from(["{not json", '{"t_us": 1', "[1, 2]", "3", '"x"', "null",
+                               '{"a": 1} {"b": 2}', '{"a": 1,', "\ufeff{}"])
+
+
+@st.composite
+def near_miss_files(draw) -> bytes:
+    """A valid trace's JSON lines made into a near miss: a header or none,
+    a BOM, blank and whitespace-padded lines, other line ends, and bad
+    lines (a bad value, a missing key, no JSON object, or a snapshot with
+    more after it), two or more of them in either order."""
+    n = draw(st.integers(2, 5))
+    cols = {"t_us": sorted(draw(st.sets(st.integers(0, 10 ** 7), min_size=n, max_size=n)))}
+    for name in SNAPSHOT_FIELDS[1:]:
+        values = draw(st.lists(st.integers(1, 2 ** 62), min_size=n, max_size=n))
+        cols[name] = list(itertools.accumulate(values)) if name in CUMULATIVE_FIELDS else values
+    objs = [dict(zip(cols, row)) for row in zip(*cols.values())]
+    texts = []
+    for obj in objs:
+        kind = draw(st.sampled_from(["ok"] * 6 + ["value", "missing", "line", "extra"]))
+        if kind == "value":
+            obj[draw(st.sampled_from(SNAPSHOT_FIELDS))] = draw(BAD_VALUES)
+        elif kind == "missing":
+            del obj[draw(st.sampled_from(SNAPSHOT_FIELDS))]
+        text = draw(NOT_OBJECTS) if kind == "line" else json.dumps(obj)
+        if kind == "extra":     # a whole snapshot, then more on its line
+            text += draw(st.sampled_from([" " + text, text, "}", " x", ",", "\ufeff"]))
+        texts.append(text)
+    if draw(st.booleans()):
+        duration = st.one_of(st.integers(0, 2 * 10 ** 7), st.integers(-(2 ** 63), 2 ** 63 - 1),
+                             BAD_VALUES)
+        header = draw(st.fixed_dictionaries({}, optional={"id": st.text(max_size=4),
+                                                          "duration_us": duration}))
+        texts.insert(0, json.dumps(header))
+    pad = st.sampled_from(["", "", " ", "\t", " \t "])
+    texts = [draw(pad) + text + draw(pad) for text in texts]
+    blank = st.sampled_from(["", " ", "\t", "\xa0"])
+    for _ in range(draw(st.integers(0, 3))):
+        texts.insert(draw(st.integers(0, len(texts))), draw(blank))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = draw(ends).join(texts) + draw(st.sampled_from(["", "\n"]))
+    return (("\ufeff" if draw(st.integers(0, 5)) == 0 else "") + text).encode()
+
+
+def outcome(parse, data: bytes):
+    """(id, duration_us, columns) of the parsed trace, or (type, message)
+    of the error."""
+    try:
+        trace = parse(io.BytesIO(data))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return trace.id, trace.duration_us, [getattr(trace, k).tolist() for k in SNAPSHOT_FIELDS]
+
+
+def reference_outcome(data: bytes):
+    """The reference parser's outcome with the two later fixes: the first
+    bad line in file order is reported, which is the reference's line
+    error on the shortest prefix it rejects with one, and a header
+    duration_us outside int64 is a line 1 error."""
+    lines = data.decode().splitlines(keepends=True)
+    try:
+        head = json.loads(lines[0])
+    except (IndexError, ValueError):
+        head = None
+    if (type(head) is dict and "t_us" not in head and type(head.get("duration_us")) is int
+            and head["duration_us"] not in INT64):
+        return ParseError, "line 1: duration_us outside the 64-bit integer range"
+    for k in range(1, len(lines) + 1):
+        out = outcome(util.reference_parse_trace, "".join(lines[:k]).encode())
+        if out[0] is ParseError and out[1].startswith("line "):
+            return out
+    return outcome(util.reference_parse_trace, data)
+
+
+def reference_dump(trace: Trace) -> bytes:
+    """dump_trace as it was, with one json.dumps per snapshot."""
+    out = [json.dumps({"id": trace.id, "duration_us": trace.duration_us})]
+    for i in range(len(trace)):
+        out.append(json.dumps({name: int(getattr(trace, name)[i]) for name in SNAPSHOT_FIELDS}))
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+@st.composite
+def int64_traces(draw) -> Trace:
+    """Valid traces whose values reach both ends of int64; columns whose
+    differences the Trace checks take stay non-negative, so no difference
+    wraps."""
+    n = draw(st.integers(2, 8))
+    top = 2 ** 63 - 1
+    natural = st.one_of(st.integers(0, top), st.sampled_from([0, 1, top]))
+    t_us = sorted(draw(st.sets(natural, min_size=n, max_size=n)))
+    cols = {"t_us": t_us,
+            "cwnd_bytes": draw(st.lists(st.one_of(st.integers(-(2 ** 63), top),
+                                                  st.sampled_from([-(2 ** 63), top])),
+                                        min_size=n, max_size=n)),
+            "rtt_us": draw(st.lists(st.integers(1, top), min_size=n, max_size=n))}
+    for name in ("bytes_acked", "bytes_in_flight", "retrans", "dup_acks", "pipe_full"):
+        values = draw(st.lists(natural, min_size=n, max_size=n))
+        cols[name] = sorted(values) if name in CUMULATIVE_FIELDS else values
+    return Trace(draw(st.text(max_size=6)), draw(st.integers(t_us[-1], top)), cols)
+
+
+class TestBulkCodecMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(data=near_miss_files())
+    def test_parse_agrees_with_the_line_parser(self, data):
+        assert outcome(parse_trace, data) == reference_outcome(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace=int64_traces())
+    def test_dump_equals_json_dumps_per_line(self, trace):
+        assert dump_trace(trace) == reference_dump(trace)
+
+    def test_dump_of_a_synthetic_trace(self, small_corpus):
+        trace = small_corpus.load(small_corpus.ids[0])
+        blob = dump_trace(trace)
+        assert blob == reference_dump(trace)
+        assert outcome(parse_trace, blob) == outcome(util.reference_parse_trace, blob)
 
 
 class TestResample:

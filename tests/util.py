@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import collections
+import io
+import json
 import os
 
 import numpy as np
 
 from speedtrim import traceio
-from speedtrim.core import SNAPSHOT_FIELDS, Snapshot, TerminationOutcome, Trace
+from speedtrim.core import (
+    CUMULATIVE_FIELDS,
+    SNAPSHOT_FIELDS,
+    Snapshot,
+    TerminationOutcome,
+    Trace,
+    ValidationError,
+)
 from speedtrim.engine import Session
 from speedtrim.gbdt import GbdtModel, GbdtParams
 from speedtrim.mlp import MlpModel, MlpParams
-from speedtrim.traceio import CLASSIFIER_ARITY, REGRESSOR_ARITY
+from speedtrim.traceio import CLASSIFIER_ARITY, REGRESSOR_ARITY, ParseError
 
 
 def make_trace(t_us, bytes_acked, *, id="t", duration_us=None, rtt_us=20000,
@@ -123,3 +132,75 @@ def count_decodes(monkeypatch) -> collections.Counter:
 
     monkeypatch.setattr(traceio, "parse_trace", counting)
     return counts
+
+
+def reference_parse_trace(stream, default_id: str = "trace") -> Trace:
+    """traceio.parse_trace as it was with a json.loads and type check per
+    line: the reference the bulk parser must agree with.
+
+    It differs from the bulk parser in three ways, each a later fix: it
+    reports a value outside int64 only after every line passed the other
+    checks, it accepts a header duration_us outside int64, and an invalid
+    UTF-8 byte, a line nested too deep or an integer literal past Python's
+    digit limit escapes as the decoder's error, without a line number.
+    """
+    if isinstance(stream, io.TextIOBase):
+        lines = stream.read().splitlines()
+    else:
+        lines = stream.read().decode("utf-8").splitlines()
+
+    trace_id = default_id
+    duration_us = None
+    header = 0
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+        if lineno == 1 and "t_us" not in obj:
+            trace_id = str(obj.get("id", default_id))
+            if "duration_us" in obj:
+                duration_us = obj["duration_us"]
+                if type(duration_us) is not int:
+                    raise ParseError(f"line 1: non-integer duration_us {duration_us!r}")
+            header = 1
+            continue
+        try:
+            row = tuple([obj[k] for k in SNAPSHOT_FIELDS])
+        except KeyError:
+            missing = [k for k in SNAPSHOT_FIELDS if k not in obj]
+            raise ParseError(f"line {lineno}: missing keys {missing}") from None
+        for k, value in zip(SNAPSHOT_FIELDS, row):
+            if type(value) is not int:
+                raise ParseError(f"line {lineno}: non-integer field {k}={value!r}")
+        rows.append(row)
+
+    if not rows:
+        raise ParseError("no snapshots")
+    try:
+        data = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        int64 = range(-(1 << 63), 1 << 63)
+        i = next(i for i, row in enumerate(rows) if any(v not in int64 for v in row))
+        lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][header + i]
+        raise ParseError(f"line {lineno}: value outside the 64-bit integer range") from None
+    order = np.argsort(data[:, 0], kind="stable")
+    data = data[order]
+    if data[0, 0] < 0:
+        raise ValidationError(f"trace {trace_id!r}: negative t_us {int(data[0, 0])}")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise ValidationError(f"trace {trace_id!r}: nonmonotonic timestamps")
+
+    cols = {name: data[:, i].copy() for i, name in enumerate(SNAPSHOT_FIELDS)}
+    for name in CUMULATIVE_FIELDS:
+        cols[name] = traceio._repair_cumulative(cols[name], name, trace_id)
+    if cols["bytes_acked"][-1] <= 0:
+        raise ValidationError(f"trace {trace_id!r}: no bytes acked by the last snapshot")
+    if duration_us is None:
+        duration_us = int(cols["t_us"][-1])
+    return Trace(trace_id, duration_us, cols)
