@@ -59,10 +59,8 @@ def _write_manifest(out_dir: str, command: str, config: RunConfig,
 
 
 def _load_config(args) -> RunConfig:
-    config = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
+    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
 
 
 # the model class and input width each model role takes
@@ -88,17 +86,10 @@ def _corpus_inputs(corpus_dir: str) -> list[str]:
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
-    spec = config.genspec
-    overrides = {"seed": config.seed}
-    if args.n is not None:
-        overrides["n_traces"] = args.n
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.hard_fraction is not None:
-        overrides["hard_fraction"] = args.hard_fraction
-    if args.preset:
-        spec = synth.preset_spec(args.preset)
-    spec = dataclasses.replace(spec, **overrides)
+    flags = {"n_traces": args.n, "mode": args.mode, "hard_fraction": args.hard_fraction}
+    spec = synth.preset_spec(args.preset) if args.preset else config.genspec
+    spec = dataclasses.replace(spec, seed=config.seed,
+                               **{k: v for k, v in flags.items() if v is not None})
     config = dataclasses.replace(config, genspec=spec)
     corpus = synth.gen_corpus(spec, args.out)
     _write_manifest(args.out, "synth", config, _corpus_inputs(args.out))
@@ -135,7 +126,7 @@ def cmd_train_regressor(args) -> int:
     if args.depth:
         params = dataclasses.replace(params, max_depth=args.depth)
     corpus = traceio.read_corpus(args.corpus)
-    X, y, _ = label.build_regression_dataset(corpus, config.stride_ms)
+    X, y, _ = label.build_regression_dataset(corpus)
     _log(f"training regressor on {len(X)} samples ({params.n_trees} trees)")
     model = train_gbdt(X, y, params)
     modelio.save_model(model, args.out)
@@ -150,8 +141,7 @@ def cmd_label(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
     (regressor,) = _load_models([(args.regressor, "regressor")])
-    X, labels, meta = label.build_classification_dataset(
-        corpus, regressor, (args.epsilon,), config.stride_ms)
+    X, labels, meta = label.build_classification_dataset(corpus, regressor, (args.epsilon,))
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trace_id", "t_ms", "label"]
@@ -169,8 +159,7 @@ def cmd_train_classifier(args) -> int:
     params = dataclasses.replace(config.mlp, seed=config.seed)
     if args.epochs:
         params = dataclasses.replace(params, epochs=args.epochs)
-    X, labels, _ = label.build_classification_dataset(
-        corpus, regressor, (args.epsilon,), config.stride_ms)
+    X, labels, _ = label.build_classification_dataset(corpus, regressor, (args.epsilon,))
     _log(f"training classifier (epsilon={args.epsilon}) on {len(X)} samples")
     model = train_mlp(X, labels[:, 0], params)
     out = args.out or f"classifier_eps{int(args.epsilon)}.bin"
@@ -189,10 +178,8 @@ def _build_policy(args, config: RunConfig, epsilon: float) -> Policy:
                                        f"classifier_eps{int(epsilon)}.bin")
     regressor, classifier = _load_models([(args.regressor, "regressor"),
                                           (classifier_path, "classifier")])
-    guard = config.guard
-    if getattr(args, "no_guard", False):
-        guard = GuardConfig(enabled=False)
-    return Policy(regressor, classifier, epsilon, config.stride_ms, guard=guard)
+    guard = GuardConfig(enabled=False) if args.no_guard else config.guard
+    return Policy(regressor, classifier, epsilon, guard=guard)
 
 
 def cmd_run(args) -> int:
@@ -216,7 +203,7 @@ def _ml_policies(args, config: RunConfig, epsilons) -> dict:
     paths = [os.path.join(args.models_dir, f"classifier_eps{int(eps)}.bin") for eps in epsilons]
     regressor, *classifiers = _load_models(
         [(args.regressor, "regressor")] + [(path, "classifier") for path in paths])
-    return {eps: Policy(regressor, classifier, eps, config.stride_ms, guard=config.guard)
+    return {eps: Policy(regressor, classifier, eps, guard=config.guard)
             for eps, classifier in zip(epsilons, classifiers)}
 
 
@@ -232,7 +219,7 @@ def cmd_sweep(args) -> int:
         params = [parse(p) for p in args.params.split(",")]
         policies = None
     points, records_by_param = evaluate.pareto_sweep(
-        corpus, args.method, params, policies=policies, stride_ms=config.stride_ms)
+        corpus, args.method, params, policies=policies)
     frontier = evaluate.nondominated(points)
     evaluate.write_frontier_csv(os.path.join(args.out, "frontier.csv"), points, frontier)
     all_records = [r for p in params for r in records_by_param[p]]
@@ -247,8 +234,7 @@ def cmd_select(args) -> int:
     corpus = traceio.read_corpus(args.corpus)
     epsilons = [float(e) for e in args.params.split(",")] if args.params else list(config.epsilons)
     policies = _ml_policies(args, config, epsilons)
-    _, records_by_param = evaluate.pareto_sweep(
-        corpus, "ml", epsilons, policies=policies, stride_ms=config.stride_ms)
+    _, records_by_param = evaluate.pareto_sweep(corpus, "ml", epsilons, policies=policies)
     full_records = evaluate.evaluate_method(corpus, "full")
     os.makedirs(args.out, exist_ok=True)
     group_policies = []

@@ -6,12 +6,12 @@ import dataclasses
 import hashlib
 import json
 
+from .core import replace_from_json
 from .engine import GuardConfig
 from .gbdt import GbdtParams
 from .label import EPSILON_SWEEP
 from .mlp import MlpParams
 from .synth import GenSpec
-from .traceio import STRIDE_MS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -19,7 +19,6 @@ class RunConfig:
     """Everything a pipeline run needs; serialized into output directories."""
 
     seed: int = 0
-    stride_ms: int = STRIDE_MS
     epsilons: tuple = EPSILON_SWEEP
     genspec: GenSpec = dataclasses.field(default_factory=GenSpec)
     gbdt: GbdtParams = dataclasses.field(
@@ -27,40 +26,22 @@ class RunConfig:
     mlp: MlpParams = dataclasses.field(default_factory=MlpParams)
     guard: GuardConfig = dataclasses.field(default_factory=GuardConfig)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "stride_ms": self.stride_ms,
-            "epsilons": list(self.epsilons),
-            "genspec": self.genspec.to_dict(),
-            "gbdt": dataclasses.asdict(self.gbdt),
-            "mlp": dataclasses.asdict(self.mlp),
-            "guard": dataclasses.asdict(self.guard),
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        mlp_kwargs = dict(d.get("mlp", {}))
-        if "layers" in mlp_kwargs:
-            mlp_kwargs["layers"] = tuple(mlp_kwargs["layers"])
-        return cls(
-            seed=d.get("seed", 0),
-            stride_ms=d.get("stride_ms", STRIDE_MS),
-            epsilons=tuple(d.get("epsilons", EPSILON_SWEEP)),
-            genspec=GenSpec.from_dict(d.get("genspec", {})),
-            gbdt=GbdtParams(**d.get("gbdt", {})),
-            mlp=MlpParams(**mlp_kwargs),
-            guard=GuardConfig(**d.get("guard", {})),
-        )
+    def from_dict(cls, d) -> "RunConfig":
+        """The defaults with the keys a JSON object gives; ValueError names a bad key."""
+        return replace_from_json(cls(), d, "config")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        with open(path, "rb") as fh:
+            try:
+                return cls.from_dict(json.load(fh))
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"config {path}: {exc}") from None
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=list) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     def hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True, default=list)
+        payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -8,7 +8,9 @@ microsecond equals megabits per second).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,6 +35,12 @@ F_RETX_STD = 10
 F_DUPACK_MEAN = 11
 F_DUPACK_STD = 12
 N_FEATURES = 13
+
+# Decision grid: features are statistics over 100 ms windows, a stop is
+# judged every 500 ms stride, and the variability guard looks back 2 s.
+WINDOW_MS = 100
+STRIDE_MS = 500
+GUARD_WINDOW_MS = 2000
 
 STD_CHANNELS = (F_CWND_STD, F_BIF_STD, F_RTT_STD, F_RETX_STD, F_DUPACK_STD)
 
@@ -109,14 +117,16 @@ class Trace:
         for name in SNAPSHOT_FIELDS:
             if len(getattr(self, name)) != n:
                 raise ValidationError(f"trace {self.id!r}: ragged column {name!r}")
-        if np.any(np.diff(self.t_us) <= 0):
+        # neighbours are compared, not differenced: an int64 difference wraps
+        if np.any(self.t_us[1:] <= self.t_us[:-1]):
             raise ValidationError(f"trace {self.id!r}: t_us not strictly increasing")
         if self.t_us[-1] > self.duration_us:
             raise ValidationError(
                 f"trace {self.id!r}: last t_us {self.t_us[-1]} exceeds duration {self.duration_us}"
             )
         for name in CUMULATIVE_FIELDS:
-            if np.any(np.diff(getattr(self, name)) < 0):
+            values = getattr(self, name)
+            if np.any(values[1:] < values[:-1]):
                 raise ValidationError(f"trace {self.id!r}: {name} decreases")
         if np.any(self.rtt_us <= 0):
             raise ValidationError(f"trace {self.id!r}: rtt_us must be positive")
@@ -168,13 +178,12 @@ class TraceSummary:
 
 @dataclass(frozen=True)
 class WindowSeries:
-    """100 ms-resampled feature view of a trace.
+    """WINDOW_MS-resampled feature view of a trace.
 
     ``frames`` has shape (n_windows, 13); ``filled[i]`` marks windows that
     had no snapshots and were carried forward from the previous frame.
     """
 
-    window_ms: int
     frames: np.ndarray
     filled: np.ndarray = field(repr=False, default=None)
 
@@ -197,7 +206,7 @@ class WindowSeries:
 
     @property
     def duration_ms(self) -> int:
-        return len(self.frames) * self.window_ms
+        return len(self.frames) * WINDOW_MS
 
 
 class Verdict(enum.Enum):
@@ -255,3 +264,39 @@ def assign_bins(throughput_mbps: float, min_rtt_ms: float) -> tuple[int, int]:
     tier = int(np.searchsorted(SPEED_TIER_EDGES_MBPS, throughput_mbps, side="right"))
     rtt_bin = int(np.searchsorted(RTT_BIN_EDGES_MS, min_rtt_ms, side="right"))
     return tier, rtt_bin
+
+
+# JSON types a params-dataclass field takes, by the type of its value
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), tuple: (list,)}
+
+
+def _field_from_json(value, current, name: str):
+    """A JSON value for a field now holding ``current``: a float field takes
+    a finite number, a tuple a list of items typed like its first."""
+    if type(value) not in _JSON_TYPES[type(current)]:
+        raise ValueError(f"{name} has type {type(value).__name__}")
+    if type(current) is tuple:
+        return tuple(_field_from_json(item, current[0], f"{name} item") for item in value)
+    if type(current) is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{name} is not a finite number")     # NaN is not in range either
+    return float(value) if type(current) is float else value
+
+
+def replace_from_json(base, obj, where: str):
+    """``base``, a params dataclass, with the fields a JSON object names
+    replaced, a dataclass field from a nested object.  A value that is not
+    an object, an unknown key, a wrong JSON type or a value the class's own
+    checks reject raises ValueError naming the key."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where} is not a JSON object")
+    changes = {}
+    for key, value in obj.items():
+        if key not in base.__dataclass_fields__:
+            raise ValueError(f"unknown {where} parameter {key!r}")
+        current = getattr(base, key)
+        changes[key] = (replace_from_json(current, value, key) if dataclasses.is_dataclass(current)
+                        else _field_from_json(value, current, f"{where} parameter {key!r}"))
+    try:
+        return dataclasses.replace(base, **changes)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

@@ -20,6 +20,7 @@ from .core import (
     CONTINUE,
     CUMULATIVE_FIELDS,
     F_TPUT,
+    GUARD_WINDOW_MS,
     N_FEATURES,
     REASON_CLASSIFIER,
     REASON_END_OF_TRACE,
@@ -55,12 +56,12 @@ def _int64_columns(snapshots: list[Snapshot]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """Variability fallback: suppress stopping while the trailing-window
-    coefficient of variation of instantaneous throughput is too high."""
+    """Variability fallback: suppress stopping while the coefficient of
+    variation of instantaneous throughput over the trailing GUARD_WINDOW_MS
+    is too high."""
 
     enabled: bool = True
     v_max: float = 0.8
-    window_ms: int = 2000
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,16 @@ class Policy:
     regressor: GbdtModel
     classifier: MlpModel
     epsilon_pct: float
-    stride_ms: int = STRIDE_MS
     threshold: float = 0.5
     guard: GuardConfig = field(default_factory=GuardConfig)
-
-    def __post_init__(self):   # a session fills whole windows at each stride
-        if self.stride_ms <= 0 or self.stride_ms % WINDOW_MS:
-            raise ValueError(f"stride {self.stride_ms} not a positive multiple of {WINDOW_MS}")
 
 
 def variability_guard(ws: WindowSeries, t_ms: int, guard: GuardConfig) -> bool:
     """True when stopping is allowed at t_ms; False suppresses the stop."""
     if not guard.enabled:
         return True
-    end = t_ms // ws.window_ms
-    lo = max(0, end - guard.window_ms // ws.window_ms)
+    end = t_ms // WINDOW_MS
+    lo = max(0, end - GUARD_WINDOW_MS // WINDOW_MS)
     window = ws.frames[lo:end, F_TPUT]
     if len(window) == 0:
         return True
@@ -104,12 +100,12 @@ class Session:
 
     def __init__(self, policy: Policy):
         self.policy = policy
-        self._series = WindowSeries(WINDOW_MS, np.zeros((0, N_FEATURES)))
+        self._series = WindowSeries(np.zeros((0, N_FEATURES)))
         self._pending: list[Snapshot] = []  # received, not yet in the series
         self._windowed = 0                  # snapshots in the series
         self._prev: Snapshot | None = None  # last snapshot in the series
         self._last: Snapshot | None = None  # last snapshot received
-        self._next_stride_ms = policy.stride_ms
+        self._next_stride_ms = STRIDE_MS
         self._terminal: StopDecision | None = None
         self._finalized = False
         self._stop_ms: int | None = None
@@ -140,7 +136,7 @@ class Session:
             _int64_columns([snapshot])
         while self._next_stride_ms * 1000 < snapshot.t_us:
             t_ms = self._next_stride_ms
-            self._next_stride_ms += self.policy.stride_ms
+            self._next_stride_ms += STRIDE_MS
             decision = self._evaluate_stride(t_ms)
             if decision.stopping:
                 self._terminal = decision
@@ -160,7 +156,7 @@ class Session:
         frames, filled = window_frames(
             cols, cols[0] // (WINDOW_MS * 1000), len(ws), t_ms // WINDOW_MS,
             self._prev, ws.frames[-1] if self._prev is not None else None)
-        ws = self._series = WindowSeries(WINDOW_MS, np.concatenate([ws.frames, frames]),
+        ws = self._series = WindowSeries(np.concatenate([ws.frames, frames]),
                                          np.concatenate([ws.filled, filled]))
         if run:
             self._prev = run[-1]

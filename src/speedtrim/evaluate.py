@@ -16,7 +16,7 @@ import numpy as np
 from .core import Trace, rel_error
 from .engine import Policy, run_trace
 from .heuristics import BASELINE_PARAMS, run_heuristic
-from .traceio import STRIDE_MS, Corpus, resample
+from .traceio import Corpus, resample
 
 STRATEGIES = ("global", "speed-only", "rtt-only", "rtt+speed", "oracle")
 DEFAULT_CONSTRAINT_PCT = 20.0
@@ -70,8 +70,7 @@ def _bytes_at(trace: Trace, stop_ms: float) -> int:
 
 
 def evaluate_method(corpus: Corpus, method: str, param=None, *,
-                    policies: dict | None = None,
-                    stride_ms: int = STRIDE_MS) -> list[Record]:
+                    policies: dict | None = None) -> list[Record]:
     """Per-trace termination records for one (method, parameter) setting.
 
     `method` is full, ml, or a baseline named in `BASELINE_PARAMS`, whose
@@ -79,10 +78,10 @@ def evaluate_method(corpus: Corpus, method: str, param=None, *,
     epsilon to an engine Policy.  Full records come from the corpus
     summaries alone, so with a manifest they decode no trace.
     """
-    return _sweep(corpus, method, [param], policies, stride_ms)[param]
+    return _sweep(corpus, method, [param], policies)[param]
 
 
-def _sweep(corpus: Corpus, method: str, params: list, policies, stride_ms: int) -> dict:
+def _sweep(corpus: Corpus, method: str, params: list, policies) -> dict:
     """Records per parameter, in corpus order, from one pass over the corpus:
     each trace is decoded, and for a baseline resampled, once for all."""
     if method in BASELINE_PARAMS:
@@ -107,7 +106,7 @@ def _sweep(corpus: Corpus, method: str, params: list, policies, stride_ms: int) 
                     str(p), out.stop_time_ms, out.bytes_at_stop, out.estimate_mbps,
                     out.rel_error, out.ran_to_completion)
             else:
-                res = run_heuristic(method, trace, ws, value, stride_ms)
+                res = run_heuristic(method, trace, ws, value)
                 label, stop_ms, estimate = f"{key}={value}", res.stop_time_ms, res.estimate_mbps
                 complete = not res.stopped_early
                 err = 0.0 if complete else rel_error(s.y_true_mbps, estimate)
@@ -147,12 +146,11 @@ def frontier_point(records: list[Record]) -> FrontierPoint:
 
 
 def pareto_sweep(corpus: Corpus, method: str, params: list, *,
-                 policies: dict | None = None,
-                 stride_ms: int = STRIDE_MS) -> tuple[list[FrontierPoint], dict]:
+                 policies: dict | None = None) -> tuple[list[FrontierPoint], dict]:
     """One frontier point per parameter; returns (points, records_by_param)."""
     if not params:
         raise ValueError("need at least one parameter")
-    records_by_param = _sweep(corpus, method, params, policies, stride_ms)
+    records_by_param = _sweep(corpus, method, params, policies)
     return [frontier_point(records_by_param[p]) for p in params], records_by_param
 
 

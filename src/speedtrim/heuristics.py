@@ -1,9 +1,9 @@
 """Baseline stopping rules: static byte cap, BBR pipe-full, TSH, CIS.
 
 All rules except the static cap operate on the resampled window series
-and fire at decision-stride boundaries (500 ms by default, configurable
-down to 100 ms).  When a rule never fires, the test runs to completion
-and its estimate is the full-run cumulative average, i.e. exact.
+and fire at the fixed 500 ms decision strides.  When a rule never fires,
+the test runs to completion and its estimate is the full-run cumulative
+average, i.e. exact.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import F_CUM_AVG, F_PIPE_FULL, F_TPUT, Trace, WindowSeries
-from .traceio import STRIDE_MS, stride_times
+from .core import F_CUM_AVG, F_PIPE_FULL, F_TPUT, WINDOW_MS, Trace, WindowSeries
+from .traceio import stride_times
 
 # Trailing window over which TSH requires throughput to stay within tolerance.
 TSH_WINDOW_MS = 1000
@@ -33,7 +33,7 @@ def _full_run(ws: WindowSeries) -> HeuristicResult:
 
 
 def _cum_avg_at(ws: WindowSeries, t_ms: int) -> float:
-    return float(ws.frames[t_ms // ws.window_ms - 1, F_CUM_AVG])
+    return float(ws.frames[t_ms // WINDOW_MS - 1, F_CUM_AVG])
 
 
 def stop_static(trace: Trace, cap_bytes: int) -> HeuristicResult:
@@ -50,29 +50,29 @@ def stop_static(trace: Trace, cap_bytes: int) -> HeuristicResult:
     return HeuristicResult(t_us / 1000.0, 8.0 * int(trace.bytes_acked[i]) / t_us, t_us < t_last)
 
 
-def stop_bbr(ws: WindowSeries, k: int, stride_ms: int = STRIDE_MS) -> HeuristicResult:
+def stop_bbr(ws: WindowSeries, k: int) -> HeuristicResult:
     """Stop at the first stride with at least k cumulative pipe-full events."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pf = ws.frames[:, F_PIPE_FULL]
-    for t_ms in stride_times(ws.duration_ms, stride_ms):
-        end = t_ms // ws.window_ms
+    for t_ms in stride_times(ws.duration_ms):
+        end = t_ms // WINDOW_MS
         if pf[:end].max() >= k and t_ms < ws.duration_ms:
             return HeuristicResult(t_ms, _cum_avg_at(ws, t_ms), True)
     return _full_run(ws)
 
 
-def stop_tsh(ws: WindowSeries, tol_pct: float, stride_ms: int = STRIDE_MS) -> HeuristicResult:
+def stop_tsh(ws: WindowSeries, tol_pct: float) -> HeuristicResult:
     """Stop once instantaneous throughput stays within tol of its running
     average for the trailing TSH_WINDOW_MS."""
     if tol_pct <= 0:
         raise ValueError("tol_pct must be positive")
-    need = TSH_WINDOW_MS // ws.window_ms
+    need = TSH_WINDOW_MS // WINDOW_MS
     inst = ws.frames[:, F_TPUT]
     avg = ws.frames[:, F_CUM_AVG]
     tol = tol_pct / 100.0
-    for t_ms in stride_times(ws.duration_ms, stride_ms):
-        end = t_ms // ws.window_ms
+    for t_ms in stride_times(ws.duration_ms):
+        end = t_ms // WINDOW_MS
         if end < need:
             continue
         lo = end - need
@@ -111,7 +111,7 @@ def interval_similarity(a: tuple[float, float], b: tuple[float, float]) -> float
     return inter / union
 
 
-def stop_cis(ws: WindowSeries, beta: float, stride_ms: int = STRIDE_MS) -> HeuristicResult:
+def stop_cis(ws: WindowSeries, beta: float) -> HeuristicResult:
     """Stop once consecutive crucial intervals are at least beta-similar.
 
     The reported estimate is the interval midpoint (the CIS-style
@@ -121,8 +121,8 @@ def stop_cis(ws: WindowSeries, beta: float, stride_ms: int = STRIDE_MS) -> Heuri
         raise ValueError("beta must be in (0, 1]")
     inst = ws.frames[:, F_TPUT]
     prev_interval = None
-    for t_ms in stride_times(ws.duration_ms, stride_ms):
-        end = t_ms // ws.window_ms
+    for t_ms in stride_times(ws.duration_ms):
+        end = t_ms // WINDOW_MS
         interval = crucial_interval(inst[:end])
         if prev_interval is not None and t_ms < ws.duration_ms:
             if interval_similarity(prev_interval, interval) >= beta:
@@ -154,15 +154,14 @@ BASELINE_PARAMS = {
 }
 
 
-def run_heuristic(name: str, trace: Trace, ws: WindowSeries, value,
-                  stride_ms: int = STRIDE_MS) -> HeuristicResult:
+def run_heuristic(name: str, trace: Trace, ws: WindowSeries, value) -> HeuristicResult:
     """Run one baseline with its parameter value, parsed by BASELINE_PARAMS."""
     if name == "static":
         return stop_static(trace, value)
     if name == "bbr":
-        return stop_bbr(ws, value, stride_ms)
+        return stop_bbr(ws, value)
     if name == "tsh":
-        return stop_tsh(ws, value, stride_ms)
+        return stop_tsh(ws, value)
     if name == "cis":
-        return stop_cis(ws, value, stride_ms)
+        return stop_cis(ws, value)
     raise ValueError(f"unknown heuristic {name!r}")

@@ -18,7 +18,6 @@ from .gbdt import GbdtModel
 from .traceio import (
     CLASSIFIER_ARITY,
     REGRESSOR_ARITY,
-    STRIDE_MS,
     Corpus,
     WindowSeries,
     classifier_input,
@@ -48,7 +47,7 @@ class OracleLabeling:
         return self.stride_times[hit[0]] if len(hit) else None
 
 
-def build_regression_dataset(corpus: Corpus, stride_ms: int = STRIDE_MS):
+def build_regression_dataset(corpus: Corpus):
     """One (features, y_true) sample per (trace, stride).
 
     Returns (X, y, meta) with meta a list of (trace_id, t_ms).
@@ -57,7 +56,7 @@ def build_regression_dataset(corpus: Corpus, stride_ms: int = STRIDE_MS):
     for trace in corpus.traces():
         summary = corpus.summary(trace.id)
         ws = resample(trace)
-        times = stride_times(ws.duration_ms, stride_ms)
+        times = stride_times(ws.duration_ms)
         if not times:
             warnings.warn(f"trace {trace.id!r} shorter than one stride, skipped")
             continue
@@ -72,13 +71,12 @@ def build_regression_dataset(corpus: Corpus, stride_ms: int = STRIDE_MS):
     return X, np.asarray(targets), meta
 
 
-def oracle_labeling(ws: WindowSeries, regressor: GbdtModel, y_true: float,
-                    stride_ms: int = STRIDE_MS) -> OracleLabeling:
+def oracle_labeling(ws: WindowSeries, regressor: GbdtModel, y_true: float) -> OracleLabeling:
     """The regressor's relative error at every decision stride of one series,
     from one batched prediction."""
     if y_true <= 0:
         raise ValueError(f"true throughput must be positive, got {y_true}")
-    times = stride_times(ws.duration_ms, stride_ms)
+    times = stride_times(ws.duration_ms)
     if not times:
         return OracleLabeling(times, np.zeros(0))
     preds = regressor.predict(np.vstack([regressor_input(ws, t) for t in times]))
@@ -86,8 +84,7 @@ def oracle_labeling(ws: WindowSeries, regressor: GbdtModel, y_true: float,
     return OracleLabeling(times, np.abs(y_true - preds) / y_true)
 
 
-def build_classification_dataset(corpus: Corpus, regressor: GbdtModel,
-                                 epsilons, stride_ms: int = STRIDE_MS):
+def build_classification_dataset(corpus: Corpus, regressor: GbdtModel, epsilons):
     """Labeled (classifier_input, stop/continue) samples for every epsilon.
 
     Returns (X, labels, meta): one feature row and one label column per
@@ -97,7 +94,7 @@ def build_classification_dataset(corpus: Corpus, regressor: GbdtModel,
     rows, labels, meta = [], [], []
     for trace in corpus.traces():
         ws = resample(trace)
-        lab = oracle_labeling(ws, regressor, corpus.summary(trace.id).y_true_mbps, stride_ms)
+        lab = oracle_labeling(ws, regressor, corpus.summary(trace.id).y_true_mbps)
         rows += [classifier_input(ws, t_ms) for t_ms in lab.stride_times]
         meta += [(trace.id, t_ms) for t_ms in lab.stride_times]
         labels.append(np.column_stack([lab.labels(eps) for eps in epsilons]))

@@ -14,10 +14,11 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
+from .core import replace_from_json
 from .gbdt import FOREST_DTYPES, GbdtModel, GbdtParams
 from .mlp import MlpModel, MlpParams
 
@@ -120,8 +121,9 @@ def _check_forest(forest: dict[str, np.ndarray], n_features: int) -> None:
     if any(forest[name].shape != (n_nodes,) for name in FOREST_DTYPES if name != "offsets"):
         raise ModelFormatError("gbdt node arrays differ in length")
     offsets = forest["offsets"]
+    # neighbours are compared, not differenced: an int64 difference wraps
     if (offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0
-            or offsets[-1] != n_nodes or np.any(np.diff(offsets) < 1)):
+            or offsets[-1] != n_nodes or np.any(offsets[1:] <= offsets[:-1])):
         raise ModelFormatError("gbdt offsets must rise from 0 to the node count, "
                                "one node or more per tree")
     sizes = np.diff(offsets)
@@ -135,25 +137,12 @@ def _check_forest(forest: dict[str, np.ndarray], n_features: int) -> None:
         raise ModelFormatError(f"gbdt feature index outside -1..{n_features - 1}")
 
 
-# JSON types a parameter block may hold for each params field type.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list,)}
-
-
 def _params(cls, params: dict):
     """The params dataclass a model file's JSON block describes."""
-    types = {f.name: type(f.default) for f in fields(cls)}
-    for key, value in params.items():
-        if key not in types:
-            raise ModelFormatError(f"unknown {cls.__name__} parameter {key!r}")
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
-            raise ModelFormatError(
-                f"{cls.__name__} parameter {key!r} has type {type(value).__name__}")
-    if "layers" in params:
-        params = dict(params, layers=tuple(params["layers"]))
     try:
-        return cls(**params)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"bad {cls.__name__}: {exc}") from None
+        return replace_from_json(cls(), params, cls.__name__)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
 
 
 def _check_mlp(arrays: dict[str, np.ndarray], layers: tuple) -> None:

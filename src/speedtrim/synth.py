@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +26,18 @@ TIER_Y_RANGES = ((2.0, 24.0), (26.5, 98.0), (103.0, 197.0), (206.0, 394.0), (410
 RTT_BIN_RANGES = ((3.0, 23.5), (24.5, 51.0), (53.0, 113.0), (117.0, 230.0), (238.0, 450.0))
 
 MSS_BYTES = 1448
+
+# Closed range of each numeric GenSpec field (of each item, for a tuple):
+# they keep every draw finite and a trace within 60 000 snapshots.
+GENSPEC_LIMITS = {
+    **dict.fromkeys(("tier_weights", "rtt_bin_weights", "transient_span", "plateau_span"),
+                    (0.0, sys.float_info.max)),
+    **dict.fromkeys(("ramp_tau_range", "noise_rel_std", "burst_rate", "dropout_rate",
+                     "transient_spread", "plateau_spread", "difficulty_coupling"), (0.0, 10.0)),
+    "n_traces": (0, math.inf), "duration_s": (0.5, 60.0), "snapshot_ms": (1.0, 1000.0),
+    "ar_coeff": (0.0, 1.0), "hard_fraction": (0.0, 1.0), "timestamp_jitter_ms": (0.0, 1000.0),
+    "capacity_range": (0.001, 100_000.0),
+}
 
 
 @dataclass(frozen=True)
@@ -53,17 +66,15 @@ class GenSpec:
     difficulty_coupling: float = 1.0            # noise scaling vs (low tier, high RTT)
     preset: str = "default"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenSpec":
-        d = dict(d)
-        for key in ("tier_weights", "rtt_bin_weights", "ramp_tau_range", "capacity_range",
-                    "transient_span", "plateau_span"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple) and len(value) != len(f.default):
+                raise ValueError(f"{f.name} must hold {len(f.default)} numbers")
+            lo, hi = GENSPEC_LIMITS.get(f.name, (None, None))
+            items = value if isinstance(value, tuple) else (value,)
+            if lo is not None and not all(lo <= v <= hi for v in items):
+                raise ValueError(f"{f.name} must lie in [{lo}, {hi}], got {value}")
 
 
 # Low throughput, high RTT, persistent variability: the slice of tests that
@@ -294,7 +305,7 @@ def gen_trace(spec: GenSpec, index: int) -> tuple[Trace, str]:
         s = trace.summarize()
         if s.speed_tier == target_tier and s.rtt_bin == target_bin:
             return trace, label
-    raise RuntimeError(
+    raise ValueError(
         f"trace {index}: no draw landed in tier {target_tier}/bin {target_bin} "
         f"after {MAX_ATTEMPTS} attempts")
 
@@ -309,6 +320,6 @@ def gen_corpus(spec: GenSpec, out_dir: str) -> "traceio.Corpus":
 
     corpus = traceio.write_corpus(out_dir, produce())
     with open(os.path.join(out_dir, "genspec.json"), "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return corpus

@@ -28,14 +28,14 @@ from .core import (
     N_FEATURES,
     SNAPSHOT_FIELDS,
     STD_CHANNELS,
+    STRIDE_MS,
+    WINDOW_MS,
     Trace,
     TraceSummary,
     ValidationError,
     WindowSeries,
 )
 
-WINDOW_MS = 100
-STRIDE_MS = 500
 REGRESSOR_WINDOWS = 20          # most recent 2 s
 CLASSIFIER_WINDOWS = 100        # full 10 s history
 REGRESSOR_ARITY = REGRESSOR_WINDOWS * N_FEATURES + 1
@@ -50,7 +50,7 @@ class ParseError(ValueError):
 
 def _repair_cumulative(values: np.ndarray, name: str, trace_label: str) -> np.ndarray:
     """Fix a single one-sample dip in a cumulative counter; reject worse."""
-    drops = np.flatnonzero(np.diff(values) < 0) + 1
+    drops = np.flatnonzero(values[1:] < values[:-1]) + 1    # no int64 difference: it wraps
     if len(drops) == 0:
         return values
     i = int(drops[0])
@@ -69,13 +69,11 @@ _INT64 = range(-(1 << 63), 1 << 63)
 _SNAPSHOT_LINE = "{{" + ", ".join(f'"{k}": {{}}' for k in SNAPSHOT_FIELDS) + "}}\n"
 
 
-def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Trace:
+def parse_trace(stream, default_id: str = "trace") -> Trace:
     """Parse a JSON-Lines telemetry stream into a validated Trace."""
-    if format != "jsonl":
-        raise ValueError(f"unknown trace format {format!r}")
     if isinstance(stream, (str, os.PathLike)):
         with open(stream, "rb") as fh:
-            return parse_trace(fh, format=format, default_id=default_id)
+            return parse_trace(fh, default_id=default_id)
     raw = stream.read()
     try:
         text = raw if isinstance(raw, str) else raw.decode("utf-8")
@@ -118,7 +116,7 @@ def parse_trace(stream, format: str = "jsonl", default_id: str = "trace") -> Tra
     data = data[order]
     if data[0, 0] < 0:
         raise ValidationError(f"trace {trace_id!r}: negative t_us {int(data[0, 0])}")
-    if np.any(np.diff(data[:, 0]) <= 0):
+    if np.any(data[1:, 0] <= data[:-1, 0]):
         raise ValidationError(f"trace {trace_id!r}: nonmonotonic timestamps")
 
     cols = {name: data[:, i].copy() for i, name in enumerate(SNAPSHOT_FIELDS)}
@@ -272,24 +270,22 @@ def resample(trace: Trace) -> WindowSeries:
     w_of = np.minimum(trace.t_us // win_us, n_windows - 1)
     cols = [getattr(trace, name) for name in SNAPSHOT_FIELDS]
     frames, filled = window_frames(cols, w_of, 0, n_windows)
-    return WindowSeries(window_ms=WINDOW_MS, frames=frames, filled=filled)
+    return WindowSeries(frames, filled)
 
 
-def stride_times(duration_ms: float, stride_ms: int = STRIDE_MS) -> list[int]:
+def stride_times(duration_ms: float) -> list[int]:
     """Decision-stride boundaries in (0, duration_ms], ms."""
-    if stride_ms % WINDOW_MS != 0:
-        raise ValueError(f"stride {stride_ms} not a multiple of window {WINDOW_MS}")
-    return list(range(stride_ms, int(duration_ms) + 1, stride_ms))
+    return list(range(STRIDE_MS, int(duration_ms) + 1, STRIDE_MS))
 
 
 def _window_end(ws: WindowSeries, t_ms: int) -> int:
     """Number of whole windows up to t_ms; t_ms must be a window boundary
     of the series past its start."""
-    if t_ms < ws.window_ms:
-        raise ValueError(f"t_ms must be >= {ws.window_ms}, got {t_ms}")
-    if t_ms % ws.window_ms != 0:
-        raise ValueError(f"t_ms must be a multiple of {ws.window_ms}, got {t_ms}")
-    end = t_ms // ws.window_ms
+    if t_ms < WINDOW_MS:
+        raise ValueError(f"t_ms must be >= {WINDOW_MS}, got {t_ms}")
+    if t_ms % WINDOW_MS != 0:
+        raise ValueError(f"t_ms must be a multiple of {WINDOW_MS}, got {t_ms}")
+    end = t_ms // WINDOW_MS
     if end > len(ws):
         raise ValueError(f"t_ms={t_ms} beyond end of series ({len(ws)} windows)")
     return end

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +9,10 @@ import numpy as np
 import pytest
 
 from speedtrim.cli import main
+from speedtrim.config import RunConfig
+from speedtrim.engine import GuardConfig
+from speedtrim.gbdt import GbdtParams
+from speedtrim.mlp import MlpParams
 
 import util
 
@@ -303,3 +308,67 @@ class TestPipeline:
         strategies = {r["strategy"] for r in rows}
         assert strategies == {"global", "speed-only", "rtt-only",
                               "rtt+speed", "oracle"}
+
+
+# A config file as bench/run.py writes it: a few gbdt and mlp keys and a seed.
+BENCH_CONFIG = {"gbdt": {"n_trees": 60, "max_depth": 5, "min_samples_leaf": 20,
+                         "objective": "log-mse"},
+                "mlp": {"epochs": 6}, "seed": 7}
+
+
+class TestConfig:
+    def test_written_config_reproduces_the_run(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run("synth", "--n", "3", "--seed", "5", "--mode", "natural", "--out", a) == 0
+        # the config carries the seed, count and mode; the flags are not repeated
+        assert run("synth", "--config", os.path.join(a, "config.json"), "--out", b) == 0
+        assert sha_tree(a) == sha_tree(b)
+
+    def test_every_section_round_trips(self, cli_pipeline):
+        path = os.path.join(cli_pipeline["models_dir"], "config.json")
+        with open(path) as fh:
+            assert RunConfig.from_file(path).to_json() == fh.read()
+
+    def test_bench_config_loads(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BENCH_CONFIG))
+        assert RunConfig.from_file(str(path)) == RunConfig(
+            seed=7, gbdt=GbdtParams(n_trees=60, max_depth=5, min_samples_leaf=20,
+                                    objective="log-mse"), mlp=MlpParams(epochs=6))
+
+    def test_left_out_keys_keep_the_defaults(self):
+        config = RunConfig.from_dict({"gbdt": {"n_trees": 60}, "guard": {"v_max": 1}})
+        assert config.gbdt == dataclasses.replace(RunConfig().gbdt, n_trees=60)
+        assert config.guard == GuardConfig(v_max=1.0)
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"gbdt": {"foo": 1}}', "unknown gbdt parameter 'foo'"),
+        ("[1]", "config is not a JSON object"),
+        ('{"guard": {"v_max": "x"}}', "guard parameter 'v_max' has type str"),
+        ('{"stride_ms": 500}', "unknown config parameter 'stride_ms'"),
+        ('{"guard": {"window_ms": 2000}}', "unknown guard parameter 'window_ms'"),
+        ('{"guard": {"enabled": 1}}', "guard parameter 'enabled' has type int"),
+        ('{"guard": "on"}', "guard is not a JSON object"),
+        ('{"seed": 7.0}', "config parameter 'seed' has type float"),
+        ('{"epsilons": [5, "10"]}', "config parameter 'epsilons' item has type str"),
+        ('{"mlp": {"dropout": NaN}}', "mlp parameter 'dropout' is not a finite number"),
+        ('{"gbdt": {"n_trees": 0}}', "gbdt: n_trees must be >= 1"),
+        ('{"genspec": {"snapshot_ms": 0}}', "genspec: snapshot_ms must lie in"),
+        ('{"gbdt": ', "Expecting value"),
+    ])
+    def test_bad_config_is_data_error_naming_the_key(self, cli_pipeline, tmp_path, capsys,
+                                                    config, message):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        capsys.readouterr()
+        assert run("run", "--config", str(path), "--trace", cli_pipeline["trace_path"],
+                   "--regressor", cli_pipeline["regressor"],
+                   "--classifier", cli_pipeline["classifier"]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_good_config_runs(self, cli_pipeline, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"guard": {"enabled": false, "v_max": 0.5}}')
+        assert run("run", "--config", str(path), "--trace", cli_pipeline["trace_path"],
+                   "--regressor", cli_pipeline["regressor"],
+                   "--classifier", cli_pipeline["classifier"]) == 0

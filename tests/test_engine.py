@@ -1,9 +1,12 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from speedtrim import engine
-from speedtrim.core import CUMULATIVE_FIELDS, F_TPUT, ValidationError, WindowSeries
+from speedtrim.core import CUMULATIVE_FIELDS, F_TPUT, WINDOW_MS, ValidationError, WindowSeries
 from speedtrim.engine import (
     GuardConfig,
     Policy,
@@ -12,7 +15,7 @@ from speedtrim.engine import (
     run_trace,
     variability_guard,
 )
-from speedtrim.traceio import resample
+from speedtrim.traceio import parse_trace, resample
 
 import util
 
@@ -188,7 +191,7 @@ def assert_frames_match_resample(trace):
     ws = resample(trace)
     seen = judged_series(trace)
     for t_ms, frames, filled in seen:
-        n = t_ms // ws.window_ms
+        n = t_ms // WINDOW_MS
         assert frames.shape[0] == n
         assert frames.tobytes() == ws.frames[:n].tobytes(), t_ms
         np.testing.assert_array_equal(filled, ws.filled[:n])
@@ -321,6 +324,19 @@ class TestSessionAcceptsWhatTheParserAccepts:
         session.feed(util.snapshot(0, 0, cwnd_bytes=-2 ** 63))
         session.feed(util.snapshot(100_000, 10, cwnd_bytes=2 ** 63 - 1, retrans=2 ** 63 - 1))
         session.feed(util.snapshot(600_000, 2 ** 63 - 1, retrans=2 ** 63 - 1))
+        session.end_of_trace()
+        assert session.finalize(10.0).ran_to_completion
+
+    @pytest.mark.parametrize("dup_acks", [[-2 ** 63, 2 ** 63 - 1], [-2 ** 63, 0, 2 ** 63 - 1]])
+    def test_counter_rising_across_int64_accepted_by_both(self, dup_acks):
+        # each rise exceeds 2**63, which an int64 difference wraps to negative
+        snaps = [util.snapshot(100_000 * i, 10 * (i + 1), dup_acks=d)
+                 for i, d in enumerate(dup_acks)]
+        data = "\n".join(json.dumps(snap._asdict()) for snap in snaps).encode()
+        assert parse_trace(io.BytesIO(data)).dup_acks.tolist() == dup_acks
+        session = Session(make_policy(0.0))
+        for snap in snaps:
+            session.feed(snap)
         session.end_of_trace()
         assert session.finalize(10.0).ran_to_completion
 

@@ -2,9 +2,11 @@
 code, never a traceback.
 
 ``ingest`` reads trace files (exit 0 or 3); model loading reads model files
-(a model or ``ModelFormatError``; ``speedtrim run`` exits 0 or 4).
+(a model or ``ModelFormatError``; ``speedtrim run`` exits 0 or 4); ``synth``
+and ``run`` read ``--config`` files (exit 0 or 3).
 """
 
+import dataclasses
 import itertools
 import json
 import os
@@ -16,8 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from speedtrim.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, main
+from speedtrim.config import RunConfig
 from speedtrim.core import CUMULATIVE_FIELDS, SNAPSHOT_FIELDS
 from speedtrim.modelio import ModelFormatError, load_model_bytes
+from speedtrim.synth import GenSpec
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -176,3 +180,70 @@ class TestModelFiles:
             code = main(["run", "--trace", walkthrough["trace"], "--regressor",
                          paths["regressor"], "--classifier", paths["classifier"]])
         assert code in (EXIT_OK, EXIT_MODEL)
+
+
+# any JSON value, non-finite floats (which json writes and reads) among them
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+              st.sampled_from([10 ** 400, -(2 ** 63)])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5)
+
+
+def near(value):
+    """JSON values of a field's own type, from zero to past twice its default."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(0, 2 * value + 1)
+    if isinstance(value, float):
+        return st.floats(0.0, 2 * value + 1.0)
+    if isinstance(value, tuple):
+        return st.lists(near(value[0]), min_size=len(value) - 1, max_size=len(value) + 1)
+    return st.sampled_from([value, "x"])
+
+
+def json_object(instance):
+    """A JSON object for a params dataclass: up to three of its keys or a
+    removed one, each with any JSON value or one of its own type; a
+    dataclass field takes such an object or any JSON value."""
+    values = {}
+    for f in dataclasses.fields(instance):
+        value = getattr(instance, f.name)
+        own = json_object(value) if dataclasses.is_dataclass(value) else near(value)
+        values[f.name] = st.one_of(own, JSON)
+    values["window_ms"] = JSON
+    keys = st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: values[k] for k in ks}))
+
+
+CONFIGS = st.one_of(json_object(RunConfig()), JSON)
+# configs that change the generator alone, so more of them reach it
+GENSPECS = st.fixed_dictionaries({"genspec": json_object(GenSpec())})
+
+
+def write_config(root: str, config) -> str:
+    path = os.path.join(root, "config.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    return path
+
+
+class TestConfigFiles:
+    @settings(FUZZ, max_examples=80)
+    @given(config=st.one_of(CONFIGS, GENSPECS))
+    def test_synth_exits_0_or_3(self, config):
+        with tempfile.TemporaryDirectory() as root:
+            argv = ["synth", "--config", write_config(root, config), "--n", "1",
+                    "--out", os.path.join(root, "out")]
+            assert main(argv) in (EXIT_OK, EXIT_DATA)
+
+    @settings(FUZZ, max_examples=80)
+    @given(config=CONFIGS)
+    def test_run_exits_0_or_3(self, walkthrough, config):
+        with tempfile.TemporaryDirectory() as root:
+            argv = ["run", "--config", write_config(root, config), "--trace", walkthrough["trace"],
+                    "--regressor", walkthrough["regressor"],
+                    "--classifier", walkthrough["classifier"]]
+            assert main(argv) in (EXIT_OK, EXIT_DATA)

@@ -15,14 +15,14 @@ def noisy_series():
     base = 100.0 + 20.0 * rng.standard_normal(100)
     frames[:, F_TPUT] = np.abs(base) + 1.0
     frames[:, 1] = np.cumsum(frames[:, F_TPUT]) / np.arange(1, 101)
-    return WindowSeries(window_ms=100, frames=frames)
+    return WindowSeries(frames=frames)
 
 
 def alternating_series(lo=60.0, hi=140.0, n=100):
     frames = np.zeros((n, 13))
     frames[:, F_TPUT] = np.where(np.arange(n) % 2 == 0, lo, hi)
     frames[:, 1] = np.cumsum(frames[:, F_TPUT]) / np.arange(1, n + 1)
-    return WindowSeries(window_ms=100, frames=frames)
+    return WindowSeries(frames=frames)
 
 
 class TestStatic:
@@ -56,7 +56,7 @@ class TestBbr:
         frames[:, F_TPUT] = 50.0
         frames[:, 1] = 50.0
         frames[first_hit_window:, 2] = level
-        return WindowSeries(window_ms=100, frames=frames)
+        return WindowSeries(frames=frames)
 
     def test_first_passage(self):
         # counter reaches 3 inside window 14 (t in [1.4, 1.5) s): the first
@@ -77,7 +77,7 @@ class TestBbr:
 
     def test_rescale_invariance(self):
         ws = self.make_series(20, level=4)
-        scaled = WindowSeries(window_ms=100, frames=ws.frames * np.where(
+        scaled = WindowSeries(frames=ws.frames * np.where(
             np.arange(13) == 2, 1.0, 7.5))
         a = H.stop_bbr(ws, 3)
         b = H.stop_bbr(scaled, 3)

@@ -28,12 +28,7 @@ class TestStrideTimes:
     def test_counting(self):
         assert label.stride_times(10000) == list(range(500, 10001, 500))
         assert label.stride_times(499) == []
-        assert label.stride_times(1000, 500) == [500, 1000]
-
-    def test_stride_must_be_whole_windows(self):
-        assert label.stride_times(1000, 100) == list(range(100, 1001, 100))
-        with pytest.raises(ValueError, match="not a multiple of window 100"):
-            label.stride_times(1000, 250)
+        assert label.stride_times(1000) == [500, 1000]
 
 
 class TestRegressionDataset:

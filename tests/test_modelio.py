@@ -103,6 +103,12 @@ def _empty_tree(f):
     f["offsets"][2] = f["offsets"][1]
 
 
+def _offsets_wrapping(f):
+    # offsets fall by 3 * 2**62 between these, which as an int64
+    # difference wraps to +2**62
+    f["offsets"][1:3] = 3 * 2 ** 61, -3 * 2 ** 61
+
+
 def _child_into_next_tree(f):
     f["left"][0] = f["offsets"][1]
 
@@ -128,6 +134,7 @@ class TestForestValidation:
         (_scalar_value, "differ in length"),
         (_swap_offsets, "offsets"),
         (_empty_tree, "offsets"),
+        (_offsets_wrapping, "offsets"),
         (_child_into_next_tree, "left child index outside its tree"),
         (_negative_child, "right child index outside its tree"),
         (_feature_past_arity, "feature index"),

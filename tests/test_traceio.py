@@ -20,6 +20,7 @@ from speedtrim.traceio import (
     CLASSIFIER_ARITY,
     REGRESSOR_ARITY,
     REGRESSOR_WINDOWS,
+    WINDOW_MS,
     ParseError,
     classifier_input,
     dump_trace,
@@ -270,21 +271,19 @@ def reference_dump(trace: Trace) -> bytes:
 
 @st.composite
 def int64_traces(draw) -> Trace:
-    """Valid traces whose values reach both ends of int64; columns whose
-    differences the Trace checks take stay non-negative, so no difference
-    wraps."""
+    """Valid traces whose values reach both ends of int64: cumulative
+    counters may rise by more than 2**63, which an int64 difference wraps."""
     n = draw(st.integers(2, 8))
     top = 2 ** 63 - 1
     natural = st.one_of(st.integers(0, top), st.sampled_from([0, 1, top]))
+    whole = st.one_of(st.integers(-(2 ** 63), top), st.sampled_from([-(2 ** 63), 0, top]))
     t_us = sorted(draw(st.sets(natural, min_size=n, max_size=n)))
     cols = {"t_us": t_us,
-            "cwnd_bytes": draw(st.lists(st.one_of(st.integers(-(2 ** 63), top),
-                                                  st.sampled_from([-(2 ** 63), top])),
-                                        min_size=n, max_size=n)),
+            "cwnd_bytes": draw(st.lists(whole, min_size=n, max_size=n)),
+            "bytes_in_flight": draw(st.lists(natural, min_size=n, max_size=n)),
             "rtt_us": draw(st.lists(st.integers(1, top), min_size=n, max_size=n))}
-    for name in ("bytes_acked", "bytes_in_flight", "retrans", "dup_acks", "pipe_full"):
-        values = draw(st.lists(natural, min_size=n, max_size=n))
-        cols[name] = sorted(values) if name in CUMULATIVE_FIELDS else values
+    for name in CUMULATIVE_FIELDS:
+        cols[name] = sorted(draw(st.lists(whole, min_size=n, max_size=n)))
     return Trace(draw(st.text(max_size=6)), draw(st.integers(t_us[-1], top)), cols)
 
 
@@ -347,7 +346,7 @@ class TestResample:
         for tid in small_corpus.ids[:6]:
             tr = small_corpus.load(tid)
             ws = resample(tr)
-            total = np.sum(ws.frames[:, F_TPUT]) * ws.window_ms / 1000.0  # Mbit
+            total = np.sum(ws.frames[:, F_TPUT]) * WINDOW_MS / 1000.0  # Mbit
             expect = 8.0 * tr.bytes_acked[-1] / 1e6
             assert total == pytest.approx(expect, rel=0.02)
 
