@@ -347,9 +347,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_model_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Usage error (exit 2) when no classifier path can be formed."""
+    if args.command == "run" and args.classifier is None and args.models_dir is None:
+        parser.error("run needs --classifier or --models-dir")
+    if args.command == "sweep" and args.method == "ml":
+        for flag, value in (("--regressor", args.regressor), ("--models-dir", args.models_dir)):
+            if value is None:
+                parser.error(f"sweep --method ml needs {flag}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_model_flags(parser, args)
     try:
         return args.func(args)
     except ModelFormatError as exc:

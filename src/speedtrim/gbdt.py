@@ -12,6 +12,11 @@ left iff ``x[feature] < threshold``; ``feature`` is -1 at a leaf, whose
 ``left`` and ``right`` point to itself.  Child indices are local to their
 tree.  These arrays are both the in-memory model and what ``modelio``
 writes to disk.
+
+Prediction descends all trees together and sums each row's terms
+``[base, lr·leaf_1, …, lr·leaf_T]`` with one ``np.add.accumulate``.  An
+accumulate adds strictly left to right (a reduce may add pairwise), so a
+prediction is the tree-by-tree sum bit for bit, for one row or a batch.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def _leaf_values(forest: dict[str, np.ndarray], X: np.ndarray, depth: int) -> np
     feature, threshold, left, right, value, offsets = (forest[k] for k in FOREST_DTYPES)
     start = offsets[:-1]
     rows = np.arange(len(X))[:, None]
-    node = np.broadcast_to(start, (len(X), len(start)))
+    node = start  # the first level's indexing broadcasts it to (rows, trees)
     for _ in range(depth):
         go_left = X[rows, np.maximum(feature[node], 0)] < threshold[node]
         node = np.where(go_left, left[node], right[node]) + start
@@ -177,11 +182,17 @@ class GbdtModel:
                 f"feature arity mismatch: model expects {self.n_features}, got {X.shape[1]}")
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite features")
-        out = np.full(len(X), self.base_prediction)
-        lr = self.params.learning_rate
-        # tree by tree, in order, so the sum does not depend on the descent
-        for leaf in _leaf_values(self.forest, X, self.params.max_depth).T:
-            out += lr * leaf
+        # [base, lr·leaf_1, …, lr·leaf_T] accumulated strictly left to right:
+        # the tree-by-tree sum, bit for bit.  Scaled and summed in place in
+        # the (rows, trees) leaf matrix, whose first column takes the base;
+        # the sums are copied out so the result does not keep it alive.
+        terms = _leaf_values(self.forest, X, self.params.max_depth)
+        if terms.shape[1]:
+            terms *= self.params.learning_rate
+            terms[:, 0] += self.base_prediction
+            out = np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+        else:
+            out = np.full(len(X), self.base_prediction)
         if self.params.objective == "log-mse":
             out = np.exp(out)
         return out[0] if single else out

@@ -212,18 +212,21 @@ def window_frames(cols, w_of: np.ndarray, w0: int, w1: int,
 
     # Delta channels: per-snapshot differences, attributed to the window of
     # the interval's endpoint; the run's first snapshot pairs with prev.
+    # Taken in float64, which cannot wrap where int64 would and is exact
+    # for counters below 2**53.
     def diff(k: int, col: np.ndarray) -> np.ndarray:
-        return np.diff(col) if prev is None else np.diff(col, prepend=prev[k])
+        if prev is not None:
+            col = np.concatenate(([prev[k]], col))
+        return np.subtract(col[1:], col[:-1], dtype=np.float64)
 
     delta_members = members[1:] if prev is None else members
-    dt = diff(0, t).astype(np.float64)
-    inst = 8.0 * diff(1, acked) / dt
+    inst = 8.0 * diff(1, acked) / diff(0, t)
     frames[:, F_TPUT] = _window_stats(inst, delta_members, n)[0]
     for mean_ch, std_ch, k, col in (
         (9, 10, 5, retrans),
         (11, 12, 6, dup_acks),
     ):
-        d = diff(k, col).astype(np.float64)
+        d = diff(k, col)
         frames[:, mean_ch], frames[:, std_ch] = _window_stats(d, delta_members, n)
 
     # Cumulative-average channel: bytes-so-far over elapsed time, taken at

@@ -131,6 +131,20 @@ class TestExitCodes:
             run("synth", "--frobnicate", "--out", "x")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("run", "--trace", "t.jsonl", "--regressor", "r.bin"), "--classifier or --models-dir"),
+        (("sweep", "--corpus", "c", "--method", "ml", "--params", "15",
+          "--regressor", "r.bin", "--out", "o"), "--models-dir"),
+        (("sweep", "--corpus", "c", "--method", "ml", "--params", "15",
+          "--models-dir", "m", "--out", "o"), "--regressor"),
+    ])
+    def test_no_model_path_is_usage_error(self, argv, flag, capsys):
+        # checked before any file is read, so the paths need not exist
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert f"needs {flag}" in capsys.readouterr().err
+
     def test_missing_corpus(self, tmp_path):
         assert run("train-regressor", "--corpus", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.bin")) == 3

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from speedtrim import engine
-from speedtrim.core import CUMULATIVE_FIELDS, F_TPUT, WINDOW_MS, ValidationError, WindowSeries
+from speedtrim.core import (
+    CUMULATIVE_FIELDS,
+    F_DUPACK_MEAN,
+    F_TPUT,
+    WINDOW_MS,
+    ValidationError,
+    WindowSeries,
+)
 from speedtrim.engine import (
     GuardConfig,
     Policy,
@@ -339,6 +346,20 @@ class TestSessionAcceptsWhatTheParserAccepts:
             session.feed(snap)
         session.end_of_trace()
         assert session.finalize(10.0).ran_to_completion
+
+    def test_counter_rise_across_int64_is_a_positive_delta(self):
+        # the rise is 2**64 - 1, which an int64 difference wraps to -1
+        snaps = [util.snapshot(0, 10, dup_acks=-2 ** 63),
+                 util.snapshot(100_000, 20, dup_acks=2 ** 63 - 1)]
+        data = "\n".join(json.dumps(snap._asdict()) for snap in snaps).encode()
+        trace = parse_trace(io.BytesIO(data))
+        assert resample(trace).frames[0, F_DUPACK_MEAN] > 0   # one window
+        policy = make_policy(0.0)
+        assert util.feed_trace(trace, policy) == run_trace(trace, policy)
+        # a stride judged after the rise sees the same frames live
+        longer = util.make_trace([0, 100_000, 600_000], [10, 20, 30],
+                                 dup_acks=[-2 ** 63, 2 ** 63 - 1, 2 ** 63 - 1])
+        assert len(assert_frames_match_resample(longer)) == 1
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_snapshots_rejected(self, n):

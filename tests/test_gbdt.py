@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from speedtrim.gbdt import GbdtModel, GbdtParams, PAPER_SCALE, train_gbdt
 from speedtrim.modelio import dump_model, load_model_bytes
+from speedtrim.traceio import REGRESSOR_ARITY
 
 from util import NO_TREES
 
@@ -159,3 +163,95 @@ class TestPredict:
             y = small_corpus.summary(tid).y_true_mbps
             errs.append(label.oracle_labeling(ws, small_regressor, y).errors[-1])
         assert np.median(errs) < 0.10
+
+
+def random_forest(rng, n_trees: int, depth: int, n_features: int, leaf_p: float) -> dict:
+    """Packed forest of complete depth-``depth`` trees in which each inner
+    node is a leaf with probability ``leaf_p`` (its subtree stays in the
+    arrays, unreachable).  Nodes past each root are shuffled, so children
+    sit anywhere in their tree."""
+    size = 2 ** (depth + 1) - 1
+    heap = np.arange(size)
+    leaf = (heap >= size // 2) | (rng.random((n_trees, size)) < leaf_p)
+    pos = np.hstack([np.zeros((n_trees, 1), dtype=np.int64),
+                     1 + np.argsort(rng.random((n_trees, size - 1)), axis=1)])
+
+    def child(k):
+        return np.take_along_axis(pos, np.broadcast_to(np.minimum(2 * heap + k, size - 1),
+                                                       pos.shape), axis=1)
+
+    by_heap = {
+        "feature": np.where(leaf, -1, rng.integers(n_features, size=(n_trees, size))),
+        "threshold": rng.random((n_trees, size)),
+        "left": np.where(leaf, pos, child(1)),
+        "right": np.where(leaf, pos, child(2)),
+        # magnitudes spread over four decades, so the order of the sum matters
+        "value": rng.standard_normal((n_trees, size)) * 10.0 ** rng.uniform(-4, 0, (n_trees, size)),
+    }
+    forest = {}
+    for name, heap_values in by_heap.items():
+        packed = np.empty_like(heap_values)
+        np.put_along_axis(packed, pos, heap_values, axis=1)
+        forest[name] = packed.ravel()
+    forest["offsets"] = np.arange(n_trees + 1) * size
+    return forest
+
+
+def reference_predict(model: GbdtModel, X: np.ndarray) -> np.ndarray:
+    """Tree by tree, in order: each tree's leaf, scaled, added to the sum."""
+    f, lr = model.forest, model.params.learning_rate
+    rows = np.arange(len(X))
+    out = np.full(len(X), model.base_prediction)
+    for lo in f["offsets"][:-1]:
+        node = np.zeros(len(X), dtype=np.int64)
+        for _ in range(model.params.max_depth):
+            i = lo + node
+            go_left = X[rows, np.maximum(f["feature"][i], 0)] < f["threshold"][i]
+            node = np.where(f["feature"][i] < 0, node,
+                            np.where(go_left, f["left"][i], f["right"][i]))
+        out += lr * f["value"][lo + node]
+    return np.exp(out) if model.params.objective == "log-mse" else out
+
+
+def assert_predict_is_reference(model: GbdtModel, X: np.ndarray) -> None:
+    want = reference_predict(model, X)
+    batch = model.predict(X)
+    np.testing.assert_array_equal(batch, want)
+    for i, x in enumerate(X):
+        one = model.predict(x)
+        assert one.tobytes() == want[i].tobytes() == batch[i].tobytes(), i
+
+
+class TestPredictEquivalence:
+    """The batched, tree-parallel sum equals the in-order per-tree loop bit
+    for bit, so predictions do not depend on how trees are descended."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_trees=st.integers(0, 300),
+           depth=st.integers(1, 7), n_features=st.integers(1, 10),
+           leaf_p=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+           objective=st.sampled_from(["mse", "log-mse"]),
+           learning_rate=st.floats(1e-3, 1.0), base=st.floats(-5.0, 5.0),
+           n_rows=st.integers(1, 20))
+    def test_random_forests(self, seed, n_trees, depth, n_features, leaf_p, objective,
+                            learning_rate, base, n_rows):
+        rng = np.random.default_rng(seed)
+        forest = random_forest(rng, n_trees, depth, n_features, leaf_p)
+        params = GbdtParams(max_depth=depth, n_trees=max(n_trees, 1),
+                            learning_rate=learning_rate, objective=objective)
+        model = GbdtModel(base, forest, params, n_features, [])
+        X = rng.random((n_rows, n_features))
+        # the first row lands exactly on some roots' thresholds: it goes right
+        roots = forest["offsets"][:-1]
+        split = forest["feature"][roots] >= 0
+        X[0, forest["feature"][roots][split]] = forest["threshold"][roots][split]
+        assert_predict_is_reference(model, X)
+
+    def test_paper_scale_forest(self):
+        rng = np.random.default_rng(8)
+        forest = random_forest(rng, PAPER_SCALE.n_trees, PAPER_SCALE.max_depth,
+                               REGRESSOR_ARITY, 0.0)
+        for objective in ("mse", "log-mse"):
+            params = dataclasses.replace(PAPER_SCALE, objective=objective)
+            model = GbdtModel(3.0, forest, params, REGRESSOR_ARITY, [])
+            assert_predict_is_reference(model, rng.random((20, REGRESSOR_ARITY)))
