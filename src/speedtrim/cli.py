@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -79,6 +80,32 @@ def _load_models(paths_and_roles: list[tuple[str, str]]) -> list:
     return models
 
 
+def epsilon(text) -> float:
+    """A tolerance ε in percent, from a command line or config value: a
+    finite number > 0, else ValueError."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"epsilon must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _classifier_name(eps: float) -> str:
+    """File name of ε's classifier: ε in full, without a trailing ``.0``
+    (``classifier_eps5.bin``, ``classifier_eps12.5.bin``)."""
+    return f"classifier_eps{repr(eps).removesuffix('.0')}.bin"
+
+
+def _load_policies(args, epsilons, guard: GuardConfig, classifier: str | None = None) -> dict:
+    """A policy per ε: the --regressor with ``classifier`` when given, else
+    with ε's classifier file under --models-dir."""
+    paths = [classifier or os.path.join(args.models_dir, _classifier_name(eps))
+             for eps in epsilons]
+    regressor, *classifiers = _load_models(
+        [(args.regressor, "regressor")] + [(path, "classifier") for path in paths])
+    return {eps: Policy(regressor, model, eps, guard=guard)
+            for eps, model in zip(epsilons, classifiers)}
+
+
 def _corpus_inputs(corpus_dir: str) -> list[str]:
     return [os.path.join(corpus_dir, name) for name in ("index.csv", "manifest.csv")
             if os.path.exists(os.path.join(corpus_dir, name))]
@@ -120,7 +147,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train_regressor(args) -> int:
     config = _load_config(args)
-    params = dataclasses.replace(config.gbdt, seed=config.seed)
+    params = config.gbdt
     if args.trees:
         params = dataclasses.replace(params, n_trees=args.trees)
     if args.depth:
@@ -162,7 +189,7 @@ def cmd_train_classifier(args) -> int:
     X, labels, _ = label.build_classification_dataset(corpus, regressor, (args.epsilon,))
     _log(f"training classifier (epsilon={args.epsilon}) on {len(X)} samples")
     model = train_mlp(X, labels[:, 0], params)
-    out = args.out or f"classifier_eps{int(args.epsilon)}.bin"
+    out = args.out or _classifier_name(args.epsilon)
     modelio.save_model(model, out)
     _write_manifest(os.path.dirname(out) or ".", "train-classifier",
                     dataclasses.replace(config, mlp=params),
@@ -171,21 +198,11 @@ def cmd_train_classifier(args) -> int:
     return EXIT_OK
 
 
-def _build_policy(args, config: RunConfig, epsilon: float) -> Policy:
-    classifier_path = args.classifier
-    if classifier_path is None:
-        classifier_path = os.path.join(args.models_dir,
-                                       f"classifier_eps{int(epsilon)}.bin")
-    regressor, classifier = _load_models([(args.regressor, "regressor"),
-                                          (classifier_path, "classifier")])
-    guard = GuardConfig(enabled=False) if args.no_guard else config.guard
-    return Policy(regressor, classifier, epsilon, guard=guard)
-
-
 def cmd_run(args) -> int:
     config = _load_config(args)
     trace = traceio.parse_trace(args.trace)
-    policy = _build_policy(args, config, args.epsilon)
+    guard = GuardConfig(enabled=False) if args.no_guard else config.guard
+    (policy,) = _load_policies(args, [args.epsilon], guard, args.classifier).values()
     outcome = run_trace(trace, policy)
     print(json.dumps({
         "trace_id": trace.id,
@@ -199,21 +216,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _ml_policies(args, config: RunConfig, epsilons) -> dict:
-    paths = [os.path.join(args.models_dir, f"classifier_eps{int(eps)}.bin") for eps in epsilons]
-    regressor, *classifiers = _load_models(
-        [(args.regressor, "regressor")] + [(path, "classifier") for path in paths])
-    return {eps: Policy(regressor, classifier, eps, guard=config.guard)
-            for eps, classifier in zip(epsilons, classifiers)}
-
-
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
     os.makedirs(args.out, exist_ok=True)
     if args.method == "ml":
-        params = [float(p) for p in args.params.split(",")]
-        policies = _ml_policies(args, config, params)
+        params = [epsilon(p) for p in args.params.split(",")]
+        policies = _load_policies(args, params, config.guard)
     else:
         _, parse = heuristics.BASELINE_PARAMS[args.method]
         params = [parse(p) for p in args.params.split(",")]
@@ -232,8 +241,9 @@ def cmd_sweep(args) -> int:
 def cmd_select(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
-    epsilons = [float(e) for e in args.params.split(",")] if args.params else list(config.epsilons)
-    policies = _ml_policies(args, config, epsilons)
+    given = args.params.split(",") if args.params else config.epsilons
+    epsilons = [epsilon(e) for e in given]
+    policies = _load_policies(args, epsilons, config.guard)
     _, records_by_param = evaluate.pareto_sweep(corpus, "ml", epsilons, policies=policies)
     full_records = evaluate.evaluate_method(corpus, "full")
     os.makedirs(args.out, exist_ok=True)
@@ -300,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="emit a labeled classification dataset", parents=[common])
     p.add_argument("--corpus", required=True)
     p.add_argument("--regressor", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=epsilon, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train-classifier", help="fit the stop classifier", parents=[common])
     p.add_argument("--corpus", required=True)
     p.add_argument("--regressor", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=epsilon, required=True)
     p.add_argument("--epochs", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_classifier)
@@ -317,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regressor", required=True)
     p.add_argument("--classifier")
     p.add_argument("--models-dir", dest="models_dir")
-    p.add_argument("--epsilon", type=float, default=15.0)
+    p.add_argument("--epsilon", type=epsilon, default=15.0)
     p.add_argument("--no-guard", action="store_true", dest="no_guard")
     p.set_defaults(func=cmd_run)
 

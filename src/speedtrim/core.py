@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,10 @@ N_FEATURES = 13
 WINDOW_MS = 100
 STRIDE_MS = 500
 GUARD_WINDOW_MS = 2000
+
+# No snapshot of a test lies past 60 s.  A multiple of STRIDE_MS, so every
+# snapshot past it crosses a stride boundary of a live session.
+MAX_TEST_US = 60_000_000
 
 STD_CHANNELS = (F_CWND_STD, F_BIF_STD, F_RTT_STD, F_RETX_STD, F_DUPACK_STD)
 
@@ -120,6 +124,9 @@ class Trace:
         # neighbours are compared, not differenced: an int64 difference wraps
         if np.any(self.t_us[1:] <= self.t_us[:-1]):
             raise ValidationError(f"trace {self.id!r}: t_us not strictly increasing")
+        if self.t_us[-1] > MAX_TEST_US:
+            raise ValidationError(f"trace {self.id!r}: last t_us {self.t_us[-1]} exceeds "
+                                  f"the test-length cap of {MAX_TEST_US} us")
         if self.t_us[-1] > self.duration_us:
             raise ValidationError(
                 f"trace {self.id!r}: last t_us {self.t_us[-1]} exceeds duration {self.duration_us}"
@@ -178,14 +185,10 @@ class TraceSummary:
 
 @dataclass(frozen=True)
 class WindowSeries:
-    """WINDOW_MS-resampled feature view of a trace.
-
-    ``frames`` has shape (n_windows, 13); ``filled[i]`` marks windows that
-    had no snapshots and were carried forward from the previous frame.
-    """
+    """WINDOW_MS-resampled feature view of a trace; ``frames`` has shape
+    (n_windows, 13)."""
 
     frames: np.ndarray
-    filled: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -193,13 +196,8 @@ class WindowSeries:
             raise ValidationError(f"frames must be (n, {N_FEATURES}), got {frames.shape}")
         if not np.all(np.isfinite(frames)):
             raise ValidationError("frames contain non-finite entries")
-        filled = self.filled
-        if filled is None:
-            filled = np.zeros(len(frames), dtype=bool)
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "filled", np.asarray(filled, dtype=bool))
         frames.setflags(write=False)
-        self.filled.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.frames)

@@ -21,6 +21,7 @@ from .core import (
     CUMULATIVE_FIELDS,
     F_TPUT,
     GUARD_WINDOW_MS,
+    MAX_TEST_US,
     N_FEATURES,
     REASON_CLASSIFIER,
     REASON_END_OF_TRACE,
@@ -35,7 +36,7 @@ from .core import (
     rel_error,
 )
 from .gbdt import GbdtModel
-from .mlp import MlpModel, predict_stop_prob
+from .mlp import MlpModel
 from .traceio import STRIDE_MS, WINDOW_MS, classifier_input, regressor_input, window_frames
 from .traceio import resample  # noqa: F401  engine.resample stays available to its readers
 
@@ -134,6 +135,9 @@ class Session:
         if self._next_stride_ms * 1000 < snapshot.t_us:
             # a snapshot that stops the test never joins a run: check it here
             _int64_columns([snapshot])
+            if snapshot.t_us > MAX_TEST_US:
+                raise ValidationError(f"t_us {snapshot.t_us} exceeds the test-length cap "
+                                      f"of {MAX_TEST_US} us")
         while self._next_stride_ms * 1000 < snapshot.t_us:
             t_ms = self._next_stride_ms
             self._next_stride_ms += STRIDE_MS
@@ -153,11 +157,10 @@ class Session:
         n = len(pending) - (bool(pending) and pending[-1].t_us == t_ms * 1000)
         run, self._pending = pending[:n], pending[n:]
         cols = _int64_columns(run)
-        frames, filled = window_frames(
+        frames = window_frames(
             cols, cols[0] // (WINDOW_MS * 1000), len(ws), t_ms // WINDOW_MS,
             self._prev, ws.frames[-1] if self._prev is not None else None)
-        ws = self._series = WindowSeries(np.concatenate([ws.frames, frames]),
-                                         np.concatenate([ws.filled, filled]))
+        ws = self._series = WindowSeries(np.concatenate([ws.frames, frames]))
         if run:
             self._prev = run[-1]
             self._windowed += n
@@ -166,7 +169,7 @@ class Session:
         if not variability_guard(ws, t_ms, self.policy.guard):
             return CONTINUE
         t0 = time.perf_counter()
-        p = predict_stop_prob(self.policy.classifier, classifier_input(ws, t_ms))
+        p = self.policy.classifier.predict_proba(classifier_input(ws, t_ms))
         self.classifier_latency_s.append(time.perf_counter() - t0)
         if p >= self.policy.threshold:
             return StopDecision(Verdict.STOP, REASON_CLASSIFIER)

@@ -1,8 +1,8 @@
 """Gradient-boosted regression trees with a squared-error objective.
 
 Exact greedy splits (no histogramming): feature columns are argsorted
-once per tree and the sort orders are partitioned top-down, so split
-search is a cumulative-sum scan per node.  Leaf values are the mean
+once per fit and every tree partitions those sort orders top-down, so
+split search is a cumulative-sum scan per node.  Leaf values are the mean
 residual, which makes per-round training MSE nonincreasing for any
 learning rate in (0, 1].
 
@@ -37,8 +37,6 @@ class GbdtParams:
     n_trees: int = 200
     learning_rate: float = 0.1
     min_samples_leaf: int = 1
-    subsample: float = 1.0
-    seed: int = 0
     objective: str = "mse"
 
     def __post_init__(self):
@@ -48,8 +46,6 @@ class GbdtParams:
             raise ValueError("n_trees must be >= 1")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ValueError("learning_rate must be in (0, 1]")
-        if not (0.0 < self.subsample <= 1.0):
-            raise ValueError("subsample must be in (0, 1]")
         if self.objective not in ("mse", "log-mse"):
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -215,25 +211,15 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = GbdtParams()) 
             raise ValueError("log-mse requires positive targets")
         y = np.log(y)
 
-    n, _ = X.shape
     base = float(y.mean())
-    pred = np.full(n, base)
-    rng = np.random.default_rng(params.seed)
-    full_order = np.argsort(X, axis=0, kind="stable")
+    pred = np.full(len(X), base)
+    order = np.argsort(X, axis=0, kind="stable")
 
     trees: list[dict[str, np.ndarray]] = []
     train_mse: list[float] = []
     for _ in range(params.n_trees):
-        residual = y - pred
-        if params.subsample < 1.0:
-            m = max(2 * params.min_samples_leaf, int(round(params.subsample * n)))
-            rows = np.sort(rng.choice(n, size=min(m, n), replace=False))
-            Xs, gs = X[rows], residual[rows]
-            order = np.argsort(Xs, axis=0, kind="stable")
-        else:
-            Xs, gs, order = X, residual, full_order
         builder = _TreeBuilder(params.max_depth, params.min_samples_leaf)
-        tree = builder.build(Xs, gs, order)
+        tree = builder.build(X, y - pred, order)
         trees.append(tree)
         pred = pred + params.learning_rate * _leaf_values(tree, X, params.max_depth)[:, 0]
         train_mse.append(float(np.mean((y - pred) ** 2)))

@@ -1,9 +1,9 @@
 """Feed-forward binary classifier trained with BCE and Adam.
 
-Plain numpy: ReLU hidden layers, a sigmoid output, inverted dropout
-during training, and per-feature input standardization stored with the
-model.  `loss_and_grads` is a pure function of the weights so gradients
-can be checked against finite differences.
+Plain numpy: ReLU hidden layers, a sigmoid output, and per-feature input
+standardization stored with the model.  One forward pass, `_forward`,
+serves training and prediction.  `loss_and_grads` is a pure function of
+the weights so gradients can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ import numpy as np
 from .traceio import CLASSIFIER_ARITY
 
 SIGMA_FLOOR = 1e-6
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -24,16 +28,10 @@ class MlpParams:
     batch_size: int = 256
     epochs: int = 20
     seed: int = 0
-    dropout: float = 0.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if len(self.layers) < 2 or self.layers[-1] != 1:
             raise ValueError("layers must end in a single output unit")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must be in [0, 1)")
 
 
 def _init_weights(params: MlpParams, rng: np.random.Generator):
@@ -65,17 +63,9 @@ def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
 
 
-def loss_and_grads(weights, X: np.ndarray, y: np.ndarray, dropout_masks=None):
+def loss_and_grads(weights, X: np.ndarray, y: np.ndarray):
     """Mean BCE and its gradient for every weight matrix and bias."""
-    acts = [X]
-    h = X
-    for i, (W, b) in enumerate(weights[:-1]):
-        h = np.maximum(h @ W + b, 0.0)
-        if dropout_masks is not None:
-            h = h * dropout_masks[i]
-        acts.append(h)
-    W_out, b_out = weights[-1]
-    z = (h @ W_out + b_out)[:, 0]
+    acts, z = _forward(weights, X)
     loss = _bce_from_logits(z, y)
 
     n = len(X)
@@ -83,10 +73,8 @@ def loss_and_grads(weights, X: np.ndarray, y: np.ndarray, dropout_masks=None):
     # d loss / d logit for mean BCE
     dz = (1.0 / (1.0 + np.exp(-z)) - y)[:, None] / n
     grads[-1] = (acts[-1].T @ dz, dz.sum(axis=0))
-    dh = dz @ W_out.T
+    dh = dz @ weights[-1][0].T
     for i in range(len(weights) - 2, -1, -1):
-        if dropout_masks is not None:
-            dh = dh * dropout_masks[i]
         dzi = dh * (acts[i + 1] > 0.0)
         W, _ = weights[i]
         grads[i] = (acts[i].T @ dzi, dzi.sum(axis=0))
@@ -125,11 +113,6 @@ class MlpModel:
         return p[0] if single else p
 
 
-def predict_stop_prob(model: MlpModel, features: np.ndarray) -> float:
-    """Probability that it is safe to stop, for one model-ready input."""
-    return float(model.predict_proba(features))
-
-
 def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams()) -> MlpModel:
     """Mini-batch Adam on mean BCE; deterministic under the params seed."""
     X = np.asarray(X, dtype=np.float64)
@@ -156,22 +139,14 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams()) -> 
     n = len(Xn)
     step = 0
     loss_curve: list[float] = []
-    b1, b2, eps = params.adam_beta1, params.adam_beta2, params.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     for _ in range(params.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, n, params.batch_size):
             idx = perm[lo: lo + params.batch_size]
-            Xb, yb = Xn[idx], y[idx]
-            masks = None
-            if params.dropout > 0.0:
-                keep = 1.0 - params.dropout
-                masks = [
-                    (rng.random((len(idx), w)) < keep) / keep
-                    for w in params.layers[1:-1]
-                ]
-            loss, grads = loss_and_grads(weights, Xb, yb, masks)
+            loss, grads = loss_and_grads(weights, Xn[idx], y[idx])
             step += 1
             new_weights = []
             for li, ((W, b), (gW, gb)) in enumerate(zip(weights, grads)):

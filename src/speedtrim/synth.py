@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .core import Trace
+from .core import MAX_TEST_US, Trace
 from . import traceio
 
 # Target ranges for ground-truth throughput per speed tier and for base RTT
@@ -34,7 +34,8 @@ GENSPEC_LIMITS = {
                     (0.0, sys.float_info.max)),
     **dict.fromkeys(("ramp_tau_range", "noise_rel_std", "burst_rate", "dropout_rate",
                      "transient_spread", "plateau_spread", "difficulty_coupling"), (0.0, 10.0)),
-    "n_traces": (0, math.inf), "duration_s": (0.5, 60.0), "snapshot_ms": (1.0, 1000.0),
+    "n_traces": (0, math.inf), "duration_s": (0.5, MAX_TEST_US / 1e6),
+    "snapshot_ms": (1.0, 1000.0),
     "ar_coeff": (0.0, 1.0), "hard_fraction": (0.0, 1.0), "timestamp_jitter_ms": (0.0, 1000.0),
     "capacity_range": (0.001, 100_000.0),
 }

@@ -188,7 +188,7 @@ def _window_stats(values: np.ndarray, members: np.ndarray, n_windows: int):
 
 def window_frames(cols, w_of: np.ndarray, w0: int, w1: int,
                   prev: tuple | None = None, prev_frame: np.ndarray | None = None):
-    """Frames and ``filled`` flags of windows [w0, w1) from a run of snapshots.
+    """Frames of windows [w0, w1) from a run of snapshots.
 
     ``cols`` holds the run's columns in SNAPSHOT_FIELDS order, ``w_of`` the
     window of each snapshot, all in [w0, w1); the run may be empty.
@@ -256,7 +256,7 @@ def window_frames(cols, w_of: np.ndarray, w0: int, w1: int,
             # cumulative counter never drops across a carried gap
             frames[w, F_PIPE_FULL] = max(frames[w, F_PIPE_FULL], prev_frame[F_PIPE_FULL])
         prev_frame = frames[w]
-    return frames, filled
+    return frames
 
 
 def resample(trace: Trace) -> WindowSeries:
@@ -272,8 +272,7 @@ def resample(trace: Trace) -> WindowSeries:
     n_windows = max(1, math.ceil(trace.t_us[-1] / win_us))
     w_of = np.minimum(trace.t_us // win_us, n_windows - 1)
     cols = [getattr(trace, name) for name in SNAPSHOT_FIELDS]
-    frames, filled = window_frames(cols, w_of, 0, n_windows)
-    return WindowSeries(frames, filled)
+    return WindowSeries(window_frames(cols, w_of, 0, n_windows))
 
 
 def stride_times(duration_ms: float) -> list[int]:

@@ -74,7 +74,7 @@ def hard_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def regressor(train_corpus):
     X, y, _ = build_regression_dataset(train_corpus)
-    params = GbdtParams(n_trees=60, max_depth=5, min_samples_leaf=20, seed=7)
+    params = GbdtParams(n_trees=60, max_depth=5, min_samples_leaf=20)
     return train_gbdt(X, y, params)
 
 
@@ -189,8 +189,7 @@ class TestCriterion3LearnerNumerics:
         with criterion(3, "learner numerics: boosting objective"):
             X, y, _ = build_regression_dataset(train_corpus)
             sel = np.arange(0, len(X), 7)
-            model = train_gbdt(X[sel], y[sel],
-                               GbdtParams(n_trees=40, max_depth=4, seed=3))
+            model = train_gbdt(X[sel], y[sel], GbdtParams(n_trees=40, max_depth=4))
             curve = model.train_mse
             assert all(b <= a for a, b in zip(curve, curve[1:]))
 

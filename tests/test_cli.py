@@ -81,12 +81,15 @@ class TestIngest:
         huge = dump_trace(util.make_trace([0, 500_000, 1_000_000], [0, 10, 20], id="huge"))
         huge = huge.replace(b'"bytes_acked": 20', b'"bytes_acked": %d' % 2 ** 70)
         early = dump_trace(util.make_trace([-500_000, 0, 500_000], [0, 10, 20], id="early"))
+        long = dump_trace(util.make_trace([0, 500_000, 1_000_000], [0, 10, 20], id="long"))
+        long = long.replace(b'"t_us": 1000000', b'"t_us": 60000001')
         for i, (content, message) in enumerate([
             (b"{not json\n", "line 1: malformed JSON"),
             (b"[1, 2]\n", "line 1: expected a JSON object, got list"),
             (zero_bytes, "trace 'idle': no bytes acked"),
             (huge, "line 4: value outside the 64-bit integer range"),
             (early, "trace 'early': negative t_us -500000"),
+            (long, "trace 'long': last t_us 60000001 exceeds the test-length cap"),
             (b'{"id": "x", "duration_us": %d}\n' % 2 ** 70 + zero_bytes.split(b"\n", 1)[1],
              "line 1: duration_us outside the 64-bit integer range"),
             (b"{}\n" + b"[" * 200000 + b"]" * 200000 + b"\n",
@@ -330,6 +333,56 @@ BENCH_CONFIG = {"gbdt": {"n_trees": 60, "max_depth": 5, "min_samples_leaf": 20,
                 "mlp": {"epochs": 6}, "seed": 7}
 
 
+class TestEpsilon:
+    """ε is a finite number > 0 wherever it is given; its classifier file
+    names it in full, and records and groups label it as a float."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5", "1e400"])
+    def test_bad_epsilon_flag_is_usage_error(self, value, capsys):
+        # checked by the parser, before any file is read
+        with pytest.raises(SystemExit) as exc:
+            run("run", "--trace", "t.jsonl", "--regressor", "r.bin", "--classifier", "c.bin",
+                "--epsilon", value)
+        assert exc.value.code == 2
+        assert f"invalid epsilon value: '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "select"])
+    @pytest.mark.parametrize("params", ["inf", "15,nan", "0"])
+    def test_bad_ml_params_are_data_errors(self, cli_pipeline, tmp_path, capsys, command, params):
+        argv = [command, "--corpus", cli_pipeline["corpus"], "--regressor",
+                cli_pipeline["regressor"], "--models-dir", cli_pipeline["models_dir"],
+                "--params", params, "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert run(*argv, *(["--method", "ml"] if command == "sweep" else [])) == 3
+        assert "epsilon must be a finite number > 0" in capsys.readouterr().err
+
+    def test_fractional_epsilon_names_its_classifier(self, cli_pipeline, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("train-classifier", "--corpus", cli_pipeline["corpus"], "--regressor",
+                   cli_pipeline["regressor"], "--epsilon", "12.5", "--epochs", "1") == 0
+        assert os.path.exists("classifier_eps12.5.bin")
+        assert run("run", "--trace", cli_pipeline["trace_path"], "--regressor",
+                   cli_pipeline["regressor"], "--models-dir", ".", "--epsilon", "12.5") == 0
+        assert run("sweep", "--corpus", cli_pipeline["corpus"], "--method", "ml",
+                   "--params", "12.5", "--regressor", cli_pipeline["regressor"],
+                   "--models-dir", ".", "--out", "sweep") == 0
+        with open(os.path.join("sweep", "records.csv"), newline="") as fh:
+            assert {r["param"] for r in csv.DictReader(fh)} == {"12.5"}
+
+    def test_select_labels_epsilon_as_a_float(self, cli_pipeline, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"epsilons": [15]}')
+        for flags in ([], ["--params", "15"]):     # the config's list, then the flag
+            out = tmp_path / f"select{len(flags)}"
+            assert run("select", "--config", str(config), "--corpus", cli_pipeline["corpus"],
+                       "--regressor", cli_pipeline["regressor"],
+                       "--models-dir", cli_pipeline["models_dir"], *flags,
+                       "--constraint", "100", "--out", str(out)) == 0
+            with open(out / "groups.csv", newline="") as fh:
+                params = {r["param"] for r in csv.DictReader(fh)}
+            assert "15.0" in params and params <= {"15.0", ""}, flags
+
+
 class TestConfig:
     def test_written_config_reproduces_the_run(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -365,7 +418,12 @@ class TestConfig:
         ('{"guard": "on"}', "guard is not a JSON object"),
         ('{"seed": 7.0}', "config parameter 'seed' has type float"),
         ('{"epsilons": [5, "10"]}', "config parameter 'epsilons' item has type str"),
-        ('{"mlp": {"dropout": NaN}}', "mlp parameter 'dropout' is not a finite number"),
+        ('{"mlp": {"learning_rate": NaN}}', "mlp parameter 'learning_rate' is not a finite number"),
+        # row subsampling, dropout and the Adam constants are no longer knobs
+        ('{"gbdt": {"subsample": 0.7}}', "unknown gbdt parameter 'subsample'"),
+        ('{"gbdt": {"seed": 3}}', "unknown gbdt parameter 'seed'"),
+        ('{"mlp": {"dropout": 0.2}}', "unknown mlp parameter 'dropout'"),
+        ('{"mlp": {"adam_beta1": 0.9}}', "unknown mlp parameter 'adam_beta1'"),
         ('{"gbdt": {"n_trees": 0}}', "gbdt: n_trees must be >= 1"),
         ('{"genspec": {"snapshot_ms": 0}}', "genspec: snapshot_ms must lie in"),
         ('{"gbdt": ', "Expecting value"),

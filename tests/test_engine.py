@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -178,12 +179,12 @@ class TestReplayEquivalence:
 
 
 def judged_series(trace):
-    """(t_ms, frames, filled) of every stride a never-stopping session
-    judges while the trace is fed to it, read where the guard sees them."""
+    """(t_ms, frames) of every stride a never-stopping session judges
+    while the trace is fed to it, read where the guard sees them."""
     seen = []
 
     def recording(ws, t_ms, cfg):
-        seen.append((t_ms, ws.frames.copy(), ws.filled.copy()))
+        seen.append((t_ms, ws.frames.copy()))
         return variability_guard(ws, t_ms, cfg)
 
     session = Session(make_policy(0.0, guard=GuardConfig(enabled=False)))
@@ -197,11 +198,10 @@ def judged_series(trace):
 def assert_frames_match_resample(trace):
     ws = resample(trace)
     seen = judged_series(trace)
-    for t_ms, frames, filled in seen:
+    for t_ms, frames in seen:
         n = t_ms // WINDOW_MS
         assert frames.shape[0] == n
         assert frames.tobytes() == ws.frames[:n].tobytes(), t_ms
-        np.testing.assert_array_equal(filled, ws.filled[:n])
     return seen
 
 
@@ -325,6 +325,22 @@ class TestSessionAcceptsWhatTheParserAccepts:
         session.feed(util.snapshot(100_000, 2 ** 64))
         with pytest.raises(ValidationError, match="bytes_acked outside the 64-bit"):
             session.end_of_trace()
+
+    def test_snapshot_far_past_the_test_length_cap_rejected_at_once(self):
+        # judging every stride up to 2**62 us would take hours
+        session = Session(make_policy(0.0))
+        session.feed(util.snapshot(0, 0))
+        session.feed(util.snapshot(100_000, 10))
+        far = util.snapshot(2 ** 62, 20)
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            with pytest.raises(ValidationError, match=f"t_us {2 ** 62} exceeds the test-length"):
+                session.feed(far)
+            elapsed.append(time.perf_counter() - t0)
+            assert not session.terminal
+        assert min(elapsed) < 1e-3
+        session.feed(util.snapshot(200_000, 30))    # the session goes on
 
     def test_int64_extremes_accepted(self):
         session = Session(make_policy(0.0))

@@ -6,7 +6,6 @@ from speedtrim.mlp import (
     MlpParams,
     _init_weights,
     loss_and_grads,
-    predict_stop_prob,
     train_mlp,
 )
 
@@ -43,8 +42,6 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             MlpParams(layers=(10, 2))
-        with pytest.raises(ValueError):
-            MlpParams(dropout=1.0)
 
 
 class TestGradients:
@@ -102,7 +99,7 @@ class TestTraining:
 
     def test_deterministic(self):
         X, y = toy_elapsed_set(100)
-        params = MlpParams(layers=(6, 8, 1), epochs=5, seed=3, dropout=0.2)
+        params = MlpParams(layers=(6, 8, 1), epochs=5, seed=3)
         a = train_mlp(X, y, params)
         b = train_mlp(X, y, params)
         for (Wa, ba), (Wb, bb) in zip(a.weights, b.weights):
@@ -119,7 +116,7 @@ class TestPredict:
     def test_zero_weights_give_half(self):
         model = util.constant_classifier(0.5, n_features=9)
         assert float(model.predict_proba(np.zeros(9))) == 0.5
-        assert predict_stop_prob(model, np.ones(9)) == 0.5
+        assert float(model.predict_proba(np.ones(9))) == 0.5
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(6)

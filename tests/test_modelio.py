@@ -224,6 +224,27 @@ class TestParamsAndMlpValidation:
             assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
                          "--classifier", str(classifier)]) == EXIT_MODEL
 
+    @pytest.mark.parametrize("model, key, value", [
+        ("gbdt", "subsample", 1.0), ("gbdt", "seed", 0), ("mlp", "dropout", 0.0),
+        ("mlp", "adam_beta1", 0.9), ("mlp", "adam_beta2", 0.999), ("mlp", "adam_eps", 1e-8),
+    ])
+    def test_removed_parameter_exits_4_naming_it(self, tmp_path, capsys, gbdt_model,
+                                                 mlp_model, model, key, value):
+        # files written while these were parameters hold them: they no longer load
+        from speedtrim.cli import EXIT_MODEL, main
+        from speedtrim.traceio import dump_trace
+        import util
+        path = str(tmp_path / "model.bin")
+        with open(path, "wb") as fh:
+            fh.write(dump_edited({"gbdt": gbdt_model, "mlp": mlp_model}[model],
+                                 lambda p, a: p.update({key: value})))
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
+        capsys.readouterr()
+        assert main(["run", "--trace", str(trace), "--regressor", path,
+                     "--classifier", path]) == EXIT_MODEL
+        assert f"parameter '{key}'" in capsys.readouterr().err
+
 
 def with_block(blob: bytes, old: bytes, new: bytes) -> bytes:
     """blob with its first length-prefixed block `old` (a kind, parameter

