@@ -2,7 +2,9 @@
 
 Exit codes: 0 ok, 2 usage, 3 data error, 4 model error.  Logs go to
 stderr; data goes to files.  Every artifact-producing subcommand writes a
-manifest.json (config hash, seed, input checksums) next to its outputs.
+manifest (config hash, seed, input checksums) and its config next to its
+outputs: ``manifest.json`` in a directory, ``<stem>.manifest.json`` beside
+a model file ``<stem>.bin``.
 """
 
 from __future__ import annotations
@@ -43,19 +45,20 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, config: RunConfig,
+def _write_manifest(prefix: str, command: str, config: RunConfig,
                     inputs: list[str]) -> None:
+    """Write ``<prefix>manifest.json`` and ``<prefix>config.json``; the
+    prefix is ``dir/`` for an output directory, ``stem.`` for a model file."""
     manifest = {
         "command": command,
         "config_hash": config.hash(),
         "seed": config.seed,
         "inputs": {os.path.basename(p): _sha256(p) for p in sorted(inputs)},
     }
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with open(prefix + "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
+    with open(prefix + "config.json", "w") as fh:
         fh.write(config.to_json())
 
 
@@ -119,7 +122,7 @@ def cmd_synth(args) -> int:
                                **{k: v for k, v in flags.items() if v is not None})
     config = dataclasses.replace(config, genspec=spec)
     corpus = synth.gen_corpus(spec, args.out)
-    _write_manifest(args.out, "synth", config, _corpus_inputs(args.out))
+    _write_manifest(os.path.join(args.out, ""), "synth", config, _corpus_inputs(args.out))
     _log(f"generated {len(corpus)} traces under {args.out}")
     return EXIT_OK
 
@@ -140,25 +143,19 @@ def cmd_ingest(args) -> int:
             yield traceio.parse_trace(path, default_id=default_id), "ingested"
 
     traceio.write_corpus(args.out, produce())
-    _write_manifest(args.out, "ingest", config, files)
+    _write_manifest(os.path.join(args.out, ""), "ingest", config, files)
     _log(f"ingested {len(files)} traces into {args.out}")
     return EXIT_OK
 
 
 def cmd_train_regressor(args) -> int:
     config = _load_config(args)
-    params = config.gbdt
-    if args.trees:
-        params = dataclasses.replace(params, n_trees=args.trees)
-    if args.depth:
-        params = dataclasses.replace(params, max_depth=args.depth)
     corpus = traceio.read_corpus(args.corpus)
     X, y, _ = label.build_regression_dataset(corpus)
-    _log(f"training regressor on {len(X)} samples ({params.n_trees} trees)")
-    model = train_gbdt(X, y, params)
+    _log(f"training regressor on {len(X)} samples ({config.gbdt.n_trees} trees)")
+    model = train_gbdt(X, y, config.gbdt)
     modelio.save_model(model, args.out)
-    _write_manifest(os.path.dirname(args.out) or ".", "train-regressor",
-                    dataclasses.replace(config, gbdt=params),
+    _write_manifest(os.path.splitext(args.out)[0] + ".", "train-regressor", config,
                     _corpus_inputs(args.corpus))
     _log(f"final training MSE {model.train_mse[-1]:.4f} -> {args.out}")
     return EXIT_OK
@@ -183,16 +180,12 @@ def cmd_train_classifier(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
     (regressor,) = _load_models([(args.regressor, "regressor")])
-    params = dataclasses.replace(config.mlp, seed=config.seed)
-    if args.epochs:
-        params = dataclasses.replace(params, epochs=args.epochs)
     X, labels, _ = label.build_classification_dataset(corpus, regressor, (args.epsilon,))
     _log(f"training classifier (epsilon={args.epsilon}) on {len(X)} samples")
-    model = train_mlp(X, labels[:, 0], params)
+    model = train_mlp(X, labels[:, 0], config.mlp, seed=config.seed)
     out = args.out or _classifier_name(args.epsilon)
     modelio.save_model(model, out)
-    _write_manifest(os.path.dirname(out) or ".", "train-classifier",
-                    dataclasses.replace(config, mlp=params),
+    _write_manifest(os.path.splitext(out)[0] + ".", "train-classifier", config,
                     _corpus_inputs(args.corpus) + [args.regressor])
     _log(f"final BCE {model.loss_curve[-1]:.4f} -> {out}")
     return EXIT_OK
@@ -201,8 +194,7 @@ def cmd_train_classifier(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args)
     trace = traceio.parse_trace(args.trace)
-    guard = GuardConfig(enabled=False) if args.no_guard else config.guard
-    (policy,) = _load_policies(args, [args.epsilon], guard, args.classifier).values()
+    (policy,) = _load_policies(args, [args.epsilon], config.guard, args.classifier).values()
     outcome = run_trace(trace, policy)
     print(json.dumps({
         "trace_id": trace.id,
@@ -233,7 +225,7 @@ def cmd_sweep(args) -> int:
     evaluate.write_frontier_csv(os.path.join(args.out, "frontier.csv"), points, frontier)
     all_records = [r for p in params for r in records_by_param[p]]
     evaluate.write_records_csv(os.path.join(args.out, "records.csv"), all_records)
-    _write_manifest(args.out, "sweep", config, _corpus_inputs(args.corpus))
+    _write_manifest(os.path.join(args.out, ""), "sweep", config, _corpus_inputs(args.corpus))
     _log(f"swept {args.method} over {len(params)} parameters -> {args.out}")
     return EXIT_OK
 
@@ -241,7 +233,7 @@ def cmd_sweep(args) -> int:
 def cmd_select(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
-    given = args.params.split(",") if args.params else config.epsilons
+    given = args.params.split(",") if args.params else label.EPSILON_SWEEP
     epsilons = [epsilon(e) for e in given]
     policies = _load_policies(args, epsilons, config.guard)
     _, records_by_param = evaluate.pareto_sweep(corpus, "ml", epsilons, policies=policies)
@@ -257,7 +249,7 @@ def cmd_select(args) -> int:
             evaluate.apply_group_policy(records_by_param, full_records, gp))
     evaluate.write_groups_csv(os.path.join(args.out, "groups.csv"),
                               group_policies, applied)
-    _write_manifest(args.out, "select", config, _corpus_inputs(args.corpus))
+    _write_manifest(os.path.join(args.out, ""), "select", config, _corpus_inputs(args.corpus))
     for strategy in evaluate.STRATEGIES:
         agg = applied[strategy]
         _log(f"{strategy}: transfer {agg['transfer_fraction']:.3f}, "
@@ -302,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-regressor", help="fit the throughput regressor", parents=[common])
     p.add_argument("--corpus", required=True)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--depth", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_regressor)
 
@@ -318,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--regressor", required=True)
     p.add_argument("--epsilon", type=epsilon, required=True)
-    p.add_argument("--epochs", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_classifier)
 
@@ -328,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier")
     p.add_argument("--models-dir", dest="models_dir")
     p.add_argument("--epsilon", type=epsilon, default=15.0)
-    p.add_argument("--no-guard", action="store_true", dest="no_guard")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="Pareto sweep of one method", parents=[common])

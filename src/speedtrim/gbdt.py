@@ -1,4 +1,5 @@
-"""Gradient-boosted regression trees with a squared-error objective.
+"""Gradient-boosted regression trees with a squared-error objective, by
+default on log targets (``log-mse``).
 
 Exact greedy splits (no histogramming): feature columns are argsorted
 once per fit and every tree partitions those sort orders top-down, so
@@ -37,7 +38,7 @@ class GbdtParams:
     n_trees: int = 200
     learning_rate: float = 0.1
     min_samples_leaf: int = 1
-    objective: str = "mse"
+    objective: str = "log-mse"
 
     def __post_init__(self):
         if self.max_depth < 1:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traceio import CLASSIFIER_ARITY
-
 SIGMA_FLOOR = 1e-6
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -23,20 +21,23 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class MlpParams:
-    layers: tuple = (CLASSIFIER_ARITY, 256, 64, 1)
+    """Hidden-layer widths and training settings; the input width comes
+    from the data and the output is one logit."""
+
+    hidden: tuple = (256, 64)
     learning_rate: float = 1e-3
     batch_size: int = 256
     epochs: int = 20
-    seed: int = 0
 
     def __post_init__(self):
-        if len(self.layers) < 2 or self.layers[-1] != 1:
-            raise ValueError("layers must end in a single output unit")
+        if not all(width >= 1 for width in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
 
 
-def _init_weights(params: MlpParams, rng: np.random.Generator):
+def _init_weights(n_features: int, hidden: tuple, rng: np.random.Generator):
+    widths = (n_features, *hidden, 1)
     weights = []
-    for fan_in, fan_out in zip(params.layers[:-1], params.layers[1:]):
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         scale = np.sqrt(2.0 / fan_in)
         W = rng.standard_normal((fan_in, fan_out)) * scale
         b = np.zeros(fan_out)
@@ -113,8 +114,9 @@ class MlpModel:
         return p[0] if single else p
 
 
-def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams()) -> MlpModel:
-    """Mini-batch Adam on mean BCE; deterministic under the params seed."""
+def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams(),
+              seed: int = 0) -> MlpModel:
+    """Mini-batch Adam on mean BCE; deterministic under ``seed``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) == 0:
@@ -123,16 +125,13 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams()) -> 
         raise ValueError("X and y length mismatch")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be binary (0/1)")
-    if X.shape[1] != params.layers[0]:
-        raise ValueError(
-            f"feature arity mismatch: params expect {params.layers[0]}, got {X.shape[1]}")
 
     mean = X.mean(axis=0)
     std = np.maximum(X.std(axis=0), SIGMA_FLOOR)
     Xn = (X - mean) / std
 
-    rng = np.random.default_rng(params.seed)
-    weights = _init_weights(params, rng)
+    rng = np.random.default_rng(seed)
+    weights = _init_weights(X.shape[1], params.hidden, rng)
     m_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in weights]
     v_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in weights]
 

@@ -109,9 +109,7 @@ def _model_payload(model) -> tuple[str, dict, dict[str, np.ndarray]]:
         arrays["input_mean"] = model.input_mean
         arrays["input_std"] = model.input_std
         arrays["loss_curve"] = np.asarray(model.loss_curve, dtype=np.float64)
-        params = asdict(model.params)
-        params["layers"] = list(params["layers"])
-        return "mlp", params, arrays
+        return "mlp", asdict(model.params), arrays
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
@@ -145,23 +143,28 @@ def _params(cls, params: dict):
         raise ModelFormatError(str(exc)) from None
 
 
-def _check_mlp(arrays: dict[str, np.ndarray], layers: tuple) -> None:
-    """Reject arrays that do not give the layer sizes the parameters name."""
-    n = len(layers) - 1
-    shapes = {"input_mean": (layers[0],), "input_std": (layers[0],)}
-    for i in range(n):
-        shapes[f"W{i}"] = (layers[i], layers[i + 1])
-        shapes[f"b{i}"] = (layers[i + 1],)
-    missing = [name for name in (*shapes, "loss_curve") if name not in arrays]
+def _check_mlp(arrays: dict[str, np.ndarray], hidden: tuple) -> None:
+    """Reject arrays that do not give the layer widths: the input width of
+    ``input_mean``, then the ``hidden`` widths, then one output."""
+    n = len(hidden) + 1
+    names = ["input_mean", "input_std", *(f"{kind}{i}" for i in range(n) for kind in "Wb"),
+             "loss_curve"]
+    missing = [name for name in names if name not in arrays]
     if missing:
         raise ModelFormatError(f"mlp model lacks arrays {missing}")
+    for name in ("input_mean", "loss_curve"):
+        if arrays[name].ndim != 1:
+            raise ModelFormatError(f"mlp {name} must be 1-D")
+    widths = (len(arrays["input_mean"]), *hidden, 1)
+    shapes = {"input_std": widths[:1]}
+    for i in range(n):
+        shapes[f"W{i}"] = (widths[i], widths[i + 1])
+        shapes[f"b{i}"] = (widths[i + 1],)
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ModelFormatError(
-                f"mlp {name} has shape {arrays[name].shape}, layers {list(layers)} "
-                f"need {shape}")
-    if arrays["loss_curve"].ndim != 1:
-        raise ModelFormatError("mlp loss_curve must be 1-D")
+                f"mlp {name} has shape {arrays[name].shape}, layer widths "
+                f"{list(widths)} need {shape}")
 
 
 def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
@@ -180,8 +183,8 @@ def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
         return model
     if kind == "mlp":
         p = _params(MlpParams, params)
-        _check_mlp(arrays, p.layers)
-        weights = [(arrays[f"W{i}"], arrays[f"b{i}"]) for i in range(len(p.layers) - 1)]
+        _check_mlp(arrays, p.hidden)
+        weights = [(arrays[f"W{i}"], arrays[f"b{i}"]) for i in range(len(p.hidden) + 1)]
         return MlpModel(weights, arrays["input_mean"], arrays["input_std"], p,
                         list(arrays["loss_curve"]))
     raise ModelFormatError(f"unknown model kind {kind!r}")

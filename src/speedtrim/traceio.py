@@ -41,7 +41,8 @@ CLASSIFIER_WINDOWS = 100        # full 10 s history
 REGRESSOR_ARITY = REGRESSOR_WINDOWS * N_FEATURES + 1
 CLASSIFIER_ARITY = CLASSIFIER_WINDOWS * N_FEATURES + 1
 
-MANIFEST_COLUMNS = ("id", "y_true_mbps", "total_bytes", "min_rtt_ms", "tier", "rtt_bin", "preset")
+MANIFEST_COLUMNS = ("id", "y_true_mbps", "total_bytes", "min_rtt_ms", "tier", "rtt_bin", "preset",
+                    "duration_ms")
 
 
 class ParseError(ValueError):
@@ -327,14 +328,12 @@ class Corpus:
     """A directory of trace files plus an index and per-trace summaries."""
 
     def __init__(self, root: str, entries: list[tuple[str, str]],
-                 summaries: dict[str, TraceSummary] | None = None,
-                 presets: dict[str, str] | None = None):
+                 summaries: dict[str, TraceSummary] | None = None):
         self.root = root
         self.entries = entries          # (filename, trace id), index order
         self.ids = [tid for _, tid in entries]
         self._file_of = {tid: fn for fn, tid in entries}
         self._summaries = summaries or {}
-        self.presets = presets or {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -356,31 +355,44 @@ class Corpus:
         return self._summaries[trace_id]
 
 
+def _csv_rows(path: str, columns):
+    """Yields ``("<path> line <n>", row)`` per row of a CSV file; a header
+    without one of ``columns`` or a short row raises ValueError naming it."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no column {', '.join(missing)}")
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in row.values():
+                raise ValueError(f"{where}: fewer cells than the header")
+            yield where, row
+
+
 def read_corpus(root: str) -> Corpus:
     index_path = os.path.join(root, "index.csv")
     if not os.path.exists(index_path):
         raise FileNotFoundError(f"no index.csv under {root}")
-    with open(index_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        entries = [(row["file"], row["id"]) for row in reader]
+    entries = [(row["file"], row["id"]) for _, row in _csv_rows(index_path, ("file", "id"))]
     summaries: dict[str, TraceSummary] = {}
-    presets: dict[str, str] = {}
     manifest = os.path.join(root, "manifest.csv")
     if os.path.exists(manifest):
-        with open(manifest, newline="") as fh:
-            for row in csv.DictReader(fh):
-                tid = row["id"]
-                summaries[tid] = TraceSummary(
-                    id=tid,
+        read = [c for c in MANIFEST_COLUMNS if c != "preset"]     # no reader needs the preset
+        for where, row in _csv_rows(manifest, read):
+            try:
+                summaries[row["id"]] = TraceSummary(
+                    id=row["id"],
                     y_true_mbps=float(row["y_true_mbps"]),
                     total_bytes=int(row["total_bytes"]),
-                    duration_ms=float(row.get("duration_ms") or 0.0),
+                    duration_ms=float(row["duration_ms"]),
                     min_rtt_ms=float(row["min_rtt_ms"]),
                     speed_tier=int(row["tier"]),
                     rtt_bin=int(row["rtt_bin"]),
                 )
-                presets[tid] = row.get("preset", "")
-    return Corpus(root, entries, summaries, presets)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return Corpus(root, entries, summaries)
 
 
 def write_corpus(root: str, traces_and_presets) -> Corpus:
@@ -391,7 +403,7 @@ def write_corpus(root: str, traces_and_presets) -> Corpus:
     os.makedirs(root, exist_ok=True)
     entries = []
     summaries = {}
-    presets = {}
+    manifest = []
     for trace, preset in traces_and_presets:
         filename = f"{trace.id}.jsonl"
         # the id names a file in root: one printable path component of <= 255 bytes
@@ -403,31 +415,13 @@ def write_corpus(root: str, traces_and_presets) -> Corpus:
         with open(os.path.join(root, filename), "wb") as fh:
             fh.write(dump_trace(trace))
         entries.append((filename, trace.id))
-        summaries[trace.id] = trace.summarize()
-        presets[trace.id] = preset
-    with open(os.path.join(root, "index.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file", "id"])
-        writer.writerows(entries)
-    write_manifest(os.path.join(root, "manifest.csv"), summaries, presets,
-                   order=[tid for _, tid in entries])
-    return Corpus(root, entries, summaries, presets)
-
-
-def write_manifest(path: str, summaries: dict[str, TraceSummary],
-                   presets: dict[str, str], order: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS + ("duration_ms",))
-        for tid in order:
-            s = summaries[tid]
-            writer.writerow([
-                tid,
-                repr(s.y_true_mbps),
-                s.total_bytes,
-                repr(s.min_rtt_ms),
-                s.speed_tier,
-                s.rtt_bin,
-                presets.get(tid, ""),
-                repr(s.duration_ms),
-            ])
+        s = summaries[trace.id] = trace.summarize()
+        manifest.append([s.id, repr(s.y_true_mbps), s.total_bytes, repr(s.min_rtt_ms),
+                         s.speed_tier, s.rtt_bin, preset, repr(s.duration_ms)])
+    for name, header, rows in (("index.csv", ("file", "id"), entries),
+                               ("manifest.csv", MANIFEST_COLUMNS, manifest)):
+        with open(os.path.join(root, name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return Corpus(root, entries, summaries)

@@ -27,5 +27,4 @@ def small_regressor(small_corpus):
 @pytest.fixture(scope="session")
 def small_classifier15(small_corpus, small_regressor):
     X, labels, _ = label.build_classification_dataset(small_corpus, small_regressor, (15.0,))
-    params = MlpParams(epochs=4, seed=5)
-    return train_mlp(X, labels[:, 0], params)
+    return train_mlp(X, labels[:, 0], MlpParams(epochs=4), seed=5)

@@ -7,6 +7,7 @@ trained on one classification dataset with a label column per tolerance.
 """
 
 import hashlib
+import json
 import os
 import time
 import warnings
@@ -97,7 +98,7 @@ def stride_errors(train_corpus, regressor):
 def classifiers(train_corpus, regressor):
     """One stop classifier per tolerance, sharing one feature matrix."""
     X, labels, _ = build_classification_dataset(train_corpus, regressor, EPSILON_SWEEP)
-    return {eps: train_mlp(X, labels[:, j], MlpParams(epochs=6, seed=9))
+    return {eps: train_mlp(X, labels[:, j], MlpParams(epochs=6), seed=9)
             for j, eps in enumerate(EPSILON_SWEEP)}
 
 
@@ -203,13 +204,12 @@ class TestCriterion3LearnerNumerics:
 
     def test_mlp_gradients_match_finite_differences(self):
         with criterion(3, "learner numerics: analytic gradients"):
-            layers = (9, 8, 5, 1)
             for seed in range(20):
                 rng = np.random.default_rng(seed)
                 X = rng.normal(size=(12, 9))
                 y = (rng.random(12) > 0.5).astype(float)
-                model = train_mlp(X, y, MlpParams(layers=layers, epochs=1,
-                                                  seed=seed))
+                model = train_mlp(X, y, MlpParams(hidden=(8, 5), epochs=1),
+                                  seed=seed)
                 weights = model.weights
                 _, grads = loss_and_grads(weights, X, y)
                 h = 1e-5
@@ -361,18 +361,22 @@ def _sha_tree(root):
 class TestCriterion8Determinism:
     def test_pipeline_byte_identical(self, tmp_path):
         with criterion(8, "pipeline determinism"):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"gbdt": {"n_trees": 10, "max_depth": 4},
+                                          "mlp": {"epochs": 2}}))
+            cfg = ["--config", str(config)]
+
             def pipeline(root):
                 corpus = os.path.join(root, "corpus")
                 models = os.path.join(root, "models")
                 sweep = os.path.join(root, "sweep")
                 steps = [
                     ["synth", "--n", "20", "--seed", "5", "--out", corpus],
-                    ["train-regressor", "--corpus", corpus, "--trees", "10",
-                     "--depth", "4", "--seed", "5",
+                    ["train-regressor", *cfg, "--corpus", corpus, "--seed", "5",
                      "--out", os.path.join(models, "regressor.bin")],
-                    ["train-classifier", "--corpus", corpus,
+                    ["train-classifier", *cfg, "--corpus", corpus,
                      "--regressor", os.path.join(models, "regressor.bin"),
-                     "--epsilon", "15", "--epochs", "2", "--seed", "5",
+                     "--epsilon", "15", "--seed", "5",
                      "--out", os.path.join(models, "classifier_eps15.bin")],
                     ["sweep", "--corpus", corpus, "--method", "ml",
                      "--params", "15",

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -12,6 +13,7 @@ from speedtrim.cli import main
 from speedtrim.config import RunConfig
 from speedtrim.engine import GuardConfig
 from speedtrim.gbdt import GbdtParams
+from speedtrim.label import EPSILON_SWEEP
 from speedtrim.mlp import MlpParams
 
 import util
@@ -135,6 +137,21 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, flag", [
+        (("train-regressor", "--corpus", "c", "--out", "r.bin"), ("--trees", "3")),
+        (("train-regressor", "--corpus", "c", "--out", "r.bin"), ("--depth", "3")),
+        (("train-classifier", "--corpus", "c", "--regressor", "r.bin", "--epsilon", "15"),
+         ("--epochs", "1")),
+        (("run", "--trace", "t.jsonl", "--regressor", "r.bin", "--classifier", "c.bin"),
+         ("--no-guard",)),
+    ], ids=["trees", "depth", "epochs", "no-guard"])
+    def test_model_and_guard_settings_are_config_keys_only(self, argv, flag, capsys):
+        # gbdt.n_trees, gbdt.max_depth, mlp.epochs and guard.enabled set these
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
         (("run", "--trace", "t.jsonl", "--regressor", "r.bin"), "--classifier or --models-dir"),
         (("sweep", "--corpus", "c", "--method", "ml", "--params", "15",
           "--regressor", "r.bin", "--out", "o"), "--models-dir"),
@@ -169,11 +186,14 @@ def cli_pipeline(tmp_path_factory):
     corpus_dir = str(root / "corpus")
     regressor = str(root / "models" / "regressor.bin")
     classifier = str(root / "models" / "classifier_eps15.bin")
+    config = root / "config.json"
+    config.write_text(json.dumps({"gbdt": {"n_trees": 15, "max_depth": 4},
+                                  "mlp": {"epochs": 3}}))
     assert run("synth", "--n", "10", "--seed", "11", "--out", corpus_dir) == 0
-    assert run("train-regressor", "--corpus", corpus_dir, "--trees", "15",
-               "--depth", "4", "--seed", "11", "--out", regressor) == 0
-    assert run("train-classifier", "--corpus", corpus_dir, "--regressor",
-               regressor, "--epsilon", "15", "--epochs", "3", "--seed", "11",
+    assert run("train-regressor", "--config", str(config), "--corpus", corpus_dir,
+               "--seed", "11", "--out", regressor) == 0
+    assert run("train-classifier", "--config", str(config), "--corpus", corpus_dir,
+               "--regressor", regressor, "--epsilon", "15", "--seed", "11",
                "--out", classifier) == 0
     with open(os.path.join(corpus_dir, "index.csv"), newline="") as fh:
         first = next(csv.DictReader(fh))
@@ -358,8 +378,11 @@ class TestEpsilon:
 
     def test_fractional_epsilon_names_its_classifier(self, cli_pipeline, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert run("train-classifier", "--corpus", cli_pipeline["corpus"], "--regressor",
-                   cli_pipeline["regressor"], "--epsilon", "12.5", "--epochs", "1") == 0
+        with open("config.json", "w") as fh:
+            json.dump({"mlp": {"epochs": 1}}, fh)
+        assert run("train-classifier", "--config", "config.json", "--corpus",
+                   cli_pipeline["corpus"], "--regressor", cli_pipeline["regressor"],
+                   "--epsilon", "12.5") == 0
         assert os.path.exists("classifier_eps12.5.bin")
         assert run("run", "--trace", cli_pipeline["trace_path"], "--regressor",
                    cli_pipeline["regressor"], "--models-dir", ".", "--epsilon", "12.5") == 0
@@ -369,18 +392,36 @@ class TestEpsilon:
         with open(os.path.join("sweep", "records.csv"), newline="") as fh:
             assert {r["param"] for r in csv.DictReader(fh)} == {"12.5"}
 
-    def test_select_labels_epsilon_as_a_float(self, cli_pipeline, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text('{"epsilons": [15]}')
-        for flags in ([], ["--params", "15"]):     # the config's list, then the flag
+    @pytest.fixture
+    def sweep_models(self, cli_pipeline, tmp_path):
+        """A models directory with a classifier file for every ε of EPSILON_SWEEP."""
+        models = tmp_path / "sweep_models"
+        models.mkdir()
+        for eps in EPSILON_SWEEP:
+            shutil.copy(cli_pipeline["classifier"], models / f"classifier_eps{eps}.bin")
+        return str(models)
+
+    def select_groups(self, cli_pipeline, models_dir, out, *flags):
+        """groups.csv text of a select run with a constraint every ε meets."""
+        assert run("select", "--corpus", cli_pipeline["corpus"],
+                   "--regressor", cli_pipeline["regressor"], "--models-dir", models_dir,
+                   *flags, "--constraint", "100", "--out", str(out)) == 0
+        return (out / "groups.csv").read_text()
+
+    def test_select_labels_epsilon_as_a_float(self, cli_pipeline, sweep_models, tmp_path):
+        sweep = {repr(float(eps)) for eps in EPSILON_SWEEP}
+        for flags, labels in (([], sweep), (["--params", "15"], {"15.0"})):
             out = tmp_path / f"select{len(flags)}"
-            assert run("select", "--config", str(config), "--corpus", cli_pipeline["corpus"],
-                       "--regressor", cli_pipeline["regressor"],
-                       "--models-dir", cli_pipeline["models_dir"], *flags,
-                       "--constraint", "100", "--out", str(out)) == 0
-            with open(out / "groups.csv", newline="") as fh:
-                params = {r["param"] for r in csv.DictReader(fh)}
-            assert "15.0" in params and params <= {"15.0", ""}, flags
+            groups = self.select_groups(cli_pipeline, sweep_models, out, *flags)
+            params = {r["param"] for r in csv.DictReader(groups.splitlines())}
+            assert params - {""} and params <= labels | {""}, flags
+
+    def test_select_without_params_takes_the_epsilon_sweep(self, cli_pipeline, sweep_models,
+                                                           tmp_path):
+        default = self.select_groups(cli_pipeline, sweep_models, tmp_path / "default")
+        given = self.select_groups(cli_pipeline, sweep_models, tmp_path / "given", "--params",
+                                   ",".join(map(str, EPSILON_SWEEP)))
+        assert default == given
 
 
 class TestConfig:
@@ -390,11 +431,33 @@ class TestConfig:
         # the config carries the seed, count and mode; the flags are not repeated
         assert run("synth", "--config", os.path.join(a, "config.json"), "--out", b) == 0
         assert sha_tree(a) == sha_tree(b)
+        # the run's seed is the generator's: genspec holds none of its own
+        with open(os.path.join(a, "config.json")) as fh:
+            written = json.load(fh)
+        assert written["seed"] == 5 and "seed" not in written["genspec"]
 
     def test_every_section_round_trips(self, cli_pipeline):
-        path = os.path.join(cli_pipeline["models_dir"], "config.json")
+        path = os.path.join(cli_pipeline["models_dir"], "classifier_eps15.config.json")
         with open(path) as fh:
             assert RunConfig.from_file(path).to_json() == fh.read()
+
+    def test_each_model_keeps_its_own_provenance(self, cli_pipeline):
+        models = cli_pipeline["models_dir"]
+        assert sorted(os.listdir(models)) == [
+            "classifier_eps15.bin", "classifier_eps15.config.json",
+            "classifier_eps15.manifest.json", "regressor.bin", "regressor.config.json",
+            "regressor.manifest.json"]
+        manifests = {}
+        for stem in ("regressor", "classifier_eps15"):
+            with open(os.path.join(models, f"{stem}.manifest.json")) as fh:
+                manifests[stem] = json.load(fh)
+        assert manifests["regressor"]["command"] == "train-regressor"
+        assert sorted(manifests["regressor"]["inputs"]) == ["index.csv", "manifest.csv"]
+        assert manifests["classifier_eps15"]["command"] == "train-classifier"
+        assert sorted(manifests["classifier_eps15"]["inputs"]) == [
+            "index.csv", "manifest.csv", "regressor.bin"]
+        config = RunConfig.from_file(os.path.join(models, "regressor.config.json"))
+        assert (config.gbdt.n_trees, config.gbdt.max_depth, config.seed) == (15, 4, 11)
 
     def test_bench_config_loads(self, tmp_path):
         path = tmp_path / "config.json"
@@ -417,13 +480,21 @@ class TestConfig:
         ('{"guard": {"enabled": 1}}', "guard parameter 'enabled' has type int"),
         ('{"guard": "on"}', "guard is not a JSON object"),
         ('{"seed": 7.0}', "config parameter 'seed' has type float"),
-        ('{"epsilons": [5, "10"]}', "config parameter 'epsilons' item has type str"),
+        ('{"genspec": {"capacity_range": [1, "10"]}}',
+         "genspec parameter 'capacity_range' item has type str"),
         ('{"mlp": {"learning_rate": NaN}}', "mlp parameter 'learning_rate' is not a finite number"),
         # row subsampling, dropout and the Adam constants are no longer knobs
         ('{"gbdt": {"subsample": 0.7}}', "unknown gbdt parameter 'subsample'"),
         ('{"gbdt": {"seed": 3}}', "unknown gbdt parameter 'seed'"),
         ('{"mlp": {"dropout": 0.2}}', "unknown mlp parameter 'dropout'"),
         ('{"mlp": {"adam_beta1": 0.9}}', "unknown mlp parameter 'adam_beta1'"),
+        # ε lists are command arguments, the run's seed is the one seed, and
+        # the MLP's input and output widths come from the data
+        ('{"epsilons": [5, 10]}', "unknown config parameter 'epsilons'"),
+        ('{"mlp": {"seed": 3}}', "unknown mlp parameter 'seed'"),
+        ('{"mlp": {"layers": [1301, 256, 64, 1]}}', "unknown mlp parameter 'layers'"),
+        ('{"genspec": {"seed": 9}}', "unknown genspec parameter 'seed'"),
+        ('{"mlp": {"hidden": [256, 0]}}', "mlp: hidden widths must be >= 1"),
         ('{"gbdt": {"n_trees": 0}}', "gbdt: n_trees must be >= 1"),
         ('{"genspec": {"snapshot_ms": 0}}', "genspec: snapshot_ms must lie in"),
         ('{"gbdt": ', "Expecting value"),
@@ -437,6 +508,29 @@ class TestConfig:
                    "--regressor", cli_pipeline["regressor"],
                    "--classifier", cli_pipeline["classifier"]) == 3
         assert message in capsys.readouterr().err
+
+    def test_formats_doc_lists_every_key(self):
+        """docs/formats.md's --config table names exactly RunConfig's fields
+        and, for each section, the fields of its class (genspec without the
+        seed, which is the run's)."""
+        path = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
+        with open(path) as fh:
+            doc = fh.read()
+        table = doc.split("The accepted keys are:")[1].split("\n\n")[1]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            key, value = row.strip("|").split("|")
+            # an object row lists its fields before the first parenthesis
+            fields = re.findall(r"`(\w+)`", value.split("(")[0]) if "object:" in value else None
+            documented[re.search(r"`(\w+)`", key).group(1)] = fields
+        config = RunConfig()
+        expected = {}
+        for f in dataclasses.fields(config):
+            section = getattr(config, f.name)
+            expected[f.name] = ([g.name for g in dataclasses.fields(section)
+                                 if (f.name, g.name) != ("genspec", "seed")]
+                                if dataclasses.is_dataclass(section) else None)
+        assert documented == expected
 
     def test_good_config_runs(self, cli_pipeline, tmp_path):
         path = tmp_path / "config.json"

@@ -132,11 +132,15 @@ def walkthrough(tmp_path_factory):
     corpus, models = str(root / "corpus"), root / "models"
     paths = {"regressor": str(models / "regressor.bin"),
              "classifier": str(models / "classifier_eps15.bin")}
+    config = str(root / "config.json")
+    with open(config, "w") as fh:
+        json.dump({"gbdt": {"n_trees": 5, "max_depth": 3}, "mlp": {"epochs": 1}}, fh)
     assert main(["synth", "--n", "6", "--seed", "3", "--out", corpus]) == EXIT_OK
-    assert main(["train-regressor", "--corpus", corpus, "--trees", "5", "--depth", "3",
+    assert main(["train-regressor", "--config", config, "--corpus", corpus,
                  "--out", paths["regressor"]]) == EXIT_OK
-    assert main(["train-classifier", "--corpus", corpus, "--regressor", paths["regressor"],
-                 "--epsilon", "15", "--epochs", "1", "--out", paths["classifier"]]) == EXIT_OK
+    assert main(["train-classifier", "--config", config, "--corpus", corpus,
+                 "--regressor", paths["regressor"], "--epsilon", "15",
+                 "--out", paths["classifier"]]) == EXIT_OK
     blobs = {role: open(path, "rb").read() for role, path in paths.items()}
     return Walkthrough(dict(paths, blobs=blobs, trace=os.path.join(corpus, "t00000.jsonl")))
 

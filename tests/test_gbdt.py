@@ -56,7 +56,7 @@ class TestTraining:
         rng = np.random.default_rng(1)
         X = rng.random((1000, 8))
         y = 3.0 * X[:, 0] - 2.0 * X[:, 1] * X[:, 2] + 0.05 * rng.standard_normal(1000)
-        model = train_gbdt(X, y, GbdtParams(n_trees=200, max_depth=4))
+        model = train_gbdt(X, y, GbdtParams(n_trees=200, max_depth=4, objective="mse"))
         assert model.train_mse[-1] < float(np.var(y))
 
     def test_mse_nonincreasing(self):
@@ -65,7 +65,7 @@ class TestTraining:
         y = np.sin(X[:, 0] * 6) + rng.standard_normal(200) * 0.2
         for lr in (0.05, 0.3, 1.0):
             model = train_gbdt(X, y, GbdtParams(n_trees=60, max_depth=3,
-                                                learning_rate=lr))
+                                                learning_rate=lr, objective="mse"))
             mse = np.array(model.train_mse)
             assert np.all(np.diff(mse) <= 1e-12), f"lr={lr}"
 
@@ -103,7 +103,7 @@ class TestTraining:
 
 class TestPredict:
     def test_zero_tree_base(self):
-        model = GbdtModel(100.0, NO_TREES, GbdtParams(), 7, [])
+        model = GbdtModel(100.0, NO_TREES, GbdtParams(objective="mse"), 7, [])
         assert model.predict(np.zeros(7)) == 100.0
         np.testing.assert_array_equal(model.predict(np.ones((3, 7))), 100.0)
 

@@ -35,21 +35,11 @@ def finite_diff(weights, X, y, li, kind, idx, h=1e-5):
     return (up - down) / (2 * h)
 
 
-class TestParams:
-    def test_default_arity(self):
-        assert MlpParams().layers[0] == 1301
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MlpParams(layers=(10, 2))
-
-
 class TestGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences_every_layer(self, seed):
         rng = np.random.default_rng(seed)
-        params = MlpParams(layers=(7, 5, 3, 1))
-        weights = _init_weights(params, rng)
+        weights = _init_weights(7, (5, 3), rng)
         X = rng.standard_normal((12, 7))
         y = rng.integers(0, 2, size=12).astype(float)
         _, grads = loss_and_grads(weights, X, y)
@@ -66,24 +56,21 @@ class TestGradients:
 class TestTraining:
     def test_separable_toy_high_accuracy(self):
         X, y = toy_elapsed_set()
-        params = MlpParams(layers=(6, 16, 1), epochs=150, batch_size=64,
-                           learning_rate=1e-2, seed=1)
-        model = train_mlp(X, y, params)
+        params = MlpParams(hidden=(16,), epochs=150, batch_size=64, learning_rate=1e-2)
+        model = train_mlp(X, y, params, seed=1)
         acc = np.mean((model.predict_proba(X) >= 0.5) == (y == 1))
         assert acc >= 0.99
 
     def test_all_positive_labels(self):
         X, _ = toy_elapsed_set(200)
-        params = MlpParams(layers=(6, 8, 1), epochs=150, batch_size=64,
-                           learning_rate=1e-2)
+        params = MlpParams(hidden=(8,), epochs=150, batch_size=64, learning_rate=1e-2)
         model = train_mlp(X, np.ones(200), params)
         assert np.all(model.predict_proba(X) >= 0.9)
 
     def test_trained_toy_late_elapsed_stops(self):
         X, y = toy_elapsed_set()
-        params = MlpParams(layers=(6, 16, 1), epochs=150, batch_size=64,
-                           learning_rate=1e-2, seed=1)
-        model = train_mlp(X, y, params)
+        params = MlpParams(hidden=(16,), epochs=150, batch_size=64, learning_rate=1e-2)
+        model = train_mlp(X, y, params, seed=1)
         x = np.zeros(6)
         x[-1] = 9500.0
         assert float(model.predict_proba(x)) > 0.5
@@ -91,24 +78,26 @@ class TestTraining:
     def test_nonbinary_labels_rejected(self):
         X, _ = toy_elapsed_set(50)
         with pytest.raises(ValueError, match="binary"):
-            train_mlp(X, np.full(50, 0.5), MlpParams(layers=(6, 4, 1)))
+            train_mlp(X, np.full(50, 0.5), MlpParams(hidden=(4,)))
 
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError, match="arity"):
-            train_mlp(np.ones((10, 3)), np.ones(10), MlpParams(layers=(6, 4, 1)))
+    def test_widths_come_from_the_data(self):
+        X, y = toy_elapsed_set(50)
+        model = train_mlp(X[:, :4], y, MlpParams(hidden=(3, 2), epochs=1))
+        assert [W.shape for W, _ in model.weights] == [(4, 3), (3, 2), (2, 1)]
+        assert model.n_features == 4
 
     def test_deterministic(self):
         X, y = toy_elapsed_set(100)
-        params = MlpParams(layers=(6, 8, 1), epochs=5, seed=3)
-        a = train_mlp(X, y, params)
-        b = train_mlp(X, y, params)
+        params = MlpParams(hidden=(8,), epochs=5)
+        a = train_mlp(X, y, params, seed=3)
+        b = train_mlp(X, y, params, seed=3)
         for (Wa, ba), (Wb, bb) in zip(a.weights, b.weights):
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)
 
     def test_loss_curve_decreases_overall(self):
         X, y = toy_elapsed_set()
-        model = train_mlp(X, y, MlpParams(layers=(6, 16, 1), epochs=30, seed=2))
+        model = train_mlp(X, y, MlpParams(hidden=(16,), epochs=30), seed=2)
         assert model.loss_curve[-1] < model.loss_curve[0]
 
 
@@ -120,8 +109,8 @@ class TestPredict:
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        params = MlpParams(layers=(5, 4, 1))
-        model = MlpModel(_init_weights(params, rng), np.zeros(5), np.ones(5),
+        params = MlpParams(hidden=(4,))
+        model = MlpModel(_init_weights(5, params.hidden, rng), np.zeros(5), np.ones(5),
                          params, [])
         p = model.predict_proba(rng.standard_normal((50, 5)) * 10)
         assert np.all((p > 0) & (p < 1))

@@ -31,7 +31,7 @@ def mlp_model():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((100, 5))
     y = (X[:, 0] > 0).astype(float)
-    return train_mlp(X, y, MlpParams(layers=(5, 4, 1), epochs=5))
+    return train_mlp(X, y, MlpParams(hidden=(4,), epochs=5))
 
 
 class TestRoundTrip:
@@ -182,8 +182,10 @@ class TestParamsAndMlpValidation:
                      "n_trees must be >= 1", id="gbdt-zero-trees"),
         pytest.param("mlp", lambda p, a: p.update(colour="red"),
                      "unknown MlpParams parameter 'colour'", id="mlp-unknown-key"),
-        pytest.param("mlp", lambda p, a: p.update(layers="5,4,1"),
-                     "'layers' has type str", id="mlp-str-layers"),
+        pytest.param("mlp", lambda p, a: p.update(hidden="4"),
+                     "'hidden' has type str", id="mlp-str-layers"),
+        pytest.param("mlp", lambda p, a: p.update(hidden=[0]), "hidden widths must be >= 1",
+                     id="mlp-zero-width"),
         pytest.param("mlp", lambda p, a: a.pop("b1"), r"lacks arrays \['b1'\]", id="mlp-no-b1"),
         pytest.param("mlp", lambda p, a: a.pop("W0"), r"lacks arrays \['W0'\]", id="mlp-no-W0"),
         pytest.param("mlp", lambda p, a: a.pop("input_std"), "lacks arrays",
@@ -194,9 +196,13 @@ class TestParamsAndMlpValidation:
                      id="mlp-W1-rows"),
         pytest.param("mlp", lambda p, a: a.update(b0=a["b0"][None, :]), "b0 has shape",
                      id="mlp-b0-2d"),
+        # input_mean gives the input width, which input_std and W0 must share
         pytest.param("mlp", lambda p, a: a.update(input_mean=a["input_mean"][:4]),
-                     "input_mean has shape", id="mlp-input_mean-short"),
-        pytest.param("mlp", lambda p, a: p.update(layers=[5, 3, 1]), "W0 has shape",
+                     r"input_std has shape \(5,\), layer widths \[4, 4, 1\]",
+                     id="mlp-input_mean-short"),
+        pytest.param("mlp", lambda p, a: a.update(input_mean=a["input_mean"][None, :]),
+                     "input_mean must be 1-D", id="mlp-input_mean-2d"),
+        pytest.param("mlp", lambda p, a: p.update(hidden=[3]), "W0 has shape",
                      id="mlp-layers-disagree"),
         pytest.param("mlp", lambda p, a: a.update(loss_curve=np.zeros((2, 2))),
                      "loss_curve must be 1-D", id="mlp-loss_curve-2d"),
@@ -227,6 +233,7 @@ class TestParamsAndMlpValidation:
     @pytest.mark.parametrize("model, key, value", [
         ("gbdt", "subsample", 1.0), ("gbdt", "seed", 0), ("mlp", "dropout", 0.0),
         ("mlp", "adam_beta1", 0.9), ("mlp", "adam_beta2", 0.999), ("mlp", "adam_eps", 1e-8),
+        ("mlp", "layers", [5, 4, 1]), ("mlp", "seed", 0),
     ])
     def test_removed_parameter_exits_4_naming_it(self, tmp_path, capsys, gbdt_model,
                                                  mlp_model, model, key, value):

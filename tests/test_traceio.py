@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -463,8 +464,57 @@ class TestCorpusRoundTrip:
         corpus = read_corpus(str(tmp_path / "c"))
         assert corpus.ids == ["a", "b"]
         assert corpus.summary("a").y_true_mbps == pytest.approx(50.0, rel=1e-4)
-        assert corpus.presets["b"] == "test"
+        assert corpus.summary("b") == traces[1].summarize()
+        with open(tmp_path / "c" / "manifest.csv", newline="") as fh:
+            assert [row["preset"] for row in csv.DictReader(fh)] == ["test", "test"]
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_corpus(str(tmp_path / "nothing"))
+
+
+def drop_column(name):
+    def edit(rows):
+        i = rows[0].index(name)
+        for row in rows:
+            del row[i]
+    return edit
+
+
+def set_cell(line, name, value):
+    def edit(rows):
+        rows[line - 1][rows[0].index(name)] = value
+    return edit
+
+
+class TestCorpusFileErrors:
+    """A bad index.csv or manifest.csv exits 3 naming the file, and the
+    column or the line."""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("manifest.csv", drop_column("tier"), "manifest.csv: no column tier"),
+        ("index.csv", drop_column("file"), "index.csv: no column file"),
+        ("manifest.csv", set_cell(3, "tier", "x"),
+         "manifest.csv line 3: invalid literal for int() with base 10: 'x'"),
+        ("manifest.csv", drop_column("duration_ms"), "manifest.csv: no column duration_ms"),
+        ("index.csv", lambda rows: rows[2].pop(), "index.csv line 3: fewer cells than the header"),
+    ], ids=["manifest-no-tier", "index-no-file", "manifest-bad-tier",
+            "manifest-no-duration", "index-short-row"])
+    def test_exits_3_naming_file_and_place(self, tmp_path, capsys, name, edit, message):
+        from speedtrim.cli import EXIT_DATA, main
+        root = tmp_path / "c"
+        traces = [util.constant_rate_trace(rate, duration_s=1, id=tid)
+                  for rate, tid in ((50, "a"), (150, "b"))]
+        write_corpus(str(root), ((t, "test") for t in traces))
+        with open(root / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(root / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ValueError) as exc:
+            read_corpus(str(root))
+        assert message in str(exc.value)
+        capsys.readouterr()
+        assert main(["sweep", "--corpus", str(root), "--method", "bbr", "--params", "3",
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert message in capsys.readouterr().err

@@ -104,7 +104,7 @@ NO_TREES = {"feature": [], "threshold": [], "left": [], "right": [], "value": []
 
 def constant_regressor(value: float, n_features: int = REGRESSOR_ARITY) -> GbdtModel:
     """Zero-tree model: predicts `value` for any input (base only)."""
-    return GbdtModel(value, NO_TREES, GbdtParams(), n_features, [])
+    return GbdtModel(value, NO_TREES, GbdtParams(objective="mse"), n_features, [])
 
 
 def constant_classifier(p_stop: float, n_features: int = CLASSIFIER_ARITY) -> MlpModel:
@@ -112,8 +112,7 @@ def constant_classifier(p_stop: float, n_features: int = CLASSIFIER_ARITY) -> Ml
     logit = np.log(p_stop / (1.0 - p_stop)) if 0 < p_stop < 1 else (
         50.0 if p_stop >= 1 else -50.0)
     weights = [(np.zeros((n_features, 1)), np.array([logit]))]
-    params = MlpParams(layers=(n_features, 1))
-    return MlpModel(weights, np.zeros(n_features), np.ones(n_features), params, [])
+    return MlpModel(weights, np.zeros(n_features), np.ones(n_features), MlpParams(hidden=()), [])
 
 
 def count_decodes(monkeypatch) -> collections.Counter:
