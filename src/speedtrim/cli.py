@@ -21,7 +21,7 @@ import sys
 from . import evaluate, heuristics, label, modelio, synth, traceio
 from .config import RunConfig
 from .core import ValidationError
-from .engine import GuardConfig, Policy, run_trace
+from .engine import Policy, run_trace
 from .gbdt import GbdtModel, train_gbdt
 from .mlp import MlpModel, train_mlp
 from .modelio import ModelFormatError
@@ -92,20 +92,31 @@ def epsilon(text) -> float:
     return value
 
 
+def _parse_params(items: list, parse) -> list:
+    """Each --params item parsed; a value given twice is a data error."""
+    values = [parse(item) for item in items]
+    for i, value in enumerate(values):
+        first = values.index(value)
+        if first < i:
+            raise ValueError(f"--params gives {value!r} twice: as {items[first]!r} "
+                             f"and as {items[i]!r}")
+    return values
+
+
 def _classifier_name(eps: float) -> str:
     """File name of ε's classifier: ε in full, without a trailing ``.0``
     (``classifier_eps5.bin``, ``classifier_eps12.5.bin``)."""
     return f"classifier_eps{repr(eps).removesuffix('.0')}.bin"
 
 
-def _load_policies(args, epsilons, guard: GuardConfig, classifier: str | None = None) -> dict:
+def _load_policies(args, epsilons, classifier: str | None = None) -> dict:
     """A policy per ε: the --regressor with ``classifier`` when given, else
     with ε's classifier file under --models-dir."""
     paths = [classifier or os.path.join(args.models_dir, _classifier_name(eps))
              for eps in epsilons]
     regressor, *classifiers = _load_models(
         [(args.regressor, "regressor")] + [(path, "classifier") for path in paths])
-    return {eps: Policy(regressor, model, eps, guard=guard)
+    return {eps: Policy(regressor, model, eps)
             for eps, model in zip(epsilons, classifiers)}
 
 
@@ -116,9 +127,8 @@ def _corpus_inputs(corpus_dir: str) -> list[str]:
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
-    flags = {"n_traces": args.n, "mode": args.mode, "hard_fraction": args.hard_fraction}
-    spec = synth.preset_spec(args.preset) if args.preset else config.genspec
-    spec = dataclasses.replace(spec, seed=config.seed,
+    flags = {"n_traces": args.n, "mode": args.mode}
+    spec = dataclasses.replace(config.genspec, seed=config.seed,
                                **{k: v for k, v in flags.items() if v is not None})
     config = dataclasses.replace(config, genspec=spec)
     corpus = synth.gen_corpus(spec, args.out)
@@ -192,9 +202,9 @@ def cmd_train_classifier(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args)
+    _load_config(args)   # no key changes a replay, but a bad file is still a data error
     trace = traceio.parse_trace(args.trace)
-    (policy,) = _load_policies(args, [args.epsilon], config.guard, args.classifier).values()
+    (policy,) = _load_policies(args, [args.epsilon], args.classifier).values()
     outcome = run_trace(trace, policy)
     print(json.dumps({
         "trace_id": trace.id,
@@ -211,14 +221,14 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
-    os.makedirs(args.out, exist_ok=True)
     if args.method == "ml":
-        params = [epsilon(p) for p in args.params.split(",")]
-        policies = _load_policies(args, params, config.guard)
+        params = _parse_params(args.params.split(","), epsilon)
+        policies = _load_policies(args, params)
     else:
         _, parse = heuristics.BASELINE_PARAMS[args.method]
-        params = [parse(p) for p in args.params.split(",")]
+        params = _parse_params(args.params.split(","), parse)
         policies = None
+    os.makedirs(args.out, exist_ok=True)
     points, records_by_param = evaluate.pareto_sweep(
         corpus, args.method, params, policies=policies)
     frontier = evaluate.nondominated(points)
@@ -234,8 +244,8 @@ def cmd_select(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
     given = args.params.split(",") if args.params else label.EPSILON_SWEEP
-    epsilons = [epsilon(e) for e in given]
-    policies = _load_policies(args, epsilons, config.guard)
+    epsilons = _parse_params(given, epsilon)
+    policies = _load_policies(args, epsilons)
     _, records_by_param = evaluate.pareto_sweep(corpus, "ml", epsilons, policies=policies)
     full_records = evaluate.evaluate_method(corpus, "full")
     os.makedirs(args.out, exist_ok=True)
@@ -282,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common])
     p.add_argument("--n", type=int)
     p.add_argument("--mode", choices=["balanced", "natural"])
-    p.add_argument("--preset", choices=sorted(synth.PRESETS))
-    p.add_argument("--hard-fraction", type=float, dest="hard_fraction")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -314,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="replay one trace through a policy", parents=[common])
     p.add_argument("--trace", required=True)
     p.add_argument("--regressor", required=True)
-    p.add_argument("--classifier")
-    p.add_argument("--models-dir", dest="models_dir")
+    classifier = p.add_mutually_exclusive_group()
+    classifier.add_argument("--classifier")
+    classifier.add_argument("--models-dir", dest="models_dir")
     p.add_argument("--epsilon", type=epsilon, default=15.0)
     p.set_defaults(func=cmd_run)
 
@@ -334,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regressor", required=True)
     p.add_argument("--models-dir", dest="models_dir", required=True)
     p.add_argument("--params", help="epsilon list, comma-separated")
-    p.add_argument("--constraint", type=float, default=20.0)
+    p.add_argument("--constraint", type=epsilon, default=evaluate.DEFAULT_CONSTRAINT_PCT,
+                   help="error bound in percent, a finite number > 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
 

@@ -7,30 +7,34 @@ import hashlib
 import json
 
 from .core import replace_from_json
-from .engine import GuardConfig
 from .gbdt import GbdtParams
 from .mlp import MlpParams
-from .synth import GenSpec
+from .synth import GenSpec, preset_spec
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs; serialized into output directories.
     ``seed`` is the run's one seed, so ``genspec`` is read and written
-    without its own: ``synth`` stamps ``seed`` into the generator."""
+    without its own: ``synth`` stamps ``seed`` into the generator.
+    ``genspec.preset`` names the generator preset the section's other keys
+    apply on top of."""
 
     seed: int = 0
     genspec: GenSpec = dataclasses.field(default_factory=GenSpec)
     gbdt: GbdtParams = dataclasses.field(default_factory=GbdtParams)
     mlp: MlpParams = dataclasses.field(default_factory=MlpParams)
-    guard: GuardConfig = dataclasses.field(default_factory=GuardConfig)
 
     @classmethod
     def from_dict(cls, d) -> "RunConfig":
         """The defaults with the keys a JSON object gives; ValueError names a bad key."""
-        if type(d) is dict and type(d.get("genspec")) is dict and "seed" in d["genspec"]:
-            raise ValueError("unknown genspec parameter 'seed'")
-        return replace_from_json(cls(), d, "config")
+        base = cls()
+        genspec = d.get("genspec") if type(d) is dict else None
+        if type(genspec) is dict:
+            if "seed" in genspec:
+                raise ValueError("unknown genspec parameter 'seed'")
+            base = dataclasses.replace(base, genspec=preset_spec(genspec.get("preset", "default")))
+        return replace_from_json(base, d, "config")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -37,10 +37,14 @@ F_DUPACK_STD = 12
 N_FEATURES = 13
 
 # Decision grid: features are statistics over 100 ms windows, a stop is
-# judged every 500 ms stride, and the variability guard looks back 2 s.
+# judged every 500 ms stride, the variability guard looks back 2 s and
+# suppresses a stop while the throughput's coefficient of variation there
+# exceeds 0.8, and the classifier stops the test at p_stop >= 0.5.
 WINDOW_MS = 100
 STRIDE_MS = 500
 GUARD_WINDOW_MS = 2000
+GUARD_V_MAX = 0.8
+STOP_THRESHOLD = 0.5
 
 # No snapshot of a test lies past 60 s.  A multiple of STRIDE_MS, so every
 # snapshot past it crosses a stride boundary of a live session.

@@ -12,7 +12,7 @@ valid stop; the engine never fails a test, late stopping only costs data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,14 @@ from .core import (
     CONTINUE,
     CUMULATIVE_FIELDS,
     F_TPUT,
+    GUARD_V_MAX,
     GUARD_WINDOW_MS,
     MAX_TEST_US,
     N_FEATURES,
     REASON_CLASSIFIER,
     REASON_END_OF_TRACE,
     SNAPSHOT_FIELDS,
+    STOP_THRESHOLD,
     Snapshot,
     StopDecision,
     TerminationOutcome,
@@ -56,28 +58,16 @@ def _int64_columns(snapshots: list[Snapshot]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GuardConfig:
-    """Variability fallback: suppress stopping while the coefficient of
-    variation of instantaneous throughput over the trailing GUARD_WINDOW_MS
-    is too high."""
-
-    enabled: bool = True
-    v_max: float = 0.8
-
-
-@dataclass(frozen=True)
 class Policy:
     regressor: GbdtModel
     classifier: MlpModel
     epsilon_pct: float
-    threshold: float = 0.5
-    guard: GuardConfig = field(default_factory=GuardConfig)
 
 
-def variability_guard(ws: WindowSeries, t_ms: int, guard: GuardConfig) -> bool:
-    """True when stopping is allowed at t_ms; False suppresses the stop."""
-    if not guard.enabled:
-        return True
+def variability_guard(ws: WindowSeries, t_ms: int) -> bool:
+    """True when stopping is allowed at t_ms; False suppresses the stop while
+    the coefficient of variation of instantaneous throughput over the
+    trailing GUARD_WINDOW_MS exceeds GUARD_V_MAX."""
     end = t_ms // WINDOW_MS
     lo = max(0, end - GUARD_WINDOW_MS // WINDOW_MS)
     window = ws.frames[lo:end, F_TPUT]
@@ -89,7 +79,7 @@ def variability_guard(ws: WindowSeries, t_ms: int, guard: GuardConfig) -> bool:
         return True
     if mean <= 0.0:
         return False
-    return std / mean <= guard.v_max
+    return std / mean <= GUARD_V_MAX
 
 
 class SessionError(RuntimeError):
@@ -166,12 +156,12 @@ class Session:
             self._windowed += n
         if self._windowed < 2:
             return CONTINUE
-        if not variability_guard(ws, t_ms, self.policy.guard):
+        if not variability_guard(ws, t_ms):
             return CONTINUE
         t0 = time.perf_counter()
         p = self.policy.classifier.predict_proba(classifier_input(ws, t_ms))
         self.classifier_latency_s.append(time.perf_counter() - t0)
-        if p >= self.policy.threshold:
+        if p >= STOP_THRESHOLD:
             return StopDecision(Verdict.STOP, REASON_CLASSIFIER)
         return CONTINUE
 

@@ -36,7 +36,7 @@ GENSPEC_LIMITS = {
                      "transient_spread", "plateau_spread", "difficulty_coupling"), (0.0, 10.0)),
     "n_traces": (0, math.inf), "duration_s": (0.5, MAX_TEST_US / 1e6),
     "snapshot_ms": (1.0, 1000.0),
-    "ar_coeff": (0.0, 1.0), "hard_fraction": (0.0, 1.0), "timestamp_jitter_ms": (0.0, 1000.0),
+    "ar_coeff": (0.0, 1.0), "timestamp_jitter_ms": (0.0, 1000.0),
     "capacity_range": (0.001, 100_000.0),
 }
 
@@ -63,7 +63,6 @@ class GenSpec:
     plateau_span: tuple = (1.0, 2.0)            # seconds of settling phase
     capacity_range: tuple = (1.0, 1000.0)
     timestamp_jitter_ms: float = 2.0
-    hard_fraction: float = 0.0                  # fraction of traces forced hard
     difficulty_coupling: float = 1.0            # noise scaling vs (low tier, high RTT)
     preset: str = "default"
 
@@ -78,31 +77,24 @@ class GenSpec:
                 raise ValueError(f"{f.name} must lie in [{lo}, {hi}], got {value}")
 
 
-# Low throughput, high RTT, persistent variability: the slice of tests that
-# resists early termination.
-HARD_OVERRIDES = dict(
-    tier_weights=(0.6, 0.4, 0.0, 0.0, 0.0),
-    rtt_bin_weights=(0.0, 0.0, 0.2, 0.3, 0.5),
-    ramp_tau_range=(1.0, 3.0),
-    ar_coeff=0.95,
-    noise_rel_std=0.45,
-    dropout_rate=0.4,
-    burst_rate=0.2,
-    transient_spread=0.9,
-    transient_span=(0.5, 3.0),
-    difficulty_coupling=0.0,
-)
-
+# The generator's base settings by name; a run config's genspec section
+# names one as its ``preset`` and its other keys apply on top.  "hard" is
+# low throughput, high RTT and persistent variability: the slice of tests
+# that resists early termination.
 PRESETS = {
     "default": GenSpec(),
     "clean": GenSpec(ar_coeff=0.0, noise_rel_std=0.0, burst_rate=0.0, dropout_rate=0.0,
                      transient_spread=0.0, difficulty_coupling=0.0, preset="clean"),
-    "hard": GenSpec(mode="natural", preset="hard", **HARD_OVERRIDES),
+    "hard": GenSpec(mode="natural", tier_weights=(0.6, 0.4, 0.0, 0.0, 0.0),
+                    rtt_bin_weights=(0.0, 0.0, 0.2, 0.3, 0.5), ramp_tau_range=(1.0, 3.0),
+                    ar_coeff=0.95, noise_rel_std=0.45, dropout_rate=0.4, burst_rate=0.2,
+                    transient_spread=0.9, transient_span=(0.5, 3.0), difficulty_coupling=0.0,
+                    preset="hard"),
 }
 
 
 def preset_spec(name: str, **overrides) -> GenSpec:
-    if name not in PRESETS:
+    if type(name) is not str or name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
     return replace(PRESETS[name], **overrides)
 
@@ -269,11 +261,6 @@ def gen_trace(spec: GenSpec, index: int) -> tuple[Trace, str]:
     """
     pick_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index, 0xA5)))
     eff = spec
-    label = spec.preset
-    if spec.hard_fraction > 0 and pick_rng.random() < spec.hard_fraction:
-        eff = replace(spec, **HARD_OVERRIDES)
-        label = "hard"
-
     if eff.mode == "balanced":
         target_tier = index % 5
     elif eff.mode == "natural":
@@ -305,7 +292,7 @@ def gen_trace(spec: GenSpec, index: int) -> tuple[Trace, str]:
         trace = _simulate(rng, eff, f"t{index:05d}", capacity, tau, base_rtt)
         s = trace.summarize()
         if s.speed_tier == target_tier and s.rtt_bin == target_bin:
-            return trace, label
+            return trace, spec.preset
     raise ValueError(
         f"trace {index}: no draw landed in tier {target_tier}/bin {target_bin} "
         f"after {MAX_ATTEMPTS} attempts")

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -9,9 +10,9 @@ import shutil
 import numpy as np
 import pytest
 
-from speedtrim.cli import main
+from speedtrim import core, evaluate, synth
+from speedtrim.cli import build_parser, main
 from speedtrim.config import RunConfig
-from speedtrim.engine import GuardConfig
 from speedtrim.gbdt import GbdtParams
 from speedtrim.label import EPSILON_SWEEP
 from speedtrim.mlp import MlpParams
@@ -62,6 +63,35 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             run("synth", "--preset", "bogus", "--out", str(tmp_path / "x"))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [("--preset", "hard"), ("--hard-fraction", "0.5")])
+    def test_generator_settings_are_config_keys_only(self, tmp_path, capsys, flag):
+        # genspec.preset names the base preset; a share of hard traces is gone
+        with pytest.raises(SystemExit) as exc:
+            run("synth", *flag, "--out", str(tmp_path / "x"))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_genspec_keys_apply_on_top_of_its_preset(self, tmp_path):
+        config, out = tmp_path / "config.json", tmp_path / "hard"
+        config.write_text(json.dumps(
+            {"genspec": {"preset": "hard", "noise_rel_std": 0.5, "n_traces": 2}}))
+        assert run("synth", "--config", str(config), "--seed", "3", "--out", str(out)) == 0
+        with open(out / "genspec.json") as fh:
+            written = json.load(fh)
+        hard = dataclasses.asdict(synth.PRESETS["hard"])
+        assert written == dict(hard, noise_rel_std=0.5, n_traces=2, seed=3, **{
+            k: list(v) for k, v in hard.items() if isinstance(v, tuple)})
+        with open(out / "manifest.csv", newline="") as fh:
+            assert [row["preset"] for row in csv.DictReader(fh)] == ["hard", "hard"]
+
+    def test_unknown_preset_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"genspec": {"preset": "bogus"}}')
+        capsys.readouterr()
+        assert run("synth", "--config", str(config), "--out", str(tmp_path / "x")) == 3
+        assert "unknown preset 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestIngest:
@@ -145,7 +175,7 @@ class TestExitCodes:
          ("--no-guard",)),
     ], ids=["trees", "depth", "epochs", "no-guard"])
     def test_model_and_guard_settings_are_config_keys_only(self, argv, flag, capsys):
-        # gbdt.n_trees, gbdt.max_depth, mlp.epochs and guard.enabled set these
+        # gbdt.n_trees, gbdt.max_depth and mlp.epochs set these; the guard is fixed
         with pytest.raises(SystemExit) as exc:
             run(*argv, *flag)
         assert exc.value.code == 2
@@ -164,6 +194,13 @@ class TestExitCodes:
             run(*argv)
         assert exc.value.code == 2
         assert f"needs {flag}" in capsys.readouterr().err
+
+    def test_run_takes_one_classifier_source(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("run", "--trace", "t.jsonl", "--regressor", "r.bin", "--classifier", "c.bin",
+                "--models-dir", "m")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_missing_corpus(self, tmp_path):
         assert run("train-regressor", "--corpus", str(tmp_path / "nope"),
@@ -376,6 +413,37 @@ class TestEpsilon:
         assert run(*argv, *(["--method", "ml"] if command == "sweep" else [])) == 3
         assert "epsilon must be a finite number > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, method, params, repeat", [
+        ("sweep", "static", "10MB,10000000", "10000000 twice: as '10MB' and as '10000000'"),
+        ("sweep", "bbr", "3,3", "3 twice: as '3' and as '3'"),
+        ("sweep", "ml", "5,5.0", "5.0 twice: as '5' and as '5.0'"),
+        ("select", None, "15,10,15.0", "15.0 twice: as '15' and as '15.0'"),
+    ])
+    def test_repeated_params_are_data_errors(self, cli_pipeline, tmp_path, capsys,
+                                             command, method, params, repeat):
+        # a repeat would count each trace twice in records.csv and the frontier
+        argv = [command, "--corpus", cli_pipeline["corpus"], "--regressor",
+                cli_pipeline["regressor"], "--models-dir", cli_pipeline["models_dir"],
+                "--params", params, "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert run(*argv, *(["--method", method] if method else [])) == 3
+        assert f"--params gives {repeat}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+    def test_bad_constraint_is_usage_error(self, value, capsys):
+        # a constraint no group meets, or every group meets, would go unnoticed
+        with pytest.raises(SystemExit) as exc:
+            run("select", "--corpus", "c", "--regressor", "r.bin", "--models-dir", "m",
+                "--constraint", value, "--out", "o")
+        assert exc.value.code == 2
+        assert f"invalid epsilon value: '{value}'" in capsys.readouterr().err
+
+    def test_constraint_defaults_to_the_evaluate_default(self):
+        args = build_parser().parse_args(["select", "--corpus", "c", "--regressor", "r.bin",
+                                          "--models-dir", "m", "--out", "o"])
+        assert args.constraint == evaluate.DEFAULT_CONSTRAINT_PCT
+
     def test_fractional_epsilon_names_its_classifier(self, cli_pipeline, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with open("config.json", "w") as fh:
@@ -467,18 +535,22 @@ class TestConfig:
                                     objective="log-mse"), mlp=MlpParams(epochs=6))
 
     def test_left_out_keys_keep_the_defaults(self):
-        config = RunConfig.from_dict({"gbdt": {"n_trees": 60}, "guard": {"v_max": 1}})
+        config = RunConfig.from_dict({"gbdt": {"n_trees": 60}, "mlp": {"epochs": 2},
+                                      "genspec": {"n_traces": 7}})
         assert config.gbdt == dataclasses.replace(RunConfig().gbdt, n_trees=60)
-        assert config.guard == GuardConfig(v_max=1.0)
+        assert config.mlp == dataclasses.replace(RunConfig().mlp, epochs=2)
+        assert config.genspec == dataclasses.replace(synth.PRESETS["default"], n_traces=7)
 
     @pytest.mark.parametrize("config, message", [
         ('{"gbdt": {"foo": 1}}', "unknown gbdt parameter 'foo'"),
         ("[1]", "config is not a JSON object"),
-        ('{"guard": {"v_max": "x"}}', "guard parameter 'v_max' has type str"),
         ('{"stride_ms": 500}', "unknown config parameter 'stride_ms'"),
-        ('{"guard": {"window_ms": 2000}}', "unknown guard parameter 'window_ms'"),
-        ('{"guard": {"enabled": 1}}', "guard parameter 'enabled' has type int"),
-        ('{"guard": "on"}', "guard is not a JSON object"),
+        # the guard and the stop threshold are fixed, like the decision grid
+        ('{"guard": {"v_max": 0.8}}', "unknown config parameter 'guard'"),
+        ('{"threshold": 0.5}', "unknown config parameter 'threshold'"),
+        ('{"genspec": {"preset": "bogus"}}', "unknown preset 'bogus'"),
+        ('{"genspec": {"preset": ["hard"]}}', "unknown preset ['hard']"),
+        ('{"genspec": {"hard_fraction": 0.5}}', "unknown genspec parameter 'hard_fraction'"),
         ('{"seed": 7.0}', "config parameter 'seed' has type float"),
         ('{"genspec": {"capacity_range": [1, "10"]}}',
          "genspec parameter 'capacity_range' item has type str"),
@@ -512,7 +584,8 @@ class TestConfig:
     def test_formats_doc_lists_every_key(self):
         """docs/formats.md's --config table names exactly RunConfig's fields
         and, for each section, the fields of its class (genspec without the
-        seed, which is the run's)."""
+        seed, which is the run's); its decision-grid paragraph names every
+        constant of core's decision grid."""
         path = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
         with open(path) as fh:
             doc = fh.read()
@@ -531,10 +604,16 @@ class TestConfig:
                                  if (f.name, g.name) != ("genspec", "seed")]
                                 if dataclasses.is_dataclass(section) else None)
         assert documented == expected
+        grid = doc.split("The decision grid is fixed")[1].split("\n\n")[0]
+        source = inspect.getsource(core).split("# Decision grid:")[1].split("\n\n")[0]
+        constants = set(re.findall(r"^([A-Z_]+) = ", source, re.M))
+        assert constants >= {"WINDOW_MS", "STRIDE_MS", "GUARD_WINDOW_MS", "GUARD_V_MAX",
+                             "STOP_THRESHOLD"}
+        assert constants <= set(re.findall(r"`(?:core\.)?([A-Z_]+)`", grid))
 
     def test_good_config_runs(self, cli_pipeline, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text('{"guard": {"enabled": false, "v_max": 0.5}}')
+        path.write_text(json.dumps(BENCH_CONFIG))
         assert run("run", "--config", str(path), "--trace", cli_pipeline["trace_path"],
                    "--regressor", cli_pipeline["regressor"],
                    "--classifier", cli_pipeline["classifier"]) == 0

@@ -16,7 +16,6 @@ from speedtrim.core import (
     WindowSeries,
 )
 from speedtrim.engine import (
-    GuardConfig,
     Policy,
     Session,
     SessionError,
@@ -27,12 +26,10 @@ from speedtrim.traceio import parse_trace, resample
 
 import util
 
-GUARD_OFF = GuardConfig(enabled=False)
 
-
-def make_policy(p_stop, estimate=100.0, guard=GUARD_OFF, **kw):
+def make_policy(p_stop, estimate=100.0):
     return Policy(util.constant_regressor(estimate),
-                  util.constant_classifier(p_stop), 15.0, guard=guard, **kw)
+                  util.constant_classifier(p_stop), 15.0)
 
 
 def spiky_trace():
@@ -43,25 +40,14 @@ def spiky_trace():
 class TestVariabilityGuard:
     def test_constant_passes(self):
         ws = resample(util.constant_rate_trace(100.0))
-        assert variability_guard(ws, 2000, GuardConfig())
+        assert variability_guard(ws, 2000)
 
     def test_spiky_suppresses(self):
         seq = np.array([400.0] + [2.0] * 9)
         cov = seq.std() / seq.mean()
         assert cov > 0.8  # oracle for the chosen levels
         ws = resample(spiky_trace())
-        assert not variability_guard(ws, 2500, GuardConfig())
-
-    def test_disabled_always_passes(self):
-        ws = resample(spiky_trace())
-        assert variability_guard(ws, 2500, GUARD_OFF)
-
-    def test_stricter_vmax_suppresses_more(self):
-        # anything suppressed at v_max stays suppressed at smaller v_max
-        ws = resample(spiky_trace())
-        for t in (1000, 3000, 5000):
-            if not variability_guard(ws, t, GuardConfig(v_max=0.8)):
-                assert not variability_guard(ws, t, GuardConfig(v_max=0.4))
+        assert not variability_guard(ws, 2500)
 
 
 class TestSessionFeed:
@@ -79,7 +65,7 @@ class TestSessionFeed:
         assert out.rel_error == 0.0
 
     def test_guard_suppresses_despite_classifier(self):
-        out = util.feed_trace(spiky_trace(), make_policy(1.0, guard=GuardConfig()))
+        out = util.feed_trace(spiky_trace(), make_policy(1.0))
         assert out.ran_to_completion
 
     def test_out_of_order_rejected(self):
@@ -144,8 +130,7 @@ class TestFinalize:
                 calls.append(1)
                 return orig(X)
 
-        policy = Policy(Counting(), util.constant_classifier(1.0), 15.0,
-                        guard=GUARD_OFF)
+        policy = Policy(Counting(), util.constant_classifier(1.0), 15.0)
         run_trace(small_corpus.load(small_corpus.ids[0]), policy)
         assert len(calls) == 1
 
@@ -183,11 +168,11 @@ def judged_series(trace):
     while the trace is fed to it, read where the guard sees them."""
     seen = []
 
-    def recording(ws, t_ms, cfg):
+    def recording(ws, t_ms):
         seen.append((t_ms, ws.frames.copy()))
-        return variability_guard(ws, t_ms, cfg)
+        return variability_guard(ws, t_ms)
 
-    session = Session(make_policy(0.0, guard=GuardConfig(enabled=False)))
+    session = Session(make_policy(0.0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "variability_guard", recording)
         for snap in trace.snapshots:    # strides are judged while feeding
@@ -251,25 +236,25 @@ class TestOneDecisionPath:
                                 np.concatenate([[0], np.cumsum(steps)]).astype(np.int64))
         tput = resample(trace).frames[:5, F_TPUT]
         np.testing.assert_allclose(tput, [0, 100, 100, 100, 124])
-        # the CoV is 0.512 on these frames and would be 0.504 had window 3
-        # taken the 400 ms snapshot; a v_max between them tells them apart
-        guard = GuardConfig(v_max=0.508)
-        assert not variability_guard(resample(trace), 500, guard)
-        policy = make_policy(1.0, guard=guard)
-        live, replay = util.feed_trace(trace, policy), run_trace(trace, policy)
-        assert live == replay
-        assert live.stop_time_ms == 1000.0
-        assert_frames_match_resample(trace)
-
-    def test_one_snapshot_before_first_stride(self):
-        # a single snapshot shows no throughput: stride 500 is not judged
-        t_us = [0] + list(range(600_000, 2_000_001, 100_000))
-        trace = util.make_trace(t_us, [t * 10 for t in t_us])
         policy = make_policy(1.0)
         live, replay = util.feed_trace(trace, policy), run_trace(trace, policy)
         assert live == replay
-        assert replay.stop_time_ms == 1000.0
-        assert replay.bytes_at_stop == 10_000_000   # the 1000 ms snapshot
+        assert live.stop_time_ms == 500.0
+        assert_frames_match_resample(trace)
+
+    def test_one_snapshot_before_first_stride(self):
+        # a single snapshot shows no throughput: stride 500 is not judged,
+        # though its five empty windows would pass the guard; the guard
+        # suppresses strides 1000 and 1500, whose windows still hold the
+        # empty 100-600 ms gap
+        t_us = [0] + list(range(600_000, 3_000_001, 100_000))
+        trace = util.make_trace(t_us, [t * 10 for t in t_us])
+        assert variability_guard(resample(trace), 500)
+        policy = make_policy(1.0)
+        live, replay = util.feed_trace(trace, policy), run_trace(trace, policy)
+        assert live == replay
+        assert replay.stop_time_ms == 2000.0
+        assert replay.bytes_at_stop == 20_000_000   # the 2000 ms snapshot
 
     @pytest.mark.parametrize("field", CUMULATIVE_FIELDS)
     def test_dip_rejected_at_the_dipped_snapshot(self, field):

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from speedtrim import evaluate as E
-from speedtrim.engine import GuardConfig, Policy
+from speedtrim.engine import Policy
 from speedtrim.traceio import read_corpus, resample
 
 import util
-
-GUARD_OFF = GuardConfig(enabled=False)
 
 
 def rec(tid="t0", method="ml", param="15", stop=5000.0, early=50, full=100,
