@@ -545,8 +545,12 @@ class TestConfig:
         ('{"gbdt": {"foo": 1}}', "unknown gbdt parameter 'foo'"),
         ("[1]", "config is not a JSON object"),
         ('{"stride_ms": 500}', "unknown config parameter 'stride_ms'"),
-        # the guard and the stop threshold are fixed, like the decision grid
-        ('{"guard": {"v_max": 0.8}}', "unknown config parameter 'guard'"),
+        # the guard and the stop threshold are fixed, like the decision grid:
+        # any guard section, well-typed or not, is an unknown key
+        *[pytest.param(config, "unknown config parameter 'guard'",
+                       id=f"{config}-guard is not a config parameter")
+          for config in ('{"guard": "on"}', '{"guard": {"enabled": 1}}',
+                         '{"guard": {"v_max": "x"}}', '{"guard": {"window_ms": 2000}}')],
         ('{"threshold": 0.5}', "unknown config parameter 'threshold'"),
         ('{"genspec": {"preset": "bogus"}}', "unknown preset 'bogus'"),
         ('{"genspec": {"preset": ["hard"]}}', "unknown preset ['hard']"),
