@@ -11,6 +11,8 @@ valid stop; the engine never fails a test, late stopping only costs data.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -48,8 +50,10 @@ _CUMULATIVE = [SNAPSHOT_FIELDS.index(name) for name in CUMULATIVE_FIELDS]
 def _int64_columns(snapshots: list[Snapshot]) -> np.ndarray:
     """The snapshots' values as int64 columns in SNAPSHOT_FIELDS order; a
     value outside that range is looked for only when the conversion fails."""
+    width = len(SNAPSHOT_FIELDS)
     try:
-        return np.array(snapshots, dtype=np.int64).reshape(-1, len(SNAPSHOT_FIELDS)).T
+        values = itertools.chain.from_iterable(snapshots)
+        return np.fromiter(values, np.int64, width * len(snapshots)).reshape(-1, width).T
     except OverflowError:
         name, t_us = next((name, snap.t_us) for snap in snapshots
                           for name, value in zip(SNAPSHOT_FIELDS, snap)
@@ -64,6 +68,15 @@ class Policy:
     epsilon_pct: float
 
 
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """float(values.mean()) and float(values.std()) of a non-empty 1-D
+    array, through the reductions they run but without their wrappers."""
+    n = len(values)
+    mean = float(np.add.reduce(values) / n)
+    dev = values - mean
+    return mean, math.sqrt(np.add.reduce(dev * dev) / n)
+
+
 def variability_guard(ws: WindowSeries, t_ms: int) -> bool:
     """True when stopping is allowed at t_ms; False suppresses the stop while
     the coefficient of variation of instantaneous throughput over the
@@ -73,8 +86,7 @@ def variability_guard(ws: WindowSeries, t_ms: int) -> bool:
     window = ws.frames[lo:end, F_TPUT]
     if len(window) == 0:
         return True
-    mean = float(window.mean())
-    std = float(window.std())
+    mean, std = _mean_std(window)
     if std == 0.0:
         return True
     if mean <= 0.0:

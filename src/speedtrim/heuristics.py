@@ -8,6 +8,7 @@ average, i.e. exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,7 @@ def _cum_avg_at(ws: WindowSeries, t_ms: int) -> float:
 
 def stop_static(trace: Trace, cap_bytes: int) -> HeuristicResult:
     """Stop at the first snapshot delivering at least cap_bytes."""
-    if cap_bytes <= 0:
-        raise ValueError("cap_bytes must be positive")
+    cap_bytes = _cap_bytes(cap_bytes)
     t_last = int(trace.t_us[-1])
     # require t > 0 so the cumulative average at the stop is well defined
     hits = np.flatnonzero((trace.bytes_acked >= cap_bytes) & (trace.t_us > 0))
@@ -52,8 +52,7 @@ def stop_static(trace: Trace, cap_bytes: int) -> HeuristicResult:
 
 def stop_bbr(ws: WindowSeries, k: int) -> HeuristicResult:
     """Stop at the first stride with at least k cumulative pipe-full events."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _k(k)
     pf = ws.frames[:, F_PIPE_FULL]
     for t_ms in stride_times(ws.duration_ms):
         end = t_ms // WINDOW_MS
@@ -65,8 +64,7 @@ def stop_bbr(ws: WindowSeries, k: int) -> HeuristicResult:
 def stop_tsh(ws: WindowSeries, tol_pct: float) -> HeuristicResult:
     """Stop once instantaneous throughput stays within tol of its running
     average for the trailing TSH_WINDOW_MS."""
-    if tol_pct <= 0:
-        raise ValueError("tol_pct must be positive")
+    tol_pct = _tol_pct(tol_pct)
     need = TSH_WINDOW_MS // WINDOW_MS
     inst = ws.frames[:, F_TPUT]
     avg = ws.frames[:, F_CUM_AVG]
@@ -117,8 +115,7 @@ def stop_cis(ws: WindowSeries, beta: float) -> HeuristicResult:
     The reported estimate is the interval midpoint (the CIS-style
     aggregate).
     """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError("beta must be in (0, 1]")
+    beta = _beta(beta)
     inst = ws.frames[:, F_TPUT]
     prev_interval = None
     for t_ms in stride_times(ws.duration_ms):
@@ -144,13 +141,34 @@ def parse_size(text) -> int:
     return int(text)
 
 
-# Each baseline's one parameter: the keyword its stop rule takes and the
-# parser that turns a CLI value (text) or a library value (a number) into it.
+def _parameter(key: str, convert, valid, rule: str):
+    """The parser of a baseline parameter: ``convert`` turns a CLI value
+    (text) or a library value (a number) into it, and ``valid`` holds its
+    range; any other value is a ValueError naming the range."""
+    def parse(value):
+        try:
+            parsed = convert(value)
+            ok = valid(parsed)
+        except (ValueError, OverflowError):     # int() of NaN, of inf
+            ok = False
+        if not ok:
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
+        return parsed
+    return parse
+
+
+_cap_bytes = _parameter("cap_bytes", parse_size, lambda cap: cap > 0, "a finite size > 0 bytes")
+_k = _parameter("k", int, lambda k: k >= 1, "an integer >= 1")
+_tol_pct = _parameter("tol_pct", float, lambda tol: 0.0 < tol < math.inf, "a finite number > 0")
+_beta = _parameter("beta", float, lambda beta: 0.0 < beta <= 1.0, "in (0, 1]")
+
+# Each baseline's one parameter: the keyword its stop rule takes and its
+# parser, which every stop rule also applies to its argument.
 BASELINE_PARAMS = {
-    "static": ("cap_bytes", parse_size),
-    "bbr": ("k", int),
-    "tsh": ("tol_pct", float),
-    "cis": ("beta", float),
+    "static": ("cap_bytes", _cap_bytes),
+    "bbr": ("k", _k),
+    "tsh": ("tol_pct", _tol_pct),
+    "cis": ("beta", _beta),
 }
 
 

@@ -177,86 +177,84 @@ def dump_trace(trace: Trace) -> bytes:
     return (head + "".join(map(_SNAPSHOT_LINE.format, *cols))).encode("utf-8")
 
 
-def _window_stats(values: np.ndarray, members: np.ndarray, n_windows: int):
-    cnt = np.bincount(members, minlength=n_windows).astype(np.float64)
-    s = np.bincount(members, weights=values, minlength=n_windows)
-    sq = np.bincount(members, weights=values * values, minlength=n_windows)
-    safe = np.maximum(cnt, 1.0)
-    mean = s / safe
-    var = np.maximum(sq / safe - mean * mean, 0.0)
-    return mean, np.sqrt(var)
+# Rows of window_frames' value matrix: three level channels, three delta
+# channels (retrans and dup_acks deltas, instantaneous throughput), a level
+# and a delta count, then the squares of those eight.
+_LEVEL_COUNT, _DELTA_COUNT, _N_SUMS = 6, 7, 8
+_COUNT_OF = [_LEVEL_COUNT] * 3 + [_DELTA_COUNT] * 3
+_DELTA_ROWS = np.array([3, 4, 5, _DELTA_COUNT, 11, 12, 13, _DELTA_COUNT + _N_SUMS])
 
 
-def window_frames(cols, w_of: np.ndarray, w0: int, w1: int,
+def window_frames(cols: np.ndarray, w_of: np.ndarray, w0: int, w1: int,
                   prev: tuple | None = None, prev_frame: np.ndarray | None = None):
     """Frames of windows [w0, w1) from a run of snapshots.
 
-    ``cols`` holds the run's columns in SNAPSHOT_FIELDS order, ``w_of`` the
-    window of each snapshot, all in [w0, w1); the run may be empty.
-    ``prev`` is the snapshot just before the run and ``prev_frame`` the
-    frame of window w0 - 1, both None when no snapshot comes before.  A
-    window depends only on its own snapshots and the one before them, so
-    filling a series run by run gives the frames of filling it at once.
+    ``cols`` holds the run's int64 columns in SNAPSHOT_FIELDS order, shape
+    (8, snapshots), and ``w_of`` the window of each snapshot, nondecreasing
+    and all in [w0, w1); the run may be empty.  ``prev`` is the snapshot
+    just before the run and ``prev_frame`` the frame of window w0 - 1, both
+    None when no snapshot comes before.  Counters do not decrease from
+    ``prev`` on (Trace and Session ensure it).  A window depends only on
+    its own snapshots and the one before them, so filling a series run by
+    run gives the frames of filling it at once.
+
+    Every per-window sum comes from one ``np.bincount`` over a flattened
+    (16 x snapshots) value matrix: cwnd, bif and rtt in ms at the
+    snapshot's window; the retrans and dup_acks deltas and the
+    instantaneous throughput at the window of the interval's endpoint; a
+    level and a delta count; and the squares of those eight.  Bin
+    ``row * (w1 - w0 + 1) + window`` adds its weights one at a time in
+    snapshot order, as a bincount per channel would, so the batching
+    changes no bit; a pairwise ``np.add.reduceat`` or a matmul would round
+    differently.  With no ``prev`` the run's first snapshot has no delta,
+    and its delta entries go to a dummy window w1.
     """
-    t, acked, cwnd, bif, rtt, retrans, dup_acks, pipe_full = cols
-    n = w1 - w0
-    members = w_of - w0
-    frames = np.zeros((n, N_FEATURES), dtype=np.float64)
+    n, m = w1 - w0, cols.shape[1]
+    lead = int(prev is None)        # the run's first snapshot has no delta
+    # Deltas of t, acked, retrans and dup_acks taken in float64, which
+    # cannot wrap where int64 would and is exact for counters below 2**53.
+    counters = np.empty((4, m + 1))
+    counters[:, 1:] = cols[[0, 1, 5, 6]]
+    if prev is not None:
+        counters[:, 0] = prev[0], prev[1], prev[5], prev[6]
+    d = counters[:, 1 + lead:] - counters[:, lead:-1]
 
-    # Level channels: every snapshot contributes at its own window.
-    for mean_ch, std_ch, values in (
-        (3, 4, cwnd.astype(np.float64)),
-        (5, 6, bif.astype(np.float64)),
-        (7, 8, rtt / 1000.0),
-    ):
-        frames[:, mean_ch], frames[:, std_ch] = _window_stats(values, members, n)
+    values = np.empty((2 * _N_SUMS, m))
+    values[0:2], values[2] = cols[2:4], cols[4] / 1000.0
+    values[3:5, lead:], values[5, lead:] = d[2:4], 8.0 * d[1] / d[0]
+    values[3:6, :lead] = 0.0                # the dummy window's deltas
+    values[_LEVEL_COUNT:_N_SUMS] = 1.0
+    np.multiply(values[:_N_SUMS], values[:_N_SUMS], out=values[_N_SUMS:])
+    bins = (w_of - w0) + np.arange(0, 2 * _N_SUMS * (n + 1), n + 1)[:, None]
+    if lead and m:
+        bins[_DELTA_ROWS, 0] = _DELTA_ROWS * (n + 1) + n
+    sums = np.bincount(bins.ravel(), weights=values.ravel(), minlength=2 * _N_SUMS * (n + 1))
+    sums = sums.reshape(2 * _N_SUMS, n + 1)[:, :n]
+    safe = np.maximum(sums[_COUNT_OF], 1.0)
+    mean = sums[:6] / safe
+    std = np.sqrt(np.maximum(sums[_N_SUMS:_N_SUMS + 6] / safe - mean * mean, 0.0))
+    frames = np.zeros((n, N_FEATURES))      # channels 3-12: mean and std of rows 0-4
+    frames[:, 3::2], frames[:, 4::2], frames[:, F_TPUT] = mean[:5].T, std[:5].T, mean[5]
 
-    # Delta channels: per-snapshot differences, attributed to the window of
-    # the interval's endpoint; the run's first snapshot pairs with prev.
-    # Taken in float64, which cannot wrap where int64 would and is exact
-    # for counters below 2**53.
-    def diff(k: int, col: np.ndarray) -> np.ndarray:
-        if prev is not None:
-            col = np.concatenate(([prev[k]], col))
-        return np.subtract(col[1:], col[:-1], dtype=np.float64)
+    # Pipe-full channel: the window's max count, at least 0.  Cum-avg
+    # channel: bytes-so-far over elapsed time at the window's last snapshot,
+    # which only for a window holding just a trace's first one is at t = 0.
+    counts = sums[_LEVEL_COUNT].astype(np.int64)
+    held = np.flatnonzero(counts)
+    if m:
+        ends = np.cumsum(counts)[held]
+        frames[held, F_PIPE_FULL] = np.maximum(np.maximum.reduceat(cols[7], ends - counts[held]), 0)
+        last = ends - 1
+        first = int(cols[0, last[0]] <= 0)
+        frames[held[first:], F_CUM_AVG] = 8.0 * cols[1, last[first:]] / cols[0, last[first:]]
 
-    delta_members = members[1:] if prev is None else members
-    inst = 8.0 * diff(1, acked) / diff(0, t)
-    frames[:, F_TPUT] = _window_stats(inst, delta_members, n)[0]
-    for mean_ch, std_ch, k, col in (
-        (9, 10, 5, retrans),
-        (11, 12, 6, dup_acks),
-    ):
-        d = diff(k, col)
-        frames[:, mean_ch], frames[:, std_ch] = _window_stats(d, delta_members, n)
-
-    # Cumulative-average channel: bytes-so-far over elapsed time, taken at
-    # the last snapshot (with t > 0) in each window.
-    last_idx = np.full(n, -1, dtype=np.int64)
-    positive = t > 0
-    np.maximum.at(last_idx, members[positive], np.flatnonzero(positive))
-    has_last = last_idx >= 0
-    frames[has_last, F_CUM_AVG] = 8.0 * acked[last_idx[has_last]] / t[last_idx[has_last]]
-
-    # Pipe-full channel: max cumulative count observed within the window.
-    pf = np.zeros(n, dtype=np.float64)
-    np.maximum.at(pf, members, pipe_full.astype(np.float64))
-    frames[:, F_PIPE_FULL] = pf
-
-    # Carry-forward for empty windows.  Every window past the first that
-    # holds a snapshot holds one with t > 0, so its cum-avg is its own.
-    filled = np.bincount(members, minlength=n) == 0
-    std_cols = list(STD_CHANNELS)
-    for w in range(n):
-        if filled[w]:
-            if prev_frame is not None:
-                frames[w] = prev_frame
-                frames[w, std_cols] = 0.0
-            continue
-        if prev_frame is not None:
-            # cumulative counter never drops across a carried gap
-            frames[w, F_PIPE_FULL] = max(frames[w, F_PIPE_FULL], prev_frame[F_PIPE_FULL])
-        prev_frame = frames[w]
+    # Carry-forward for empty windows: the frame before, std channels zeroed.
+    if len(held) < n:
+        for w in np.flatnonzero(counts == 0):
+            before = frames[w - 1] if w else prev_frame
+            if before is not None:
+                frames[w] = before
+                frames[w, list(STD_CHANNELS)] = 0.0
     return frames
 
 
@@ -272,7 +270,7 @@ def resample(trace: Trace) -> WindowSeries:
     win_us = WINDOW_MS * 1000
     n_windows = max(1, math.ceil(trace.t_us[-1] / win_us))
     w_of = np.minimum(trace.t_us // win_us, n_windows - 1)
-    cols = [getattr(trace, name) for name in SNAPSHOT_FIELDS]
+    cols = np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS])
     return WindowSeries(window_frames(cols, w_of, 0, n_windows))
 
 

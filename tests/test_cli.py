@@ -430,6 +430,25 @@ class TestEpsilon:
         assert f"--params gives {repeat}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method, params, rule", [
+        *[("static", value, "cap_bytes must be a finite size > 0 bytes")
+          for value in ("nan", "inf", "infMB", "-5", "0")],
+        *[("bbr", value, "k must be an integer >= 1") for value in ("nan", "0", "-5", "1.5")],
+        *[("tsh", value, "tol_pct must be a finite number > 0")
+          for value in ("nan", "inf", "-5", "0")],
+        *[("cis", value, "beta must be in (0, 1]") for value in ("nan", "inf", "0", "1.5")],
+    ])
+    def test_bad_baseline_params_are_data_errors(self, cli_pipeline, tmp_path, capsys,
+                                                 method, params, rule):
+        # checked where the value is parsed, before --out is made
+        capsys.readouterr()
+        assert run("sweep", "--corpus", cli_pipeline["corpus"], "--method", method,
+                   "--params", params, "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {rule}, got '{params}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
     def test_bad_constraint_is_usage_error(self, value, capsys):
         # a constraint no group meets, or every group meets, would go unnoticed

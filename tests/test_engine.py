@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import re
 import time
 
 import numpy as np
@@ -11,6 +13,8 @@ from speedtrim.core import (
     CUMULATIVE_FIELDS,
     F_DUPACK_MEAN,
     F_TPUT,
+    N_FEATURES,
+    SNAPSHOT_FIELDS,
     WINDOW_MS,
     ValidationError,
     WindowSeries,
@@ -22,7 +26,7 @@ from speedtrim.engine import (
     run_trace,
     variability_guard,
 )
-from speedtrim.traceio import parse_trace, resample
+from speedtrim.traceio import parse_trace, resample, window_frames
 
 import util
 
@@ -48,6 +52,47 @@ class TestVariabilityGuard:
         assert cov > 0.8  # oracle for the chosen levels
         ws = resample(spiky_trace())
         assert not variability_guard(ws, 2500)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.one_of(
+        st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=20),
+        st.tuples(st.floats(-1e12, 1e12), st.integers(1, 20)).map(lambda vn: [vn[0]] * vn[1]),
+        st.integers(1, 20).map(lambda n: [0.0] * n),
+    ))
+    def test_mean_std_are_numpys_bit_for_bit(self, values):
+        frames = np.zeros((len(values), N_FEATURES))
+        frames[:, F_TPUT] = values
+        window = frames[:, F_TPUT]      # a column view, as the guard reads it
+        mean, std = engine._mean_std(window)
+        assert mean.hex() == float(window.mean()).hex()
+        assert std.hex() == float(window.std()).hex()
+
+
+class TestIntake:
+    """A run's snapshots become int64 columns as np.array would make them,
+    and a value outside int64 is named as np.array's failure names it."""
+
+    def test_columns_equal_np_array(self):
+        snaps = [util.snapshot(np.int32(0), np.uint64(10), cwnd_bytes=np.int32(-7)),
+                 util.snapshot(100_000, np.uint64(2 ** 63 - 1), rtt_us=np.uint64(9),
+                               retrans=-2 ** 63, pipe_full=np.int32(3))]
+        for run in (snaps, snaps[:1], []):
+            expected = np.array(run, dtype=np.int64).reshape(-1, len(SNAPSHOT_FIELDS)).T
+            got = engine._int64_columns(run)
+            assert got.dtype == np.int64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("cwnd_bytes", 2 ** 63), ("cwnd_bytes", np.uint64(2 ** 63)),
+        ("retrans", -2 ** 63 - 1), ("t_us", 2 ** 64), ("pipe_full", np.uint64(2 ** 64 - 1)),
+    ])
+    def test_value_past_int64_named(self, field, value):
+        snaps = [util.snapshot(0, 0), util.snapshot(100_000, 10)._replace(**{field: value})]
+        with pytest.raises(OverflowError):
+            np.array(snaps, dtype=np.int64)
+        message = f"{field} outside the 64-bit integer range at t_us={snaps[1].t_us}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            engine._int64_columns(snaps)
 
 
 class TestSessionFeed:
@@ -209,6 +254,32 @@ def timings(draw):
     return util.make_trace(t_us, rising(10 ** 6), cwnd_bytes=level(0, 10 ** 6),
                            bytes_in_flight=level(0, 10 ** 6), rtt_us=level(1, 10 ** 6),
                            retrans=rising(5), dup_acks=rising(5), pipe_full=rising(2))
+
+
+class TestWindowKernel:
+    """window_frames equals a per-window plain-Python reference bit for bit,
+    over a whole trace and over two runs split at a window boundary."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace=timings(), data=st.data())
+    def test_frames_equal_the_reference(self, trace, data):
+        win_us = WINDOW_MS * 1000
+        n = max(1, math.ceil(trace.t_us[-1] / win_us))
+        w_of = np.minimum(trace.t_us // win_us, n - 1)
+        cols = np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS])
+        whole = window_frames(cols, w_of, 0, n)
+        assert whole.tobytes() == util.reference_window_frames(cols, w_of, 0, n).tobytes()
+        assert whole.tobytes() == resample(trace).frames.tobytes()
+
+        split = data.draw(st.integers(1, n), label="split")
+        k = int(np.searchsorted(w_of, split))       # snapshots before the split
+        head = window_frames(cols[:, :k], w_of[:k], 0, split)
+        prev = tuple(cols[:, k - 1].tolist()) if k else None
+        prev_frame = head[-1] if k else None
+        args = (cols[:, k:], w_of[k:], split, n, prev, prev_frame)
+        tail = window_frames(*args)
+        assert tail.tobytes() == util.reference_window_frames(*args).tobytes()
+        assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
 
 
 class TestOneDecisionPath:

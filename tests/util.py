@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -12,7 +13,12 @@ import numpy as np
 from speedtrim import traceio
 from speedtrim.core import (
     CUMULATIVE_FIELDS,
+    F_CUM_AVG,
+    F_PIPE_FULL,
+    F_TPUT,
+    N_FEATURES,
     SNAPSHOT_FIELDS,
+    STD_CHANNELS,
     Snapshot,
     TerminationOutcome,
     Trace,
@@ -203,3 +209,52 @@ def reference_parse_trace(stream, default_id: str = "trace") -> Trace:
     if duration_us is None:
         duration_us = int(cols["t_us"][-1])
     return Trace(trace_id, duration_us, cols)
+
+
+def reference_window_frames(cols, w_of, w0: int, w1: int, prev=None, prev_frame=None):
+    """traceio.window_frames window by window in plain Python: each sum is
+    taken one value at a time in snapshot order, then put through the
+    kernel's formulas.  The reference the kernel must match bit for bit."""
+    rows = [tuple(map(int, row)) for row in zip(*cols)]
+    windows = [int(w) - w0 for w in w_of]
+    frames = np.zeros((w1 - w0, N_FEATURES))
+
+    def stats(values):
+        total = squares = 0.0
+        for v in values:
+            total += v
+            squares += v * v
+        safe = max(float(len(values)), 1.0)
+        mean = total / safe
+        return mean, math.sqrt(max(squares / safe - mean * mean, 0.0))
+
+    for w in range(w1 - w0):
+        members = [i for i, wi in enumerate(windows) if wi == w]
+        before = frames[w - 1] if w else prev_frame
+        if not members:
+            if before is not None:
+                frames[w] = before
+                frames[w, list(STD_CHANNELS)] = 0.0
+            continue
+        levels = [(float(rows[i][2]), float(rows[i][3]), rows[i][4] / 1000.0) for i in members]
+        for ch, values in zip((3, 5, 7), zip(*levels)):
+            frames[w, ch], frames[w, ch + 1] = stats(values)
+        deltas = []
+        for i in members:
+            last = rows[i - 1] if i else prev
+            if last is None:
+                continue
+            d = [float(rows[i][k]) - float(last[k]) for k in (0, 1, 5, 6)]
+            deltas.append((8.0 * d[1] / d[0], d[2], d[3]))
+        inst, retrans, dup_acks = zip(*deltas) if deltas else ((), (), ())
+        frames[w, F_TPUT] = stats(inst)[0]
+        frames[w, 9], frames[w, 10] = stats(retrans)
+        frames[w, 11], frames[w, 12] = stats(dup_acks)
+        t, acked = rows[members[-1]][:2]
+        if t > 0:
+            frames[w, F_CUM_AVG] = 8.0 * acked / t
+        pipe_full = max([0.0] + [float(rows[i][7]) for i in members])
+        if before is not None:
+            pipe_full = max(pipe_full, before[F_PIPE_FULL])
+        frames[w, F_PIPE_FULL] = pipe_full
+    return frames
