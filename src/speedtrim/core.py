@@ -9,7 +9,6 @@ microsecond equals megabits per second).
 from __future__ import annotations
 
 import dataclasses
-import enum
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -187,35 +186,6 @@ class TraceSummary:
     rtt_bin: int
 
 
-@dataclass(frozen=True)
-class WindowSeries:
-    """WINDOW_MS-resampled feature view of a trace; ``frames`` has shape
-    (n_windows, 13)."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != N_FEATURES:
-            raise ValidationError(f"frames must be (n, {N_FEATURES}), got {frames.shape}")
-        if not np.all(np.isfinite(frames)):
-            raise ValidationError("frames contain non-finite entries")
-        object.__setattr__(self, "frames", frames)
-        frames.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def duration_ms(self) -> int:
-        return len(self.frames) * WINDOW_MS
-
-
-class Verdict(enum.Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-
-
 # Enumerated stop causes.
 REASON_CLASSIFIER = "classifier"
 REASON_END_OF_TRACE = "end-of-trace"
@@ -223,15 +193,16 @@ REASON_END_OF_TRACE = "end-of-trace"
 
 @dataclass(frozen=True)
 class StopDecision:
-    verdict: Verdict
+    """A stride's decision: a stop names its reason, "" continues."""
+
     reason: str = ""
 
     @property
     def stopping(self) -> bool:
-        return self.verdict is Verdict.STOP
+        return bool(self.reason)
 
 
-CONTINUE = StopDecision(Verdict.CONTINUE)
+CONTINUE = StopDecision()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A session windows snapshots as they arrive: at each decision stride the
 snapshots received since the previous one fill the 100 ms windows up to
-the boundary, through the window statistics ``resample`` uses.  It then
+the boundary, through the window statistics ``resample`` uses, in place
+in one fixed frame buffer that holds a whole capped test.  It then
 evaluates the stop classifier (after a variability guard), and invokes
 the regressor exactly once when the test stops early.  Replay feeds a
 recorded trace through the same session.  End of trace is always a
@@ -35,8 +36,6 @@ from .core import (
     TerminationOutcome,
     Trace,
     ValidationError,
-    Verdict,
-    WindowSeries,
     rel_error,
 )
 from .gbdt import GbdtModel
@@ -45,6 +44,8 @@ from .traceio import STRIDE_MS, WINDOW_MS, classifier_input, regressor_input, wi
 from .traceio import resample  # noqa: F401  engine.resample stays available to its readers
 
 _CUMULATIVE = [SNAPSHOT_FIELDS.index(name) for name in CUMULATIVE_FIELDS]
+# Windows of a test that reaches the MAX_TEST_US cap: a session's frames.
+_MAX_WINDOWS = MAX_TEST_US // (WINDOW_MS * 1000)
 
 
 def _int64_columns(snapshots: list[Snapshot]) -> np.ndarray:
@@ -77,13 +78,13 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(np.add.reduce(dev * dev) / n)
 
 
-def variability_guard(ws: WindowSeries, t_ms: int) -> bool:
+def variability_guard(frames: np.ndarray, t_ms: int) -> bool:
     """True when stopping is allowed at t_ms; False suppresses the stop while
     the coefficient of variation of instantaneous throughput over the
     trailing GUARD_WINDOW_MS exceeds GUARD_V_MAX."""
     end = t_ms // WINDOW_MS
     lo = max(0, end - GUARD_WINDOW_MS // WINDOW_MS)
-    window = ws.frames[lo:end, F_TPUT]
+    window = frames[lo:end, F_TPUT]
     if len(window) == 0:
         return True
     mean, std = _mean_std(window)
@@ -103,10 +104,11 @@ class Session:
 
     def __init__(self, policy: Policy):
         self.policy = policy
-        self._series = WindowSeries(np.zeros((0, N_FEATURES)))
-        self._pending: list[Snapshot] = []  # received, not yet in the series
-        self._windowed = 0                  # snapshots in the series
-        self._prev: Snapshot | None = None  # last snapshot in the series
+        self._frames = np.empty((_MAX_WINDOWS, N_FEATURES))
+        self._filled = 0                    # windows [0, _filled) hold frames
+        self._pending: list[Snapshot] = []  # received, not yet windowed
+        self._windowed = 0                  # snapshots windowed
+        self._prev: Snapshot | None = None  # last snapshot windowed
         self._last: Snapshot | None = None  # last snapshot received
         self._next_stride_ms = STRIDE_MS
         self._terminal: StopDecision | None = None
@@ -154,27 +156,30 @@ class Session:
 
     def _evaluate_stride(self, t_ms: int) -> StopDecision:
         # the snapshots received since the previous stride fill the windows
-        # before t_ms; one exactly on the boundary opens the next window
-        pending, ws = self._pending, self._series
+        # from the first unfilled one up to t_ms; one exactly on the boundary
+        # opens the next window.  A stride that raised filled none, so the
+        # next starts from the count, not from its predecessor's t_ms.
+        pending, buf, w0 = self._pending, self._frames, self._filled
         n = len(pending) - (bool(pending) and pending[-1].t_us == t_ms * 1000)
         run, self._pending = pending[:n], pending[n:]
         cols = _int64_columns(run)
-        frames = window_frames(
-            cols, cols[0] // (WINDOW_MS * 1000), len(ws), t_ms // WINDOW_MS,
-            self._prev, ws.frames[-1] if self._prev is not None else None)
-        ws = self._series = WindowSeries(np.concatenate([ws.frames, frames]))
+        w1 = t_ms // WINDOW_MS
+        buf[w0:w1] = window_frames(cols, cols[0] // (WINDOW_MS * 1000), w0, w1,
+                                   self._prev, buf[w0 - 1] if self._prev is not None else None)
+        self._filled = w1
+        frames = buf[:w1]
         if run:
             self._prev = run[-1]
             self._windowed += n
         if self._windowed < 2:
             return CONTINUE
-        if not variability_guard(ws, t_ms):
+        if not variability_guard(frames, t_ms):
             return CONTINUE
         t0 = time.perf_counter()
-        p = self.policy.classifier.predict_proba(classifier_input(ws, t_ms))
+        p = self.policy.classifier.predict_proba(classifier_input(frames, t_ms))
         self.classifier_latency_s.append(time.perf_counter() - t0)
         if p >= STOP_THRESHOLD:
-            return StopDecision(Verdict.STOP, REASON_CLASSIFIER)
+            return StopDecision(REASON_CLASSIFIER)
         return CONTINUE
 
     def end_of_trace(self) -> StopDecision:
@@ -187,7 +192,7 @@ class Session:
         _int64_columns(self._pending)
         if self._last.bytes_acked <= 0:
             raise ValidationError(f"no bytes acked by the last snapshot (t_us={self._last.t_us})")
-        self._terminal = StopDecision(Verdict.STOP, REASON_END_OF_TRACE)
+        self._terminal = StopDecision(REASON_END_OF_TRACE)
         return self._terminal
 
     def finalize(self, y_true_mbps: float | None = None) -> TerminationOutcome:
@@ -204,7 +209,7 @@ class Session:
             # so the last one received is the last at or before it
             t0 = time.perf_counter()
             estimate = float(self.policy.regressor.predict(
-                regressor_input(self._series, self._stop_ms)))
+                regressor_input(self._frames[:self._filled], self._stop_ms)))
             self.regressor_latency_s = time.perf_counter() - t0
             stop_ms = float(self._stop_ms)
             err = rel_error(y_true_mbps, estimate) if y_true_mbps is not None else None

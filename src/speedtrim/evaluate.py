@@ -95,7 +95,7 @@ def _sweep(corpus: Corpus, method: str, params: list, policies) -> dict:
     for tid in corpus.ids:
         trace = None if method == "full" else corpus.load(tid)
         s = corpus.summary(tid)
-        ws = resample(trace) if method in BASELINE_PARAMS else None
+        frames = resample(trace) if method in BASELINE_PARAMS else None
         for p, value in values.items():
             if method == "full":
                 label, stop_ms, early, estimate, err, complete = (
@@ -106,7 +106,7 @@ def _sweep(corpus: Corpus, method: str, params: list, policies) -> dict:
                     str(p), out.stop_time_ms, out.bytes_at_stop, out.estimate_mbps,
                     out.rel_error, out.ran_to_completion)
             else:
-                res = run_heuristic(method, trace, ws, value)
+                res = run_heuristic(method, trace, frames, value)
                 label, stop_ms, estimate = f"{key}={value}", res.stop_time_ms, res.estimate_mbps
                 complete = not res.stopped_early
                 err = 0.0 if complete else rel_error(s.y_true_mbps, estimate)
@@ -118,7 +118,6 @@ def _sweep(corpus: Corpus, method: str, params: list, policies) -> dict:
 
 def aggregates(records: list[Record]) -> dict:
     errors = np.array([r.rel_error for r in records])
-    per_test = np.array([r.bytes_early / r.bytes_full for r in records])
     early = sum(r.bytes_early for r in records)
     full = sum(r.bytes_full for r in records)
     fraction = early / full if full else 1.0
@@ -132,9 +131,6 @@ def aggregates(records: list[Record]) -> dict:
         "error_percentiles": {
             p: float(np.percentile(errors, p)) for p in pcts
         } if len(errors) else {},
-        "transfer_percentiles": {
-            p: float(np.percentile(per_test, p)) for p in pcts
-        } if len(per_test) else {},
     }
 
 

@@ -1,6 +1,6 @@
 """Baseline stopping rules: static byte cap, BBR pipe-full, TSH, CIS.
 
-All rules except the static cap operate on the resampled window series
+All rules except the static cap operate on the frames ``resample`` gives
 and fire at the fixed 500 ms decision strides.  When a rule never fires,
 the test runs to completion and its estimate is the full-run cumulative
 average, i.e. exact.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import F_CUM_AVG, F_PIPE_FULL, F_TPUT, WINDOW_MS, Trace, WindowSeries
+from .core import F_CUM_AVG, F_PIPE_FULL, F_TPUT, WINDOW_MS, Trace
 from .traceio import stride_times
 
 # Trailing window over which TSH requires throughput to stay within tolerance.
@@ -29,12 +29,12 @@ class HeuristicResult:
     stopped_early: bool
 
 
-def _full_run(ws: WindowSeries) -> HeuristicResult:
-    return HeuristicResult(ws.duration_ms, float(ws.frames[-1, F_CUM_AVG]), False)
+def _full_run(frames: np.ndarray) -> HeuristicResult:
+    return HeuristicResult(len(frames) * WINDOW_MS, float(frames[-1, F_CUM_AVG]), False)
 
 
-def _cum_avg_at(ws: WindowSeries, t_ms: int) -> float:
-    return float(ws.frames[t_ms // WINDOW_MS - 1, F_CUM_AVG])
+def _cum_avg_at(frames: np.ndarray, t_ms: int) -> float:
+    return float(frames[t_ms // WINDOW_MS - 1, F_CUM_AVG])
 
 
 def stop_static(trace: Trace, cap_bytes: int) -> HeuristicResult:
@@ -50,26 +50,26 @@ def stop_static(trace: Trace, cap_bytes: int) -> HeuristicResult:
     return HeuristicResult(t_us / 1000.0, 8.0 * int(trace.bytes_acked[i]) / t_us, t_us < t_last)
 
 
-def stop_bbr(ws: WindowSeries, k: int) -> HeuristicResult:
+def stop_bbr(frames: np.ndarray, k: int) -> HeuristicResult:
     """Stop at the first stride with at least k cumulative pipe-full events."""
     k = _k(k)
-    pf = ws.frames[:, F_PIPE_FULL]
-    for t_ms in stride_times(ws.duration_ms):
+    pf = frames[:, F_PIPE_FULL]
+    for t_ms in stride_times(len(frames) * WINDOW_MS):
         end = t_ms // WINDOW_MS
-        if pf[:end].max() >= k and t_ms < ws.duration_ms:
-            return HeuristicResult(t_ms, _cum_avg_at(ws, t_ms), True)
-    return _full_run(ws)
+        if pf[:end].max() >= k and end < len(frames):
+            return HeuristicResult(t_ms, _cum_avg_at(frames, t_ms), True)
+    return _full_run(frames)
 
 
-def stop_tsh(ws: WindowSeries, tol_pct: float) -> HeuristicResult:
+def stop_tsh(frames: np.ndarray, tol_pct: float) -> HeuristicResult:
     """Stop once instantaneous throughput stays within tol of its running
     average for the trailing TSH_WINDOW_MS."""
     tol_pct = _tol_pct(tol_pct)
     need = TSH_WINDOW_MS // WINDOW_MS
-    inst = ws.frames[:, F_TPUT]
-    avg = ws.frames[:, F_CUM_AVG]
+    inst = frames[:, F_TPUT]
+    avg = frames[:, F_CUM_AVG]
     tol = tol_pct / 100.0
-    for t_ms in stride_times(ws.duration_ms):
+    for t_ms in stride_times(len(frames) * WINDOW_MS):
         end = t_ms // WINDOW_MS
         if end < need:
             continue
@@ -78,9 +78,9 @@ def stop_tsh(ws: WindowSeries, tol_pct: float) -> HeuristicResult:
         if np.any(window_avg <= 0):
             continue
         dev = np.abs(inst[lo:end] - window_avg) / window_avg
-        if np.all(dev <= tol) and t_ms < ws.duration_ms:
-            return HeuristicResult(t_ms, _cum_avg_at(ws, t_ms), True)
-    return _full_run(ws)
+        if np.all(dev <= tol) and end < len(frames):
+            return HeuristicResult(t_ms, _cum_avg_at(frames, t_ms), True)
+    return _full_run(frames)
 
 
 def crucial_interval(samples: np.ndarray, coverage: float = CIS_COVERAGE) -> tuple[float, float]:
@@ -109,23 +109,23 @@ def interval_similarity(a: tuple[float, float], b: tuple[float, float]) -> float
     return inter / union
 
 
-def stop_cis(ws: WindowSeries, beta: float) -> HeuristicResult:
+def stop_cis(frames: np.ndarray, beta: float) -> HeuristicResult:
     """Stop once consecutive crucial intervals are at least beta-similar.
 
     The reported estimate is the interval midpoint (the CIS-style
     aggregate).
     """
     beta = _beta(beta)
-    inst = ws.frames[:, F_TPUT]
+    inst = frames[:, F_TPUT]
     prev_interval = None
-    for t_ms in stride_times(ws.duration_ms):
+    for t_ms in stride_times(len(frames) * WINDOW_MS):
         end = t_ms // WINDOW_MS
         interval = crucial_interval(inst[:end])
-        if prev_interval is not None and t_ms < ws.duration_ms:
+        if prev_interval is not None and end < len(frames):
             if interval_similarity(prev_interval, interval) >= beta:
                 return HeuristicResult(t_ms, 0.5 * (interval[0] + interval[1]), True)
         prev_interval = interval
-    return _full_run(ws)
+    return _full_run(frames)
 
 
 def parse_size(text) -> int:
@@ -172,14 +172,14 @@ BASELINE_PARAMS = {
 }
 
 
-def run_heuristic(name: str, trace: Trace, ws: WindowSeries, value) -> HeuristicResult:
+def run_heuristic(name: str, trace: Trace, frames: np.ndarray, value) -> HeuristicResult:
     """Run one baseline with its parameter value, parsed by BASELINE_PARAMS."""
     if name == "static":
         return stop_static(trace, value)
     if name == "bbr":
-        return stop_bbr(ws, value)
+        return stop_bbr(frames, value)
     if name == "tsh":
-        return stop_tsh(ws, value)
+        return stop_tsh(frames, value)
     if name == "cis":
-        return stop_cis(ws, value)
+        return stop_cis(frames, value)
     raise ValueError(f"unknown heuristic {name!r}")

@@ -18,8 +18,8 @@ from .gbdt import GbdtModel
 from .traceio import (
     CLASSIFIER_ARITY,
     REGRESSOR_ARITY,
+    WINDOW_MS,
     Corpus,
-    WindowSeries,
     classifier_input,
     regressor_input,
     resample,
@@ -55,13 +55,13 @@ def build_regression_dataset(corpus: Corpus):
     rows, targets, meta = [], [], []
     for trace in corpus.traces():
         summary = corpus.summary(trace.id)
-        ws = resample(trace)
-        times = stride_times(ws.duration_ms)
+        frames = resample(trace)
+        times = stride_times(len(frames) * WINDOW_MS)
         if not times:
             warnings.warn(f"trace {trace.id!r} shorter than one stride, skipped")
             continue
         for t_ms in times:
-            rows.append(regressor_input(ws, t_ms))
+            rows.append(regressor_input(frames, t_ms))
             targets.append(summary.y_true_mbps)
             meta.append((trace.id, t_ms))
     if not rows:
@@ -71,15 +71,15 @@ def build_regression_dataset(corpus: Corpus):
     return X, np.asarray(targets), meta
 
 
-def oracle_labeling(ws: WindowSeries, regressor: GbdtModel, y_true: float) -> OracleLabeling:
-    """The regressor's relative error at every decision stride of one series,
-    from one batched prediction."""
+def oracle_labeling(frames: np.ndarray, regressor: GbdtModel, y_true: float) -> OracleLabeling:
+    """The regressor's relative error at every decision stride of one trace's
+    frames, from one batched prediction."""
     if y_true <= 0:
         raise ValueError(f"true throughput must be positive, got {y_true}")
-    times = stride_times(ws.duration_ms)
+    times = stride_times(len(frames) * WINDOW_MS)
     if not times:
         return OracleLabeling(times, np.zeros(0))
-    preds = regressor.predict(np.vstack([regressor_input(ws, t) for t in times]))
+    preds = regressor.predict(np.vstack([regressor_input(frames, t) for t in times]))
     # the arithmetic of core.rel_error, elementwise in float64
     return OracleLabeling(times, np.abs(y_true - preds) / y_true)
 
@@ -93,9 +93,9 @@ def build_classification_dataset(corpus: Corpus, regressor: GbdtModel, epsilons)
     """
     rows, labels, meta = [], [], []
     for trace in corpus.traces():
-        ws = resample(trace)
-        lab = oracle_labeling(ws, regressor, corpus.summary(trace.id).y_true_mbps)
-        rows += [classifier_input(ws, t_ms) for t_ms in lab.stride_times]
+        frames = resample(trace)
+        lab = oracle_labeling(frames, regressor, corpus.summary(trace.id).y_true_mbps)
+        rows += [classifier_input(frames, t_ms) for t_ms in lab.stride_times]
         meta += [(trace.id, t_ms) for t_ms in lab.stride_times]
         labels.append(np.column_stack([lab.labels(eps) for eps in epsilons]))
     if not rows:

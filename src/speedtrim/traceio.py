@@ -33,7 +33,6 @@ from .core import (
     Trace,
     TraceSummary,
     ValidationError,
-    WindowSeries,
 )
 
 REGRESSOR_WINDOWS = 20          # most recent 2 s
@@ -258,8 +257,9 @@ def window_frames(cols: np.ndarray, w_of: np.ndarray, w0: int, w1: int,
     return frames
 
 
-def resample(trace: Trace) -> WindowSeries:
-    """Resample a trace to WINDOW_MS windows of per-channel statistics.
+def resample(trace: Trace) -> np.ndarray:
+    """Resample a trace to WINDOW_MS windows of per-channel statistics: a
+    read-only (n_windows, N_FEATURES) float64 array of frames.
 
     Statistics cover snapshots whose t_us falls in [w*W, (w+1)*W); the
     final snapshot of the trace, when it lands exactly on the trailing
@@ -271,7 +271,9 @@ def resample(trace: Trace) -> WindowSeries:
     n_windows = max(1, math.ceil(trace.t_us[-1] / win_us))
     w_of = np.minimum(trace.t_us // win_us, n_windows - 1)
     cols = np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS])
-    return WindowSeries(window_frames(cols, w_of, 0, n_windows))
+    frames = window_frames(cols, w_of, 0, n_windows)
+    frames.setflags(write=False)
+    return frames
 
 
 def stride_times(duration_ms: float) -> list[int]:
@@ -279,28 +281,28 @@ def stride_times(duration_ms: float) -> list[int]:
     return list(range(STRIDE_MS, int(duration_ms) + 1, STRIDE_MS))
 
 
-def _window_end(ws: WindowSeries, t_ms: int) -> int:
+def _window_end(frames: np.ndarray, t_ms: int) -> int:
     """Number of whole windows up to t_ms; t_ms must be a window boundary
-    of the series past its start."""
+    of the frames past their start."""
     if t_ms < WINDOW_MS:
         raise ValueError(f"t_ms must be >= {WINDOW_MS}, got {t_ms}")
     if t_ms % WINDOW_MS != 0:
         raise ValueError(f"t_ms must be a multiple of {WINDOW_MS}, got {t_ms}")
     end = t_ms // WINDOW_MS
-    if end > len(ws):
-        raise ValueError(f"t_ms={t_ms} beyond end of series ({len(ws)} windows)")
+    if end > len(frames):
+        raise ValueError(f"t_ms={t_ms} beyond end of series ({len(frames)} windows)")
     return end
 
 
-def regressor_input(ws: WindowSeries, t_ms: int) -> np.ndarray:
+def regressor_input(frames: np.ndarray, t_ms: int) -> np.ndarray:
     """Most recent 2 s of frames ending at t_ms, then t_ms: shape (261,).
 
     When fewer than 20 windows exist, the missing leading slots repeat
     the earliest frame.
     """
-    end = _window_end(ws, t_ms)
+    end = _window_end(frames, t_ms)
     start = end - REGRESSOR_WINDOWS
-    block = ws.frames[max(start, 0):end]
+    block = frames[max(start, 0):end]
     if start < 0:
         block = np.concatenate([np.repeat(block[:1], -start, axis=0), block])
     features = np.empty(REGRESSOR_ARITY)
@@ -309,11 +311,11 @@ def regressor_input(ws: WindowSeries, t_ms: int) -> np.ndarray:
     return features
 
 
-def classifier_input(ws: WindowSeries, t_ms: int) -> np.ndarray:
+def classifier_input(frames: np.ndarray, t_ms: int) -> np.ndarray:
     """Frames up to t_ms, zero-filled to 100 windows, then t_ms: shape (1301,)."""
-    end = min(_window_end(ws, t_ms), CLASSIFIER_WINDOWS)
+    end = min(_window_end(frames, t_ms), CLASSIFIER_WINDOWS)
     features = np.zeros(CLASSIFIER_ARITY)
-    features[:end * N_FEATURES] = ws.frames[:end].ravel()
+    features[:end * N_FEATURES] = frames[:end].ravel()
     features[-1] = t_ms
     return features
 

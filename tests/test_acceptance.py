@@ -19,7 +19,7 @@ import pytest
 from speedtrim import evaluate as E
 from speedtrim import synth
 from speedtrim.cli import main as cli_main
-from speedtrim.core import rel_error
+from speedtrim.core import WINDOW_MS, rel_error
 from speedtrim.engine import Policy, Session
 from speedtrim.gbdt import GbdtParams, train_gbdt
 from speedtrim.heuristics import stop_bbr, stop_cis, stop_static, stop_tsh
@@ -87,7 +87,7 @@ def stride_errors(train_corpus, regressor):
     for trace in train_corpus.traces():
         s = train_corpus.summary(trace.id)
         ws = resample(trace)
-        times = stride_times(ws.duration_ms)
+        times = stride_times(len(ws) * WINDOW_MS)
         preds = regressor.predict(np.vstack([regressor_input(ws, t) for t in times]))
         errs = np.array([rel_error(s.y_true_mbps, float(p)) for p in preds])
         out[trace.id] = (times, errs)

@@ -125,7 +125,7 @@ class TestSummarize:
             trace = small_corpus.load(tid)
             ws = resample(trace)
             y = trace.summarize().y_true_mbps
-            assert ws.frames[-1, F_CUM_AVG] == pytest.approx(y, rel=1e-6)
+            assert ws[-1, F_CUM_AVG] == pytest.approx(y, rel=1e-6)
 
 
 class TestTraceSerialization:

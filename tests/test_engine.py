@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from speedtrim.core import (
     SNAPSHOT_FIELDS,
     WINDOW_MS,
     ValidationError,
-    WindowSeries,
 )
 from speedtrim.engine import (
     Policy,
@@ -214,7 +214,7 @@ def judged_series(trace):
     seen = []
 
     def recording(ws, t_ms):
-        seen.append((t_ms, ws.frames.copy()))
+        seen.append((t_ms, ws.copy()))
         return variability_guard(ws, t_ms)
 
     session = Session(make_policy(0.0))
@@ -231,7 +231,7 @@ def assert_frames_match_resample(trace):
     for t_ms, frames in seen:
         n = t_ms // WINDOW_MS
         assert frames.shape[0] == n
-        assert frames.tobytes() == ws.frames[:n].tobytes(), t_ms
+        assert frames.tobytes() == ws[:n].tobytes(), t_ms
     return seen
 
 
@@ -269,7 +269,7 @@ class TestWindowKernel:
         cols = np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS])
         whole = window_frames(cols, w_of, 0, n)
         assert whole.tobytes() == util.reference_window_frames(cols, w_of, 0, n).tobytes()
-        assert whole.tobytes() == resample(trace).frames.tobytes()
+        assert whole.tobytes() == resample(trace).tobytes()
 
         split = data.draw(st.integers(1, n), label="split")
         k = int(np.searchsorted(w_of, split))       # snapshots before the split
@@ -305,7 +305,7 @@ class TestOneDecisionPath:
         steps = [r * 1e5 / 8 * (b - a) / 100 for r, a, b in zip(rates, t_ms, t_ms[1:])]
         trace = util.make_trace(np.array(t_ms) * 1000,
                                 np.concatenate([[0], np.cumsum(steps)]).astype(np.int64))
-        tput = resample(trace).frames[:5, F_TPUT]
+        tput = resample(trace)[:5, F_TPUT]
         np.testing.assert_allclose(tput, [0, 100, 100, 100, 124])
         policy = make_policy(1.0)
         live, replay = util.feed_trace(trace, policy), run_trace(trace, policy)
@@ -347,6 +347,62 @@ class TestOneDecisionPath:
         session = Session(make_policy(0.0))
         session.feed(util.snapshot(np.int64(0), np.int64(0)))
         session.feed(util.snapshot(np.int64(100_000), np.int64(10)))
+
+
+class TestSessionState:
+    """A session fills its frames in place in one fixed buffer: its memory
+    stays flat over a capped test, and a stride that raised fills no window
+    that a later stride reads."""
+
+    def test_memory_flat_over_a_capped_test(self):
+        # 1 ms snapshots at 100 Mbps to the 60 s cap; what grows past 2 s
+        # is the classifier latency the session records per judged stride
+        tracemalloc.start()
+        try:
+            session = Session(make_policy(0.0))
+            for t_ms in range(60_000):
+                session.feed(util.snapshot(t_ms * 1000, t_ms * 12_500))
+                if t_ms == 2000:
+                    at_2s = tracemalloc.get_traced_memory()[0]
+            at_end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not session.terminal
+        assert at_end - at_2s < 16 * 1024
+
+    @pytest.mark.parametrize("failing_ms", [500, 1500])
+    def test_stride_that_raised_fills_no_window(self, failing_ms, monkeypatch):
+        # a cwnd past int64 inside the run of stride failing_ms makes that
+        # stride raise, dropping the run and the snapshot that ended it;
+        # from the next stride on the guard sees the frames of a session
+        # that was never fed them
+        t_us = range(5_000, 3_000_000, 10_000)     # none on a window boundary
+        snaps = [util.snapshot(t, 12 * t) for t in t_us]
+        bad = t_us.index((failing_ms - 205) * 1000)
+        snaps[bad] = snaps[bad]._replace(cwnd_bytes=2 ** 63)
+        ends = t_us.index(failing_ms * 1000 + 5_000)    # first snapshot past it
+        run = slice(ends - 50, ends + 1)                # its run and itself
+        seen = []
+
+        def recording(frames, t_ms):
+            if t_ms > failing_ms:
+                seen.append((t_ms, frames.tobytes()))
+            return variability_guard(frames, t_ms)
+
+        monkeypatch.setattr(engine, "variability_guard", recording)
+        failing = Session(make_policy(0.0))
+        for i, snap in enumerate(snaps):
+            if i == ends:
+                with pytest.raises(ValidationError, match="cwnd_bytes outside the 64-bit"):
+                    failing.feed(snap)
+            else:
+                failing.feed(snap)
+        judged, seen = seen, []
+        reference = Session(make_policy(0.0))
+        for snap in snaps[:run.start] + snaps[run.stop:]:
+            reference.feed(snap)
+        assert len(judged) == (3000 - failing_ms) // 500 - 1
+        assert judged == seen
 
 
 class TestSessionAcceptsWhatTheParserAccepts:
@@ -425,7 +481,7 @@ class TestSessionAcceptsWhatTheParserAccepts:
                  util.snapshot(100_000, 20, dup_acks=2 ** 63 - 1)]
         data = "\n".join(json.dumps(snap._asdict()) for snap in snaps).encode()
         trace = parse_trace(io.BytesIO(data))
-        assert resample(trace).frames[0, F_DUPACK_MEAN] > 0   # one window
+        assert resample(trace)[0, F_DUPACK_MEAN] > 0   # one window
         policy = make_policy(0.0)
         assert util.feed_trace(trace, policy) == run_trace(trace, policy)
         # a stride judged after the rise sees the same frames live

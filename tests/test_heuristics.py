@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speedtrim import heuristics as H
-from speedtrim.core import F_TPUT, WindowSeries
+from speedtrim.core import F_TPUT
 from speedtrim.traceio import resample
 
 import util
@@ -15,14 +15,14 @@ def noisy_series():
     base = 100.0 + 20.0 * rng.standard_normal(100)
     frames[:, F_TPUT] = np.abs(base) + 1.0
     frames[:, 1] = np.cumsum(frames[:, F_TPUT]) / np.arange(1, 101)
-    return WindowSeries(frames=frames)
+    return frames
 
 
 def alternating_series(lo=60.0, hi=140.0, n=100):
     frames = np.zeros((n, 13))
     frames[:, F_TPUT] = np.where(np.arange(n) % 2 == 0, lo, hi)
     frames[:, 1] = np.cumsum(frames[:, F_TPUT]) / np.arange(1, n + 1)
-    return WindowSeries(frames=frames)
+    return frames
 
 
 class TestStatic:
@@ -56,7 +56,7 @@ class TestBbr:
         frames[:, F_TPUT] = 50.0
         frames[:, 1] = 50.0
         frames[first_hit_window:, 2] = level
-        return WindowSeries(frames=frames)
+        return frames
 
     def test_first_passage(self):
         # counter reaches 3 inside window 14 (t in [1.4, 1.5) s): the first
@@ -77,8 +77,7 @@ class TestBbr:
 
     def test_rescale_invariance(self):
         ws = self.make_series(20, level=4)
-        scaled = WindowSeries(frames=ws.frames * np.where(
-            np.arange(13) == 2, 1.0, 7.5))
+        scaled = ws * np.where(np.arange(13) == 2, 1.0, 7.5)
         a = H.stop_bbr(ws, 3)
         b = H.stop_bbr(scaled, 3)
         assert a.stop_time_ms == b.stop_time_ms
@@ -109,7 +108,7 @@ class TestTsh:
 
     def test_no_stop_estimate_is_exact(self):
         res = H.stop_tsh(alternating_series(), tol_pct=20)
-        expect = alternating_series().frames[-1, 1]
+        expect = alternating_series()[-1, 1]
         assert res.estimate_mbps == pytest.approx(expect)
 
 
@@ -173,7 +172,7 @@ class TestCis:
         res = H.stop_cis(noisy_series, 0.6)
         if res.stopped_early:
             end = int(res.stop_time_ms) // 100
-            lo, hi = H.crucial_interval(noisy_series.frames[:end, F_TPUT])
+            lo, hi = H.crucial_interval(noisy_series[:end, F_TPUT])
             assert res.estimate_mbps == pytest.approx(0.5 * (lo + hi))
 
     def test_bad_beta(self):

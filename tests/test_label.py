@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speedtrim import label
-from speedtrim.core import rel_error
+from speedtrim.core import WINDOW_MS, rel_error
 from speedtrim.traceio import REGRESSOR_ARITY, REGRESSOR_WINDOWS, regressor_input, resample
 
 import util
@@ -11,7 +11,7 @@ import util
 def naive_scan(ws, regressor, epsilon_pct, y_true, stride_ms=500):
     """Independent per-stride scan: predict one input at a time."""
     t = stride_ms
-    while t <= ws.duration_ms:
+    while t <= len(ws) * WINDOW_MS:
         pred = float(regressor.predict(regressor_input(ws, t)))
         if rel_error(y_true, pred) <= epsilon_pct / 100.0:
             return t
@@ -52,8 +52,8 @@ class TestRegressionDataset:
         np.testing.assert_array_equal(X[i], regressor_input(ws, 500))
         # five windows exist at 500 ms: the first 15 of 20 rows repeat frame 0
         rows = X[i, :-1].reshape(REGRESSOR_WINDOWS, -1)
-        np.testing.assert_array_equal(rows[:15], np.repeat(ws.frames[:1], 15, axis=0))
-        np.testing.assert_array_equal(rows[15:], ws.frames[:5])
+        np.testing.assert_array_equal(rows[:15], np.repeat(ws[:1], 15, axis=0))
+        np.testing.assert_array_equal(rows[15:], ws[:5])
 
 
 class TestOracleStopTime:

@@ -12,6 +12,7 @@ from speedtrim.core import (
     F_CUM_AVG,
     F_TPUT,
     MAX_TEST_US,
+    N_FEATURES,
     SNAPSHOT_FIELDS,
     STD_CHANNELS,
     Trace,
@@ -34,6 +35,7 @@ from speedtrim.traceio import (
 )
 
 import util
+from test_engine import timings
 
 
 def jsonl(objs) -> io.BytesIO:
@@ -335,9 +337,9 @@ class TestResample:
     def test_constant_trace_100_frames(self):
         ws = resample(util.constant_rate_trace(100.0))
         assert len(ws) == 100
-        np.testing.assert_allclose(ws.frames[:, F_TPUT], 100.0, rtol=1e-5)
-        np.testing.assert_allclose(ws.frames[:, F_CUM_AVG], 100.0, rtol=1e-5)
-        assert np.all(ws.frames[:, list(STD_CHANNELS)] == 0.0)
+        np.testing.assert_allclose(ws[:, F_TPUT], 100.0, rtol=1e-5)
+        np.testing.assert_allclose(ws[:, F_CUM_AVG], 100.0, rtol=1e-5)
+        assert np.all(ws[:, list(STD_CHANNELS)] == 0.0)
 
     def test_gap_carries_forward(self):
         # snapshots at 0..100 ms then nothing until 400 ms
@@ -345,39 +347,50 @@ class TestResample:
         b = (100.0 * t / 8).astype(np.int64)
         ws = resample(util.make_trace(t, b))
         # the 100 ms snapshot lands in window 1, so 2 and 3 are the gap
-        expect = ws.frames[1].copy()
+        expect = ws[1].copy()
         expect[list(STD_CHANNELS)] = 0.0
-        np.testing.assert_allclose(ws.frames[2], expect)
-        np.testing.assert_allclose(ws.frames[3], expect)
+        np.testing.assert_allclose(ws[2], expect)
+        np.testing.assert_allclose(ws[3], expect)
 
     def test_two_rate_trace_final_cum_avg(self):
         tr = util.rate_profile_trace([50.0, 150.0], seg_s=5.0)
         ws = resample(tr)
         # brute force over raw snapshots
         expect = 8.0 * tr.bytes_acked[-1] / tr.t_us[-1]
-        assert ws.frames[-1, F_CUM_AVG] == pytest.approx(expect, rel=1e-9)
+        assert ws[-1, F_CUM_AVG] == pytest.approx(expect, rel=1e-9)
         assert expect == pytest.approx(100.0, rel=1e-3)
 
     def test_pipe_full_is_window_max(self):
         tr = util.make_trace([0, 50000, 60000, 150000],
                              [0, 100, 200, 300], pipe_full=[0, 1, 2, 2])
         ws = resample(tr)
-        assert ws.frames[0, 2] == 2.0
-        assert ws.frames[1, 2] == 2.0
+        assert ws[0, 2] == 2.0
+        assert ws[1, 2] == 2.0
 
     def test_throughput_integral_close_to_y_true(self, small_corpus):
         # sum(inst mean * window) tracks total bytes within quantization
         for tid in small_corpus.ids[:6]:
             tr = small_corpus.load(tid)
             ws = resample(tr)
-            total = np.sum(ws.frames[:, F_TPUT]) * WINDOW_MS / 1000.0  # Mbit
+            total = np.sum(ws[:, F_TPUT]) * WINDOW_MS / 1000.0  # Mbit
             expect = 8.0 * tr.bytes_acked[-1] / 1e6
             assert total == pytest.approx(expect, rel=0.02)
 
     def test_deterministic(self, small_corpus):
         tr = small_corpus.load(small_corpus.ids[0])
         a, b = resample(tr), resample(tr)
-        np.testing.assert_array_equal(a.frames, b.frames)
+        np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace=st.one_of(int64_traces(), timings()))
+    def test_frames_finite_and_read_only(self, trace):
+        # values at both ends of int64 and gaps that span strides included
+        frames = resample(trace)
+        assert frames.dtype == np.float64
+        assert frames.ndim == 2 and len(frames) >= 1 and frames.shape[1] == N_FEATURES
+        assert np.all(np.isfinite(frames))
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0] = 1.0
 
 
 @pytest.fixture(scope="module")
@@ -397,19 +410,19 @@ class TestRegressorInput:
         assert ri.shape == (REGRESSOR_ARITY,) and ri.dtype == np.float64
         block = ri[:-1].reshape(REGRESSOR_WINDOWS, -1)
         for i in range(15):
-            np.testing.assert_array_equal(block[i], ramp_ws.frames[0])
-        np.testing.assert_array_equal(block[15:], ramp_ws.frames[0:5])
+            np.testing.assert_array_equal(block[i], ramp_ws[0])
+        np.testing.assert_array_equal(block[15:], ramp_ws[0:5])
         assert ri[-1] == 500.0
 
     def test_exact_fit_at_2000ms(self, ramp_ws):
         ri = regressor_input(ramp_ws, 2000)
         np.testing.assert_array_equal(
-            ri[:-1].reshape(REGRESSOR_WINDOWS, -1), ramp_ws.frames[0:20])
+            ri[:-1].reshape(REGRESSOR_WINDOWS, -1), ramp_ws[0:20])
 
     def test_tail_window_at_10s(self, ramp_ws):
         ri = regressor_input(ramp_ws, 10000)
         np.testing.assert_array_equal(
-            ri[:-1].reshape(REGRESSOR_WINDOWS, -1), ramp_ws.frames[80:100])
+            ri[:-1].reshape(REGRESSOR_WINDOWS, -1), ramp_ws[80:100])
 
     def test_padded_frame_count_property(self, ramp_ws):
         # the leading 20 - t/100 rows repeat frame 0; the rest are the
@@ -418,8 +431,8 @@ class TestRegressorInput:
             n_padded = max(0, 20 - t // 100)
             rows = regressor_input(ramp_ws, t)[:-1].reshape(REGRESSOR_WINDOWS, -1)
             np.testing.assert_array_equal(rows[:n_padded],
-                                          np.repeat(ramp_ws.frames[:1], n_padded, axis=0))
-            np.testing.assert_array_equal(rows[n_padded:], ramp_ws.frames[:t // 100])
+                                          np.repeat(ramp_ws[:1], n_padded, axis=0))
+            np.testing.assert_array_equal(rows[n_padded:], ramp_ws[:t // 100])
 
     def test_beyond_end_rejected(self, ramp_ws):
         with pytest.raises(ValueError, match="beyond end"):
@@ -445,14 +458,14 @@ class TestClassifierInput:
 
     def test_full_mask_at_10s(self, const_ws):
         rows = classifier_input(const_ws, 10000)[:-1].reshape(100, -1)
-        np.testing.assert_array_equal(rows, const_ws.frames)
+        np.testing.assert_array_equal(rows, const_ws)
         assert np.all(rows.any(axis=1))
 
     def test_masked_region_zero(self, const_ws):
         ci = classifier_input(const_ws, 1500)
         block = ci[:-1].reshape(100, -1)
         assert np.all(block[15:] == 0.0)
-        np.testing.assert_array_equal(block[:15], const_ws.frames[:15])
+        np.testing.assert_array_equal(block[:15], const_ws[:15])
         assert ci[-1] == 1500.0
 
 
