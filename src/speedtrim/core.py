@@ -84,8 +84,13 @@ class Snapshot(NamedTuple):
 
     def validate(self) -> None:
         for name, value in zip(SNAPSHOT_FIELDS, self):
-            if type(value) is not int and not isinstance(value, np.integer):  # not bool
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if type(value) is not int:  # not bool
+                if not isinstance(value, np.integer):
+                    raise ValidationError(f"{name} must be an integer, got {value!r}")
+                value = int(value)      # compared exactly, whatever its dtype
+            if not -(1 << 63) <= value < 1 << 63:
+                raise ValidationError(
+                    f"{name} outside the 64-bit integer range at t_us={self.t_us}")
         if self.rtt_us <= 0:
             raise ValidationError(f"rtt_us must be > 0, got {self.rtt_us}")
         if self.bytes_in_flight < 0:

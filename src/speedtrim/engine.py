@@ -49,17 +49,11 @@ _MAX_WINDOWS = MAX_TEST_US // (WINDOW_MS * 1000)
 
 
 def _int64_columns(snapshots: list[Snapshot]) -> np.ndarray:
-    """The snapshots' values as int64 columns in SNAPSHOT_FIELDS order; a
-    value outside that range is looked for only when the conversion fails."""
+    """The validated snapshots' values as int64 columns in SNAPSHOT_FIELDS
+    order."""
     width = len(SNAPSHOT_FIELDS)
-    try:
-        values = itertools.chain.from_iterable(snapshots)
-        return np.fromiter(values, np.int64, width * len(snapshots)).reshape(-1, width).T
-    except OverflowError:
-        name, t_us = next((name, snap.t_us) for snap in snapshots
-                          for name, value in zip(SNAPSHOT_FIELDS, snap)
-                          if not -(1 << 63) <= value < 1 << 63)
-        raise ValidationError(f"{name} outside the 64-bit integer range at t_us={t_us}") from None
+    values = itertools.chain.from_iterable(snapshots)
+    return np.fromiter(values, np.int64, width * len(snapshots)).reshape(-1, width).T
 
 
 @dataclass(frozen=True)
@@ -134,14 +128,11 @@ class Session:
                 if snapshot[k] < last[k]:
                     raise ValidationError(
                         f"{SNAPSHOT_FIELDS[k]} decreases at t_us={snapshot.t_us}")
+        if snapshot.t_us > MAX_TEST_US:
+            raise ValidationError(f"t_us {snapshot.t_us} exceeds the test-length cap "
+                                  f"of {MAX_TEST_US} us")
         # strict inequality: a stride is judged at the first snapshot past
         # its boundary, so the final stride of a trace is never an early stop
-        if self._next_stride_ms * 1000 < snapshot.t_us:
-            # a snapshot that stops the test never joins a run: check it here
-            _int64_columns([snapshot])
-            if snapshot.t_us > MAX_TEST_US:
-                raise ValidationError(f"t_us {snapshot.t_us} exceeds the test-length cap "
-                                      f"of {MAX_TEST_US} us")
         while self._next_stride_ms * 1000 < snapshot.t_us:
             t_ms = self._next_stride_ms
             self._next_stride_ms += STRIDE_MS
@@ -157,8 +148,7 @@ class Session:
     def _evaluate_stride(self, t_ms: int) -> StopDecision:
         # the snapshots received since the previous stride fill the windows
         # from the first unfilled one up to t_ms; one exactly on the boundary
-        # opens the next window.  A stride that raised filled none, so the
-        # next starts from the count, not from its predecessor's t_ms.
+        # opens the next window.
         pending, buf, w0 = self._pending, self._frames, self._filled
         n = len(pending) - (bool(pending) and pending[-1].t_us == t_ms * 1000)
         run, self._pending = pending[:n], pending[n:]
@@ -189,7 +179,6 @@ class Session:
         n = self._windowed + len(self._pending)
         if n < 2:
             raise ValidationError(f"a test needs >= 2 snapshots, got {n}")
-        _int64_columns(self._pending)
         if self._last.bytes_acked <= 0:
             raise ValidationError(f"no bytes acked by the last snapshot (t_us={self._last.t_us})")
         self._terminal = StopDecision(REASON_END_OF_TRACE)

@@ -1,9 +1,17 @@
 """Feed-forward binary classifier trained with BCE and Adam.
 
 Plain numpy: ReLU hidden layers, a sigmoid output, and per-feature input
-standardization stored with the model.  One forward pass, `_forward`,
-serves training and prediction.  `loss_and_grads` is a pure function of
-the weights so gradients can be checked against finite differences.
+standardization stored with the model.  Training runs `_forward` on
+standardized inputs; `loss_and_grads` is a pure function of the weights so
+gradients can be checked against finite differences.
+
+A model keeps its weights and standardization as trained, and so as its
+file holds them, but predicts through a first layer with the
+standardization folded in: ``W0 / std`` and ``b0 - (mean / std) @ W0``.
+An input of exactly 0 then adds nothing to the first layer, so
+`predict_proba` multiplies only the columns up to the last nonzero one
+before the final column (elapsed ms): the zero-filled history of an early
+stride costs nothing.  This needs every ``input_std`` finite and > 0.
 """
 
 from __future__ import annotations
@@ -95,6 +103,9 @@ class MlpModel:
         self.input_std = np.asarray(input_std, dtype=np.float64)
         self.params = params
         self.loss_curve = list(loss_curve)
+        W0, b0 = self.weights[0]
+        self._first = (W0 / self.input_std[:, None],
+                       b0 - (self.input_mean / self.input_std) @ W0)
 
     @property
     def n_features(self) -> int:
@@ -108,9 +119,15 @@ class MlpModel:
         if X.shape[1] != self.n_features:
             raise ValueError(
                 f"feature arity mismatch: model expects {self.n_features}, got {X.shape[1]}")
-        Xn = (X - self.input_mean) / self.input_std
-        _, z = _forward(self.weights, Xn)
-        p = 1.0 / (1.0 + np.exp(-z))
+        # columns past the last nonzero one before the final column add
+        # nothing to the folded first layer; a full history keeps them all
+        W, b = self._first
+        nonzero = np.flatnonzero(X[:, :-1].any(axis=0))
+        k = nonzero[-1] + 1 if len(nonzero) else 0
+        z = X[:, :k] @ W[:k] + X[:, -1:] * W[-1] + b
+        for W, b in self.weights[1:]:
+            z = np.maximum(z, 0.0) @ W + b
+        p = 1.0 / (1.0 + np.exp(-z[:, 0]))
         return p[0] if single else p
 
 

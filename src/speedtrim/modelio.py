@@ -145,7 +145,9 @@ def _params(cls, params: dict):
 
 def _check_mlp(arrays: dict[str, np.ndarray], hidden: tuple) -> None:
     """Reject arrays that do not give the layer widths: the input width of
-    ``input_mean``, then the ``hidden`` widths, then one output."""
+    ``input_mean``, then the ``hidden`` widths, then one output.  Reject
+    values the folded first layer cannot serve: every weight, bias and
+    mean finite, every ``input_std`` finite and > 0."""
     n = len(hidden) + 1
     names = ["input_mean", "input_std", *(f"{kind}{i}" for i in range(n) for kind in "Wb"),
              "loss_curve"]
@@ -165,6 +167,12 @@ def _check_mlp(arrays: dict[str, np.ndarray], hidden: tuple) -> None:
             raise ModelFormatError(
                 f"mlp {name} has shape {arrays[name].shape}, layer widths "
                 f"{list(widths)} need {shape}")
+    std = arrays["input_std"]
+    if not np.all(np.isfinite(std) & (std > 0)):
+        raise ModelFormatError("mlp input_std must be finite and > 0")
+    for name in ("input_mean", *shapes):
+        if not np.isfinite(arrays[name]).all():
+            raise ModelFormatError(f"mlp {name} holds a value that is not finite")
 
 
 def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speedtrim import engine
+from speedtrim import engine, label, synth
 from speedtrim.core import (
     CUMULATIVE_FIELDS,
     F_DUPACK_MEAN,
@@ -26,6 +27,7 @@ from speedtrim.engine import (
     run_trace,
     variability_guard,
 )
+from speedtrim.mlp import MlpParams, train_mlp
 from speedtrim.traceio import parse_trace, resample, window_frames
 
 import util
@@ -69,8 +71,9 @@ class TestVariabilityGuard:
 
 
 class TestIntake:
-    """A run's snapshots become int64 columns as np.array would make them,
-    and a value outside int64 is named as np.array's failure names it."""
+    """A run's snapshots become int64 columns as np.array would make them;
+    a value outside int64, where np.array fails, is named by
+    Snapshot.validate and so never reaches a run."""
 
     def test_columns_equal_np_array(self):
         snaps = [util.snapshot(np.int32(0), np.uint64(10), cwnd_bytes=np.int32(-7)),
@@ -87,12 +90,12 @@ class TestIntake:
         ("retrans", -2 ** 63 - 1), ("t_us", 2 ** 64), ("pipe_full", np.uint64(2 ** 64 - 1)),
     ])
     def test_value_past_int64_named(self, field, value):
-        snaps = [util.snapshot(0, 0), util.snapshot(100_000, 10)._replace(**{field: value})]
+        snap = util.snapshot(100_000, 10)._replace(**{field: value})
         with pytest.raises(OverflowError):
-            np.array(snaps, dtype=np.int64)
-        message = f"{field} outside the 64-bit integer range at t_us={snaps[1].t_us}"
+            np.array([snap], dtype=np.int64)
+        message = f"{field} outside the 64-bit integer range at t_us={snap.t_us}"
         with pytest.raises(ValidationError, match=re.escape(message)):
-            engine._int64_columns(snaps)
+            snap.validate()
 
 
 class TestSessionFeed:
@@ -199,6 +202,20 @@ class TestReplayEquivalence:
         a = run_trace(trace, policy)
         b = run_trace(trace, policy)
         assert a == b
+
+    def test_folded_classifier_decides_as_the_dense_one(self, small_corpus, small_regressor):
+        # predict_proba skips the zero-filled history; standardizing every
+        # column and multiplying them all must give the same outcomes
+        X, labels, _ = label.build_classification_dataset(small_corpus, small_regressor, (5.0,))
+        classifier = train_mlp(X, labels[:, 0], MlpParams(epochs=4), seed=5)
+        spec = dataclasses.replace(synth.preset_spec("default"), mode="natural", seed=4321)
+        traces = [synth.gen_trace(spec, i)[0] for i in range(60)]
+        folded = [run_trace(trace, Policy(small_regressor, classifier, 5.0))
+                  for trace in traces]
+        dense = [run_trace(trace, Policy(small_regressor, util.DenseClassifier(classifier), 5.0))
+                 for trace in traces]
+        assert folded == dense
+        assert len({out.stop_time_ms for out in folded}) >= 3    # not all at one stride
 
     def test_final_stride_never_stops_early(self):
         # decisions happen strictly inside the trace: a 10 s trace has no
@@ -351,8 +368,8 @@ class TestOneDecisionPath:
 
 class TestSessionState:
     """A session fills its frames in place in one fixed buffer: its memory
-    stays flat over a capped test, and a stride that raised fills no window
-    that a later stride reads."""
+    stays flat over a capped test, and a snapshot rejected at its feed
+    fills no window."""
 
     def test_memory_flat_over_a_capped_test(self):
         # 1 ms snapshots at 100 Mbps to the 60 s cap; what grows past 2 s
@@ -370,38 +387,33 @@ class TestSessionState:
         assert not session.terminal
         assert at_end - at_2s < 16 * 1024
 
-    @pytest.mark.parametrize("failing_ms", [500, 1500])
-    def test_stride_that_raised_fills_no_window(self, failing_ms, monkeypatch):
-        # a cwnd past int64 inside the run of stride failing_ms makes that
-        # stride raise, dropping the run and the snapshot that ended it;
-        # from the next stride on the guard sees the frames of a session
-        # that was never fed them
+    @pytest.mark.parametrize("stride_ms", [500, 1500])
+    def test_rejected_snapshot_fills_no_window(self, stride_ms, monkeypatch):
+        # a cwnd past int64 inside the run of stride stride_ms is rejected
+        # at its own feed: every stride then sees the frames of a session
+        # that was never fed that snapshot, and the session goes on
         t_us = range(5_000, 3_000_000, 10_000)     # none on a window boundary
         snaps = [util.snapshot(t, 12 * t) for t in t_us]
-        bad = t_us.index((failing_ms - 205) * 1000)
-        snaps[bad] = snaps[bad]._replace(cwnd_bytes=2 ** 63)
-        ends = t_us.index(failing_ms * 1000 + 5_000)    # first snapshot past it
-        run = slice(ends - 50, ends + 1)                # its run and itself
+        bad = t_us.index((stride_ms - 205) * 1000)
         seen = []
 
         def recording(frames, t_ms):
-            if t_ms > failing_ms:
-                seen.append((t_ms, frames.tobytes()))
+            seen.append((t_ms, frames.tobytes()))
             return variability_guard(frames, t_ms)
 
         monkeypatch.setattr(engine, "variability_guard", recording)
         failing = Session(make_policy(0.0))
         for i, snap in enumerate(snaps):
-            if i == ends:
+            if i == bad:
                 with pytest.raises(ValidationError, match="cwnd_bytes outside the 64-bit"):
-                    failing.feed(snap)
+                    failing.feed(snap._replace(cwnd_bytes=2 ** 63))
             else:
                 failing.feed(snap)
         judged, seen = seen, []
         reference = Session(make_policy(0.0))
-        for snap in snaps[:run.start] + snaps[run.stop:]:
+        for snap in snaps[:bad] + snaps[bad + 1:]:
             reference.feed(snap)
-        assert len(judged) == (3000 - failing_ms) // 500 - 1
+        assert [t_ms for t_ms, _ in judged] == list(range(500, 3000, 500))
         assert judged == seen
 
 
@@ -409,13 +421,21 @@ class TestSessionAcceptsWhatTheParserAccepts:
     """Values outside int64, fewer than two snapshots and a test with no
     bytes acked are input errors, as they are in parse_trace."""
 
-    def test_out_of_range_value_named_at_the_next_stride(self):
+    def test_out_of_range_value_named_at_its_own_feed(self):
+        # a rejected snapshot joins no run: the session goes on, judges its
+        # next stride and ends as one never fed it
         session = Session(make_policy(0.0))
         session.feed(util.snapshot(0, 0))
-        session.feed(util.snapshot(100_000, 10, cwnd_bytes=2 ** 70))
-        with pytest.raises(ValidationError,
-                           match="cwnd_bytes outside the 64-bit integer range at t_us=100000"):
-            session.feed(util.snapshot(600_000, 20))
+        for field, bad in (("cwnd_bytes", util.snapshot(100_000, 10, cwnd_bytes=2 ** 70)),
+                           ("bytes_acked", util.snapshot(100_000, 2 ** 64))):
+            with pytest.raises(ValidationError, match=f"{field} outside the 64-bit integer "
+                                                      f"range at t_us=100000"):
+                session.feed(bad)
+        session.feed(util.snapshot(100_000, 10))
+        session.feed(util.snapshot(600_000, 20))
+        session.end_of_trace()
+        assert session.finalize() == run_trace(
+            util.make_trace([0, 100_000, 600_000], [0, 10, 20]), make_policy(0.0))
 
     @pytest.mark.parametrize("field, value", [("t_us", 2 ** 70), ("cwnd_bytes", -2 ** 63 - 1),
                                               ("pipe_full", np.uint64(2 ** 64 - 1))])
@@ -430,13 +450,6 @@ class TestSessionAcceptsWhatTheParserAccepts:
                                                   f"at t_us={snap.t_us}"):
             session.feed(snap)
         assert not session.terminal
-
-    def test_out_of_range_value_rejected_at_end_of_trace(self):
-        session = Session(make_policy(0.0))
-        session.feed(util.snapshot(0, 0))
-        session.feed(util.snapshot(100_000, 2 ** 64))
-        with pytest.raises(ValidationError, match="bytes_acked outside the 64-bit"):
-            session.end_of_trace()
 
     def test_snapshot_far_past_the_test_length_cap_rejected_at_once(self):
         # judging every stride up to 2**62 us would take hours

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from speedtrim.core import N_FEATURES, WINDOW_MS
 from speedtrim.mlp import (
     MlpModel,
     MlpParams,
@@ -8,6 +9,7 @@ from speedtrim.mlp import (
     loss_and_grads,
     train_mlp,
 )
+from speedtrim.traceio import CLASSIFIER_ARITY, CLASSIFIER_WINDOWS, classifier_input, resample
 
 import util
 
@@ -119,3 +121,44 @@ class TestPredict:
         model = util.constant_classifier(0.5, n_features=9)
         with pytest.raises(ValueError, match="expects 9"):
             model.predict_proba(np.zeros(10))
+
+
+class TestFoldedForward:
+    """predict_proba, with the standardization folded into the first layer
+    and the zero-filled history skipped, agrees with standardizing every
+    column and running the dense forward pass."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, small_corpus):
+        # a test's classifier input after w windows, w = 0 … 100, then all zeros
+        frames = resample(small_corpus.load(small_corpus.ids[7]))
+        rows = [classifier_input(frames, max(w, 1) * WINDOW_MS)
+                for w in range(CLASSIFIER_WINDOWS + 1)]
+        rows[0][:-1] = 0.0
+        rows.append(np.zeros(CLASSIFIER_ARITY))
+        for w, row in enumerate(rows[:-1]):
+            assert not row[w * N_FEATURES:-1].any()
+        return np.array(rows)
+
+    @pytest.fixture(scope="class", params=["default", "single-layer"])
+    def model(self, request, small_classifier15):
+        if request.param == "default":
+            assert small_classifier15.params.hidden == MlpParams().hidden == (256, 64)
+            return small_classifier15
+        rng = np.random.default_rng(11)
+        return MlpModel(_init_weights(CLASSIFIER_ARITY, (), rng), small_classifier15.input_mean,
+                        small_classifier15.input_std, MlpParams(hidden=()), [])
+
+    def test_each_row_matches_the_dense_reference(self, model, rows):
+        for w, row in enumerate(rows):
+            assert abs(model.predict_proba(row) - util.dense_predict_proba(model, row)) <= 1e-12, w
+
+    def test_mixed_batch_equals_the_single_rows(self, model, rows):
+        order = np.random.default_rng(12).permutation(len(rows))
+        batch = model.predict_proba(rows[order])
+        single = np.array([model.predict_proba(row) for row in rows[order]])
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch, util.dense_predict_proba(model, rows[order]),
+                                   rtol=0, atol=1e-12)
+        # the rows span the sigmoid, not only its saturated ends
+        assert np.ptp(batch) > 0.1

@@ -159,6 +159,13 @@ class TestForestValidation:
                      "--classifier", path]) == EXIT_MODEL
 
 
+def with_entry(arr: np.ndarray, value: float) -> np.ndarray:
+    """A copy of arr with its last entry set to value."""
+    out = arr.copy()
+    out.flat[-1] = value
+    return out
+
+
 def dump_edited(model, edit) -> bytes:
     """dump_model after edit(params, arrays): a valid CRC over a bad payload."""
     kind, params, arrays = modelio._model_payload(model)
@@ -206,6 +213,16 @@ class TestParamsAndMlpValidation:
                      id="mlp-layers-disagree"),
         pytest.param("mlp", lambda p, a: a.update(loss_curve=np.zeros((2, 2))),
                      "loss_curve must be 1-D", id="mlp-loss_curve-2d"),
+        # the folded first layer divides by input_std: each must be finite
+        # and > 0, and every other value finite
+        *(pytest.param("mlp", lambda p, a, k=key, v=value: a.update({k: with_entry(a[k], v)}),
+                       match, id=f"mlp-{key}-{value}")
+          for key, value, match in (
+              *(("input_std", v, "input_std must be finite and > 0")
+                for v in (0.0, -1.0, np.nan, np.inf)),
+              *((k, v, f"mlp {k} holds a value that is not finite")
+                for k, v in (("input_mean", np.nan), ("W0", np.inf), ("b0", np.nan),
+                             ("W1", -np.inf), ("b1", np.nan))))),
     ])
     def test_rejected_on_load(self, gbdt_model, mlp_model, model, edit, match):
         model = {"gbdt": gbdt_model, "mlp": mlp_model}[model]
@@ -224,9 +241,12 @@ class TestParamsAndMlpValidation:
             gbdt_model, lambda p, a: p.update(colour="red")))
         no_bias = tmp_path / "classifier.bin"
         no_bias.write_bytes(dump_edited(mlp_model, lambda p, a: a.pop("b1")))
+        nan_std = tmp_path / "nan_std.bin"
+        nan_std.write_bytes(dump_edited(
+            mlp_model, lambda p, a: a.update(input_std=with_entry(a["input_std"], np.nan))))
         trace = tmp_path / "t.jsonl"
         trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
-        for regressor, classifier in ((extra_param, good), (good, no_bias)):
+        for regressor, classifier in ((extra_param, good), (good, no_bias), (good, nan_std)):
             assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
                          "--classifier", str(classifier)]) == EXIT_MODEL
 

@@ -26,7 +26,7 @@ from speedtrim.core import (
 )
 from speedtrim.engine import Session
 from speedtrim.gbdt import GbdtModel, GbdtParams
-from speedtrim.mlp import MlpModel, MlpParams
+from speedtrim.mlp import MlpModel, MlpParams, _forward
 from speedtrim.traceio import CLASSIFIER_ARITY, REGRESSOR_ARITY, ParseError
 
 
@@ -119,6 +119,26 @@ def constant_classifier(p_stop: float, n_features: int = CLASSIFIER_ARITY) -> Ml
         50.0 if p_stop >= 1 else -50.0)
     weights = [(np.zeros((n_features, 1)), np.array([logit]))]
     return MlpModel(weights, np.zeros(n_features), np.ones(n_features), MlpParams(hidden=()), [])
+
+
+def dense_predict_proba(model: MlpModel, X):
+    """p_stop the plain way: standardize every column of X, then the dense
+    forward pass over all of them (no fold, no skipped columns)."""
+    X = np.asarray(X, dtype=np.float64)
+    _, z = _forward(model.weights, (np.atleast_2d(X) - model.input_mean) / model.input_std)
+    p = 1.0 / (1.0 + np.exp(-z))
+    return p[0] if X.ndim == 1 else p
+
+
+class DenseClassifier(MlpModel):
+    """A classifier that predicts through dense_predict_proba."""
+
+    def __init__(self, model: MlpModel):
+        super().__init__(model.weights, model.input_mean, model.input_std, model.params,
+                         model.loss_curve)
+
+    def predict_proba(self, X):
+        return dense_predict_proba(self, X)
 
 
 def count_decodes(monkeypatch) -> collections.Counter:
