@@ -421,21 +421,33 @@ class TestSessionAcceptsWhatTheParserAccepts:
     """Values outside int64, fewer than two snapshots and a test with no
     bytes acked are input errors, as they are in parse_trace."""
 
-    def test_out_of_range_value_named_at_its_own_feed(self):
-        # a rejected snapshot joins no run: the session goes on, judges its
-        # next stride and ends as one never fed it
+    def test_out_of_range_value_named_at_the_next_stride(self):
+        # the value is named at its own feed, not at the next stride: the
+        # rejected snapshot joins no run, and the session goes on, judges
+        # its next stride and ends as one never fed it
         session = Session(make_policy(0.0))
         session.feed(util.snapshot(0, 0))
-        for field, bad in (("cwnd_bytes", util.snapshot(100_000, 10, cwnd_bytes=2 ** 70)),
-                           ("bytes_acked", util.snapshot(100_000, 2 ** 64))):
-            with pytest.raises(ValidationError, match=f"{field} outside the 64-bit integer "
-                                                      f"range at t_us=100000"):
-                session.feed(bad)
+        with pytest.raises(ValidationError,
+                           match="cwnd_bytes outside the 64-bit integer range at t_us=100000"):
+            session.feed(util.snapshot(100_000, 10, cwnd_bytes=2 ** 70))
         session.feed(util.snapshot(100_000, 10))
         session.feed(util.snapshot(600_000, 20))
         session.end_of_trace()
         assert session.finalize() == run_trace(
             util.make_trace([0, 100_000, 600_000], [0, 10, 20]), make_policy(0.0))
+
+    def test_out_of_range_value_rejected_at_end_of_trace(self):
+        # a bad last snapshot is rejected at its feed, so end_of_trace ends
+        # the test on the snapshots before it
+        session = Session(make_policy(0.0))
+        session.feed(util.snapshot(0, 0))
+        session.feed(util.snapshot(50_000, 5))
+        with pytest.raises(ValidationError,
+                           match="bytes_acked outside the 64-bit integer range at t_us=100000"):
+            session.feed(util.snapshot(100_000, 2 ** 64))
+        session.end_of_trace()
+        assert session.finalize() == run_trace(
+            util.make_trace([0, 50_000], [0, 5]), make_policy(0.0))
 
     @pytest.mark.parametrize("field, value", [("t_us", 2 ** 70), ("cwnd_bytes", -2 ** 63 - 1),
                                               ("pipe_full", np.uint64(2 ** 64 - 1))])
