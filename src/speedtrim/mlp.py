@@ -12,6 +12,10 @@ An input of exactly 0 then adds nothing to the first layer, so
 `predict_proba` multiplies only the columns up to the last nonzero one
 before the final column (elapsed ms): the zero-filled history of an early
 stride costs nothing.  This needs every ``input_std`` finite and > 0.
+The weight matrices it predicts with are copies that start on a cache
+line: a one-row product over a block that fits in cache runs up to twice
+as fast from an aligned start, and the allocator's own start varies from
+one load to the next.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ SIGMA_FLOOR = 1e-6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+CACHE_LINE = 64     # bytes
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,15 @@ class MlpParams:
     def __post_init__(self):
         if not all(width >= 1 for width in self.hidden):
             raise ValueError("hidden widths must be >= 1")
+
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous float64 copy of ``a`` whose data starts on a cache line."""
+    buf = np.empty(a.size + CACHE_LINE // 8)
+    start = -buf.ctypes.data % CACHE_LINE // 8
+    out = buf[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    return out
 
 
 def _init_weights(n_features: int, hidden: tuple, rng: np.random.Generator):
@@ -104,8 +118,9 @@ class MlpModel:
         self.params = params
         self.loss_curve = list(loss_curve)
         W0, b0 = self.weights[0]
-        self._first = (W0 / self.input_std[:, None],
-                       b0 - (self.input_mean / self.input_std) @ W0)
+        self._layers = [(_aligned(W0 / self.input_std[:, None]),
+                         b0 - (self.input_mean / self.input_std) @ W0)]
+        self._layers += [(_aligned(W), b) for W, b in self.weights[1:]]
 
     @property
     def n_features(self) -> int:
@@ -121,11 +136,11 @@ class MlpModel:
                 f"feature arity mismatch: model expects {self.n_features}, got {X.shape[1]}")
         # columns past the last nonzero one before the final column add
         # nothing to the folded first layer; a full history keeps them all
-        W, b = self._first
+        (W, b), *rest = self._layers
         nonzero = np.flatnonzero(X[:, :-1].any(axis=0))
         k = nonzero[-1] + 1 if len(nonzero) else 0
         z = X[:, :k] @ W[:k] + X[:, -1:] * W[-1] + b
-        for W, b in self.weights[1:]:
+        for W, b in rest:
             z = np.maximum(z, 0.0) @ W + b
         p = 1.0 / (1.0 + np.exp(-z[:, 0]))
         return p[0] if single else p

@@ -388,7 +388,7 @@ class TestSessionState:
         assert at_end - at_2s < 16 * 1024
 
     @pytest.mark.parametrize("stride_ms", [500, 1500])
-    def test_rejected_snapshot_fills_no_window(self, stride_ms, monkeypatch):
+    def test_stride_that_raised_fills_no_window(self, stride_ms, monkeypatch):
         # a cwnd past int64 inside the run of stride stride_ms is rejected
         # at its own feed: every stride then sees the frames of a session
         # that was never fed that snapshot, and the session goes on

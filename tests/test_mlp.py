@@ -3,8 +3,10 @@ import pytest
 
 from speedtrim.core import N_FEATURES, WINDOW_MS
 from speedtrim.mlp import (
+    CACHE_LINE,
     MlpModel,
     MlpParams,
+    _aligned,
     _init_weights,
     loss_and_grads,
     train_mlp,
@@ -162,3 +164,14 @@ class TestFoldedForward:
                                    rtol=0, atol=1e-12)
         # the rows span the sigmoid, not only its saturated ends
         assert np.ptp(batch) > 0.1
+
+    def test_weights_it_predicts_with_start_on_a_cache_line(self, model):
+        for W, _ in model._layers:
+            assert W.ctypes.data % CACHE_LINE == 0 and W.flags.c_contiguous
+
+    def test_aligned_copy_is_equal_wherever_the_input_starts(self):
+        flat = np.random.default_rng(13).standard_normal(1 + 7 * 5)
+        for a in (flat[1:].reshape(7, 5), flat[1:].reshape(7, 5).T, flat[:1].reshape(1, 1)):
+            out = _aligned(a)
+            assert out.ctypes.data % CACHE_LINE == 0 and out.flags.c_contiguous
+            assert out.shape == a.shape and out.tobytes() == np.ascontiguousarray(a).tobytes()
