@@ -14,10 +14,24 @@ left iff ``x[feature] < threshold``; ``feature`` is -1 at a leaf, whose
 tree.  These arrays are both the in-memory model and what ``modelio``
 writes to disk.
 
-Prediction descends all trees together and sums each row's terms
+A model also derives descent tables from its packed arrays, once, when
+it is built; they never reach the file.  They are indexed by doubled
+node ids (node i of the forest is id 2·i): the clipped feature, the
+threshold and the leaf value each repeated twice, and a child table
+that holds, at 2·i and 2·i + 1, the forest-wide doubled id of node i's
+right and left child.  One level of the descent is then
+``node = child[node + (x[feature[node] + row_base] < threshold[node])]``
+on ``x = X.ravel()``, ``row_base`` being each row's offset into it: no
+per-tree start to add and no multiply.  The table is ordered [right,
+left] and indexed by ``x < threshold``, never by ``x >= threshold``,
+which differs from it where a threshold is NaN.
+
+Prediction descends all trees together, ``max_depth`` levels (leaves
+point to themselves), and sums each row's terms
 ``[base, lr·leaf_1, …, lr·leaf_T]`` with one ``np.add.accumulate``.  An
 accumulate adds strictly left to right (a reduce may add pairwise), so a
 prediction is the tree-by-tree sum bit for bit, for one row or a batch.
+Training adds each new tree's leaves through the same descent.
 """
 
 from __future__ import annotations
@@ -55,19 +69,29 @@ class GbdtParams:
 PAPER_SCALE = GbdtParams(max_depth=7, n_trees=1500, learning_rate=0.03)
 
 
-def _leaf_values(forest: dict[str, np.ndarray], X: np.ndarray, depth: int) -> np.ndarray:
-    """Leaf value every tree of a packed forest gives every row, shape (rows, trees).
+def _descent(forest: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Descent tables of a packed forest, by doubled node id: feature,
+    threshold, child (right then left), value, and the roots."""
+    feature, threshold, left, right, value, offsets = (forest[k] for k in FOREST_DTYPES)
+    start = np.repeat(offsets[:-1], np.diff(offsets))
+    child = np.empty(2 * len(value), dtype=np.intp)
+    child[0::2] = 2 * (start + right)   # x < threshold is False: go right
+    child[1::2] = 2 * (start + left)
+    return (np.repeat(np.maximum(feature, 0).astype(np.intp), 2), np.repeat(threshold, 2),
+            child, np.repeat(value, 2), 2 * offsets[:-1].astype(np.intp))
+
+
+def _leaf_values(descent: tuple[np.ndarray, ...], X: np.ndarray, depth: int) -> np.ndarray:
+    """Leaf value every tree gives every row, shape (rows, trees).
 
     All trees descend together, one level per step; since leaves point to
     themselves, ``depth`` steps put every row at a leaf of every tree.
     """
-    feature, threshold, left, right, value, offsets = (forest[k] for k in FOREST_DTYPES)
-    start = offsets[:-1]
-    rows = np.arange(len(X))[:, None]
-    node = start  # the first level's indexing broadcasts it to (rows, trees)
-    for _ in range(depth):
-        go_left = X[rows, np.maximum(feature[node], 0)] < threshold[node]
-        node = np.where(go_left, left[node], right[node]) + start
+    feature, threshold, child, value, node = descent
+    x = X.ravel()
+    row_base = np.arange(len(X))[:, None] * X.shape[1]
+    for _ in range(depth):  # the first level broadcasts node to (rows, trees)
+        node = child[node + (x[feature[node] + row_base] < threshold[node])]
     return value[node]
 
 
@@ -168,6 +192,7 @@ class GbdtModel:
         self.params = params
         self.n_features = int(n_features)
         self.train_mse = list(train_mse)
+        self._descent = _descent(self.forest)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -183,7 +208,7 @@ class GbdtModel:
         # the tree-by-tree sum, bit for bit.  Scaled and summed in place in
         # the (rows, trees) leaf matrix, whose first column takes the base;
         # the sums are copied out so the result does not keep it alive.
-        terms = _leaf_values(self.forest, X, self.params.max_depth)
+        terms = _leaf_values(self._descent, X, self.params.max_depth)
         if terms.shape[1]:
             terms *= self.params.learning_rate
             terms[:, 0] += self.base_prediction
@@ -222,7 +247,8 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = GbdtParams()) 
         builder = _TreeBuilder(params.max_depth, params.min_samples_leaf)
         tree = builder.build(X, y - pred, order)
         trees.append(tree)
-        pred = pred + params.learning_rate * _leaf_values(tree, X, params.max_depth)[:, 0]
+        leaf = _leaf_values(_descent(tree), X, params.max_depth)[:, 0]
+        pred = pred + params.learning_rate * leaf
         train_mse.append(float(np.mean((y - pred) ** 2)))
 
     forest = {name: np.concatenate([t[name] for t in trees])

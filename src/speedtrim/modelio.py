@@ -113,8 +113,10 @@ def _model_payload(model) -> tuple[str, dict, dict[str, np.ndarray]]:
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def _check_forest(forest: dict[str, np.ndarray], n_features: int) -> None:
-    """Reject packed arrays that would send a descent out of its own tree."""
+def _check_forest(forest: dict[str, np.ndarray], n_features: int, max_depth: int) -> None:
+    """Reject packed arrays that would send a descent out of its own tree,
+    stop it short of a leaf after ``max_depth`` levels, or give it a
+    threshold or leaf value that is not finite."""
     n_nodes = forest["value"].size
     if any(forest[name].shape != (n_nodes,) for name in FOREST_DTYPES if name != "offsets"):
         raise ModelFormatError("gbdt node arrays differ in length")
@@ -126,13 +128,34 @@ def _check_forest(forest: dict[str, np.ndarray], n_features: int) -> None:
                                "one node or more per tree")
     sizes = np.diff(offsets)
     tree_size = np.repeat(sizes, sizes)
+    start = np.repeat(offsets[:-1], sizes)
+    local = np.arange(n_nodes) - start
+    leaf = forest["feature"] == -1
     for name in ("left", "right"):
         child = forest[name]
         if np.any((child < 0) | (child >= tree_size)):
             raise ModelFormatError(f"gbdt {name} child index outside its tree")
+        if np.any(child[leaf] != local[leaf]):
+            raise ModelFormatError(f"gbdt {name} of a leaf does not point to the leaf itself")
     feature = forest["feature"]
     if np.any((feature < -1) | (feature >= n_features)):
         raise ModelFormatError(f"gbdt feature index outside -1..{n_features - 1}")
+    for name in ("threshold", "value"):
+        if not np.isfinite(forest[name]).all():
+            raise ModelFormatError(f"gbdt {name} holds a value that is not finite")
+    # every node max_depth levels below a root, by either branch, is a leaf.
+    # Past a tree's size in levels, a split node is still reached only
+    # through a cycle, so more levels change nothing.
+    reached = np.zeros(n_nodes, dtype=bool)
+    reached[offsets[:-1]] = True
+    for _ in range(min(max_depth, int(sizes.max(initial=0)))):
+        at = np.flatnonzero(reached)
+        reached[:] = False
+        reached[start[at] + forest["left"][at]] = True
+        reached[start[at] + forest["right"][at]] = True
+    if not leaf[reached].all():
+        raise ModelFormatError(f"gbdt left/right: a descent of max_depth {max_depth} "
+                               "levels can end on a split node")
 
 
 def _params(cls, params: dict):
@@ -185,10 +208,12 @@ def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
             raise ModelFormatError("gbdt meta must hold a finite base prediction "
                                    "and a whole feature count")
         base, n_features = meta
-        model = GbdtModel(float(base), arrays, _params(GbdtParams, params), int(n_features),
-                          list(arrays["train_mse"]))
-        _check_forest(model.forest, model.n_features)
-        return model
+        p = _params(GbdtParams, params)
+        # checked before the model derives its descent tables from it
+        forest = {name: np.asarray(arrays[name], dtype=dtype)
+                  for name, dtype in FOREST_DTYPES.items()}
+        _check_forest(forest, int(n_features), p.max_depth)
+        return GbdtModel(float(base), forest, p, int(n_features), list(arrays["train_mse"]))
     if kind == "mlp":
         p = _params(MlpParams, params)
         _check_mlp(arrays, p.hidden)

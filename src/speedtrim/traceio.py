@@ -302,11 +302,13 @@ def regressor_input(frames: np.ndarray, t_ms: int) -> np.ndarray:
     """
     end = _window_end(frames, t_ms)
     start = end - REGRESSOR_WINDOWS
-    block = frames[max(start, 0):end]
-    if start < 0:
-        block = np.concatenate([np.repeat(block[:1], -start, axis=0), block])
     features = np.empty(REGRESSOR_ARITY)
-    features[:-1] = block.ravel()
+    if start < 0:
+        rows = features[:-1].reshape(REGRESSOR_WINDOWS, N_FEATURES)
+        rows[:-start] = frames[0]
+        rows[-start:] = frames[:end]
+    else:
+        features[:-1] = frames[start:end].ravel()
     features[-1] = t_ms
     return features
 

@@ -69,6 +69,16 @@ class TestTraining:
             mse = np.array(model.train_mse)
             assert np.all(np.diff(mse) <= 1e-12), f"lr={lr}"
 
+    def test_last_train_mse_is_the_served_models(self):
+        # training adds each tree's leaves through predict's descent, in
+        # predict's order, so the last recorded MSE is the served model's
+        rng = np.random.default_rng(5)
+        X = rng.random((300, 6))
+        y = np.sin(4.0 * X[:, 0]) + X[:, 2] * X[:, 5] + 0.1 * rng.standard_normal(300)
+        model = train_gbdt(X, y, GbdtParams(n_trees=40, max_depth=4, learning_rate=0.3,
+                                            objective="mse"))
+        assert model.train_mse[-1] == float(np.mean((y - model.predict(X)) ** 2))
+
     def test_permutation_invariance(self):
         X, y = toy_step_data()
         rng = np.random.default_rng(3)

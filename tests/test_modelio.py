@@ -125,6 +125,39 @@ def _scalar_value(f):
     f["value"] = f["value"][0]
 
 
+def _first_leaf(f) -> int:
+    """A leaf of the first tree, whose root is a split."""
+    leaf = int(np.flatnonzero(f["feature"] == -1)[0])
+    assert 0 < leaf < f["offsets"][1]
+    return leaf
+
+
+def _leaf_left_to_root(f):
+    f["left"][_first_leaf(f)] = 0
+
+
+def _leaf_right_to_root(f):
+    f["right"][_first_leaf(f)] = 0
+
+
+def _root_left_to_itself(f):
+    # in range and no leaf touched, but every descent of tree 0 that goes
+    # left at the root stays on a split node
+    f["left"][0] = 0
+
+
+def _nan_values(f):
+    f["value"][:] = np.nan
+
+
+def _nan_threshold(f):
+    f["threshold"][0] = np.nan
+
+
+def _infinite_threshold(f):
+    f["threshold"][0] = np.inf
+
+
 class TestForestValidation:
     """Arrays corrupted before dump_model: the CRC is valid, the forest is not."""
 
@@ -138,6 +171,12 @@ class TestForestValidation:
         (_child_into_next_tree, "left child index outside its tree"),
         (_negative_child, "right child index outside its tree"),
         (_feature_past_arity, "feature index"),
+        (_leaf_left_to_root, "left of a leaf does not point to the leaf itself"),
+        (_leaf_right_to_root, "right of a leaf does not point to the leaf itself"),
+        (_root_left_to_itself, "max_depth 3 levels can end on a split node"),
+        (_nan_values, "value holds a value that is not finite"),
+        (_nan_threshold, "threshold holds a value that is not finite"),
+        (_infinite_threshold, "threshold holds a value that is not finite"),
     ])
     def test_rejected_on_load(self, gbdt_model, corrupt, match):
         bad = copy.deepcopy(gbdt_model)
@@ -145,18 +184,26 @@ class TestForestValidation:
         with pytest.raises(ModelFormatError, match=match):
             load_model_bytes(dump_model(bad))
 
-    def test_cli_exits_4(self, tmp_path, gbdt_model):
-        from speedtrim.cli import EXIT_MODEL, main
-        from speedtrim.traceio import dump_trace
+    def test_cli_exits_4(self, tmp_path):
+        from speedtrim.cli import EXIT_MODEL, EXIT_OK, main
+        from speedtrim.traceio import REGRESSOR_ARITY, dump_trace
         import util
-        bad = copy.deepcopy(gbdt_model)
-        _child_into_next_tree(bad.forest)
-        path = str(tmp_path / "regressor.bin")
-        save_model(bad, path)
+        # full-width models, so the run exits 4 for the forest alone
+        rng = np.random.default_rng(5)
+        regressor = train_gbdt(rng.random((60, REGRESSOR_ARITY)), rng.uniform(1, 100, 60),
+                               GbdtParams(n_trees=3, max_depth=3))
+        classifier = str(tmp_path / "classifier.bin")
+        save_model(util.constant_classifier(0.5), classifier)
         trace = tmp_path / "t.jsonl"
         trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
-        assert main(["run", "--trace", str(trace), "--regressor", path,
-                     "--classifier", path]) == EXIT_MODEL
+        for corrupt in (None, _child_into_next_tree, _nan_values):
+            bad = copy.deepcopy(regressor)
+            if corrupt:
+                corrupt(bad.forest)
+            path = str(tmp_path / f"{getattr(corrupt, '__name__', 'intact')}.bin")
+            save_model(bad, path)
+            assert main(["run", "--trace", str(trace), "--regressor", path,
+                         "--classifier", classifier]) == (EXIT_MODEL if corrupt else EXIT_OK)
 
 
 def with_entry(arr: np.ndarray, value: float) -> np.ndarray:
@@ -187,6 +234,9 @@ class TestParamsAndMlpValidation:
                      "'max_depth' has type bool", id="gbdt-bool-for-int"),
         pytest.param("gbdt", lambda p, a: p.update(n_trees=0),
                      "n_trees must be >= 1", id="gbdt-zero-trees"),
+        # the fixture's trees are 3 levels deep
+        pytest.param("gbdt", lambda p, a: p.update(max_depth=2),
+                     "max_depth 2 levels can end on a split node", id="gbdt-trees-too-deep"),
         pytest.param("mlp", lambda p, a: p.update(colour="red"),
                      "unknown MlpParams parameter 'colour'", id="mlp-unknown-key"),
         pytest.param("mlp", lambda p, a: p.update(hidden="4"),
