@@ -59,8 +59,6 @@ class GroupPolicy:
     """Per-group chosen parameter (None means no early termination)."""
 
     strategy: str
-    method: str
-    constraint_pct: float
     choices: dict
 
 
@@ -186,8 +184,7 @@ def _subset(records: list[Record], ids: set | None) -> list[Record]:
 
 def select_adaptive(records_by_param: dict, strategy: str, *,
                     constraint_pct: float = DEFAULT_CONSTRAINT_PCT,
-                    selection_ids: set | None = None,
-                    method: str = "ml") -> GroupPolicy:
+                    selection_ids: set | None = None) -> GroupPolicy:
     """Pick, per group, the most aggressive parameter whose group-median
     error stays below the constraint; None when no parameter qualifies.
 
@@ -207,7 +204,7 @@ def select_adaptive(records_by_param: dict, strategy: str, *,
             qualifying = [(r.bytes_early, params.index(p), p)
                           for p, r in options if r.rel_error <= bound]
             choices[tid] = min(qualifying)[2] if qualifying else None
-        return GroupPolicy(strategy, method, constraint_pct, choices)
+        return GroupPolicy(strategy, choices)
 
     by_group: dict = {}
     for p in params:
@@ -224,7 +221,7 @@ def select_adaptive(records_by_param: dict, strategy: str, *,
                 qualifying.append((agg["transfer_fraction"],
                                    agg["median_rel_error"], params.index(p), p))
         choices[group] = min(qualifying)[3] if qualifying else None
-    return GroupPolicy(strategy, method, constraint_pct, choices)
+    return GroupPolicy(strategy, choices)
 
 
 def apply_group_policy(records_by_param: dict, full_records: list[Record],

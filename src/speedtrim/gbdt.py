@@ -26,8 +26,13 @@ per-tree start to add and no multiply.  The table is ordered [right,
 left] and indexed by ``x < threshold``, never by ``x >= threshold``,
 which differs from it where a threshold is NaN.
 
-Prediction descends all trees together, ``max_depth`` levels (leaves
-point to themselves), and sums each row's terms
+A model checks its forest as it derives these tables, so a bad forest is
+a ``ValueError`` whether it is built in memory or loaded.  The check
+walks from the roots until it reaches only leaves: that many levels are
+the forest's depth, which ``max_depth`` bounds.
+
+Prediction descends all trees together, the forest's depth in levels
+(leaves point to themselves), and sums each row's terms
 ``[base, lr·leaf_1, …, lr·leaf_T]`` with one ``np.add.accumulate``.  An
 accumulate adds strictly left to right (a reduce may add pairwise), so a
 prediction is the tree-by-tree sum bit for bit, for one row or a batch.
@@ -65,32 +70,68 @@ class GbdtParams:
             raise ValueError(f"unknown objective {self.objective!r}")
 
 
-# Paper-scale preset, retained for completeness; desk-scale default above.
-PAPER_SCALE = GbdtParams(max_depth=7, n_trees=1500, learning_rate=0.03)
-
-
-def _descent(forest: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+def _descent(forest: dict[str, np.ndarray], n_features: int,
+             max_depth: int) -> tuple:
     """Descent tables of a packed forest, by doubled node id: feature,
-    threshold, child (right then left), value, and the roots."""
+    threshold, child (right then left), value, the roots; and the forest's
+    depth.  Raises ``ValueError`` for a forest no descent can serve."""
     feature, threshold, left, right, value, offsets = (forest[k] for k in FOREST_DTYPES)
-    start = np.repeat(offsets[:-1], np.diff(offsets))
-    child = np.empty(2 * len(value), dtype=np.intp)
+    n_nodes = value.size
+    if any(forest[name].shape != (n_nodes,) for name in FOREST_DTYPES if name != "offsets"):
+        raise ValueError("gbdt node arrays differ in length")
+    # neighbours are compared, not differenced: an int64 difference wraps
+    if (offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0
+            or offsets[-1] != n_nodes or np.any(offsets[1:] <= offsets[:-1])):
+        raise ValueError("gbdt offsets must rise from 0 to the node count, "
+                         "one node or more per tree")
+    sizes = np.diff(offsets)
+    start = np.repeat(offsets[:-1], sizes)
+    local = np.arange(n_nodes) - start
+    leaf = feature == -1
+    for name, child in (("left", left), ("right", right)):
+        if np.any((child < 0) | (child >= np.repeat(sizes, sizes))):
+            raise ValueError(f"gbdt {name} child index outside its tree")
+        if np.any(child[leaf] != local[leaf]):
+            raise ValueError(f"gbdt {name} of a leaf does not point to the leaf itself")
+    if np.any((feature < -1) | (feature >= n_features)):
+        raise ValueError(f"gbdt feature index outside -1..{n_features - 1}")
+    for name in ("threshold", "value"):
+        if not np.isfinite(forest[name]).all():
+            raise ValueError(f"gbdt {name} holds a value that is not finite")
+    # the nodes reached from the roots, one level per step, until none of
+    # them is a split node.  A tree without a cycle runs out of split nodes
+    # within its size in levels, so a walk past that has met a cycle.
+    reached = np.zeros(n_nodes, dtype=bool)
+    reached[offsets[:-1]] = True
+    for depth in range(min(max_depth, int(sizes.max(initial=0))) + 1):
+        at = np.flatnonzero(reached & ~leaf)
+        if not len(at):
+            break
+        reached[:] = False
+        reached[start[at] + left[at]] = True
+        reached[start[at] + right[at]] = True
+    if len(at):
+        raise ValueError(f"gbdt left/right: a descent of max_depth {max_depth} "
+                         "levels can end on a split node")
+    child = np.empty(2 * n_nodes, dtype=np.intp)
     child[0::2] = 2 * (start + right)   # x < threshold is False: go right
     child[1::2] = 2 * (start + left)
     return (np.repeat(np.maximum(feature, 0).astype(np.intp), 2), np.repeat(threshold, 2),
-            child, np.repeat(value, 2), 2 * offsets[:-1].astype(np.intp))
+            child, np.repeat(value, 2), 2 * offsets[:-1].astype(np.intp), depth)
 
 
-def _leaf_values(descent: tuple[np.ndarray, ...], X: np.ndarray, depth: int) -> np.ndarray:
+def _leaf_values(descent: tuple, X: np.ndarray) -> np.ndarray:
     """Leaf value every tree gives every row, shape (rows, trees).
 
     All trees descend together, one level per step; since leaves point to
-    themselves, ``depth`` steps put every row at a leaf of every tree.
+    themselves, the forest's depth in steps puts every row at a leaf of
+    every tree, and a step past it changes nothing.
     """
-    feature, threshold, child, value, node = descent
+    feature, threshold, child, value, node, depth = descent
     x = X.ravel()
     row_base = np.arange(len(X))[:, None] * X.shape[1]
-    for _ in range(depth):  # the first level broadcasts node to (rows, trees)
+    # one step at least: the first broadcasts node to (rows, trees)
+    for _ in range(max(depth, 1)):
         node = child[node + (x[feature[node] + row_base] < threshold[node])]
     return value[node]
 
@@ -192,7 +233,7 @@ class GbdtModel:
         self.params = params
         self.n_features = int(n_features)
         self.train_mse = list(train_mse)
-        self._descent = _descent(self.forest)
+        self._descent = _descent(self.forest, self.n_features, params.max_depth)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -208,7 +249,7 @@ class GbdtModel:
         # the tree-by-tree sum, bit for bit.  Scaled and summed in place in
         # the (rows, trees) leaf matrix, whose first column takes the base;
         # the sums are copied out so the result does not keep it alive.
-        terms = _leaf_values(self._descent, X, self.params.max_depth)
+        terms = _leaf_values(self._descent, X)
         if terms.shape[1]:
             terms *= self.params.learning_rate
             terms[:, 0] += self.base_prediction
@@ -247,7 +288,7 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = GbdtParams()) 
         builder = _TreeBuilder(params.max_depth, params.min_samples_leaf)
         tree = builder.build(X, y - pred, order)
         trees.append(tree)
-        leaf = _leaf_values(_descent(tree), X, params.max_depth)[:, 0]
+        leaf = _leaf_values(_descent(tree, X.shape[1], params.max_depth), X)[:, 0]
         pred = pred + params.learning_rate * leaf
         train_mse.append(float(np.mean((y - pred) ** 2)))
 

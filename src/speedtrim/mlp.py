@@ -11,7 +11,8 @@ standardization folded in: ``W0 / std`` and ``b0 - (mean / std) @ W0``.
 An input of exactly 0 then adds nothing to the first layer, so
 `predict_proba` multiplies only the columns up to the last nonzero one
 before the final column (elapsed ms): the zero-filled history of an early
-stride costs nothing.  This needs every ``input_std`` finite and > 0.
+stride costs nothing.  This needs every ``input_std`` finite and > 0,
+which a model checks when it is built, in memory or loaded.
 The weight matrices it predicts with are copies that start on a cache
 line: a one-row product over a block that fits in cache runs up to twice
 as fast from an aligned start, and the allocator's own start varies from
@@ -106,6 +107,36 @@ def loss_and_grads(weights, X: np.ndarray, y: np.ndarray):
     return loss, grads
 
 
+def _check_layers(weights, input_mean: np.ndarray, input_std: np.ndarray, hidden: tuple,
+                  loss_curve: np.ndarray) -> None:
+    """Reject arrays that do not give the layer widths (that of
+    ``input_mean``, the ``hidden`` widths, one output) or that hold a value
+    the folded first layer cannot serve."""
+    for name, arr in (("input_mean", input_mean), ("loss_curve", loss_curve)):
+        if arr.ndim != 1:
+            raise ValueError(f"mlp {name} must be 1-D")
+    widths = (len(input_mean), *hidden, 1)
+    if len(weights) != len(widths) - 1:
+        raise ValueError(f"mlp has {len(weights)} layers, layer widths "
+                         f"{list(widths)} need {len(widths) - 1}")
+    arrays = {"input_std": input_std}
+    shapes = {"input_std": widths[:1]}
+    for i, (W, b) in enumerate(weights):
+        arrays[f"W{i}"], arrays[f"b{i}"] = W, b
+        shapes[f"W{i}"] = (widths[i], widths[i + 1])
+        shapes[f"b{i}"] = (widths[i + 1],)
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"mlp {name} has shape {arrays[name].shape}, layer widths "
+                             f"{list(widths)} need {shape}")
+    if not np.all(np.isfinite(input_std) & (input_std > 0)):
+        raise ValueError("mlp input_std must be finite and > 0")
+    arrays["input_mean"] = input_mean
+    for name in ("input_mean", *shapes):
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"mlp {name} holds a value that is not finite")
+
+
 class MlpModel:
     """Trained classifier: weights plus input normalization and metadata."""
 
@@ -116,6 +147,8 @@ class MlpModel:
         self.input_mean = np.asarray(input_mean, dtype=np.float64)
         self.input_std = np.asarray(input_std, dtype=np.float64)
         self.params = params
+        _check_layers(self.weights, self.input_mean, self.input_std, params.hidden,
+                      np.asarray(loss_curve))
         self.loss_curve = list(loss_curve)
         W0, b0 = self.weights[0]
         self._layers = [(_aligned(W0 / self.input_std[:, None]),
@@ -164,8 +197,9 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams(),
 
     rng = np.random.default_rng(seed)
     weights = _init_weights(X.shape[1], params.hidden, rng)
-    m_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in weights]
-    v_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in weights]
+    # (array, first moment, second moment) per weight matrix and bias, in
+    # the order loss_and_grads gives their gradients; updated in place
+    adam = [(w, np.zeros_like(w), np.zeros_like(w)) for layer in weights for w in layer]
 
     n = len(Xn)
     step = 0
@@ -179,22 +213,14 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams(),
             idx = perm[lo: lo + params.batch_size]
             loss, grads = loss_and_grads(weights, Xn[idx], y[idx])
             step += 1
-            new_weights = []
-            for li, ((W, b), (gW, gb)) in enumerate(zip(weights, grads)):
-                mW, mb = m_state[li]
-                vW, vb = v_state[li]
-                mW = b1 * mW + (1 - b1) * gW
-                mb = b1 * mb + (1 - b1) * gb
-                vW = b2 * vW + (1 - b2) * gW * gW
-                vb = b2 * vb + (1 - b2) * gb * gb
-                m_state[li] = (mW, mb)
-                v_state[li] = (vW, vb)
-                corr1 = 1 - b1 ** step
-                corr2 = 1 - b2 ** step
-                W = W - params.learning_rate * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
-                b = b - params.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
-                new_weights.append((W, b))
-            weights = new_weights
+            corr1 = 1 - b1 ** step
+            corr2 = 1 - b2 ** step
+            for (w, m, v), g in zip(adam, (g for layer in grads for g in layer)):
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                w -= params.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
             epoch_loss += loss
             n_batches += 1
         loss_curve.append(epoch_loss / max(n_batches, 1))

@@ -3,7 +3,9 @@
 Layout: magic, format version, model kind, params JSON blob, a named
 array section, and a trailing CRC32 over everything before it.  Arrays
 are written raw (dtype + shape + C-order bytes), so a given model
-serializes byte-identically across runs.
+serializes byte-identically across runs.  The loader checks this framing
+and that each kind's arrays are present; what makes the arrays a valid
+model is checked by the model's own constructor.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .core import replace_from_json
-from .gbdt import FOREST_DTYPES, GbdtModel, GbdtParams
+from .gbdt import GbdtModel, GbdtParams
 from .mlp import MlpModel, MlpParams
 
 MAGIC = b"STPM"
@@ -113,113 +115,35 @@ def _model_payload(model) -> tuple[str, dict, dict[str, np.ndarray]]:
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def _check_forest(forest: dict[str, np.ndarray], n_features: int, max_depth: int) -> None:
-    """Reject packed arrays that would send a descent out of its own tree,
-    stop it short of a leaf after ``max_depth`` levels, or give it a
-    threshold or leaf value that is not finite."""
-    n_nodes = forest["value"].size
-    if any(forest[name].shape != (n_nodes,) for name in FOREST_DTYPES if name != "offsets"):
-        raise ModelFormatError("gbdt node arrays differ in length")
-    offsets = forest["offsets"]
-    # neighbours are compared, not differenced: an int64 difference wraps
-    if (offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0
-            or offsets[-1] != n_nodes or np.any(offsets[1:] <= offsets[:-1])):
-        raise ModelFormatError("gbdt offsets must rise from 0 to the node count, "
-                               "one node or more per tree")
-    sizes = np.diff(offsets)
-    tree_size = np.repeat(sizes, sizes)
-    start = np.repeat(offsets[:-1], sizes)
-    local = np.arange(n_nodes) - start
-    leaf = forest["feature"] == -1
-    for name in ("left", "right"):
-        child = forest[name]
-        if np.any((child < 0) | (child >= tree_size)):
-            raise ModelFormatError(f"gbdt {name} child index outside its tree")
-        if np.any(child[leaf] != local[leaf]):
-            raise ModelFormatError(f"gbdt {name} of a leaf does not point to the leaf itself")
-    feature = forest["feature"]
-    if np.any((feature < -1) | (feature >= n_features)):
-        raise ModelFormatError(f"gbdt feature index outside -1..{n_features - 1}")
-    for name in ("threshold", "value"):
-        if not np.isfinite(forest[name]).all():
-            raise ModelFormatError(f"gbdt {name} holds a value that is not finite")
-    # every node max_depth levels below a root, by either branch, is a leaf.
-    # Past a tree's size in levels, a split node is still reached only
-    # through a cycle, so more levels change nothing.
-    reached = np.zeros(n_nodes, dtype=bool)
-    reached[offsets[:-1]] = True
-    for _ in range(min(max_depth, int(sizes.max(initial=0)))):
-        at = np.flatnonzero(reached)
-        reached[:] = False
-        reached[start[at] + forest["left"][at]] = True
-        reached[start[at] + forest["right"][at]] = True
-    if not leaf[reached].all():
-        raise ModelFormatError(f"gbdt left/right: a descent of max_depth {max_depth} "
-                               "levels can end on a split node")
-
-
-def _params(cls, params: dict):
-    """The params dataclass a model file's JSON block describes."""
-    try:
-        return replace_from_json(cls(), params, cls.__name__)
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
-
-
-def _check_mlp(arrays: dict[str, np.ndarray], hidden: tuple) -> None:
-    """Reject arrays that do not give the layer widths: the input width of
-    ``input_mean``, then the ``hidden`` widths, then one output.  Reject
-    values the folded first layer cannot serve: every weight, bias and
-    mean finite, every ``input_std`` finite and > 0."""
-    n = len(hidden) + 1
-    names = ["input_mean", "input_std", *(f"{kind}{i}" for i in range(n) for kind in "Wb"),
-             "loss_curve"]
+def _present(kind: str, arrays: dict[str, np.ndarray], names) -> None:
     missing = [name for name in names if name not in arrays]
     if missing:
-        raise ModelFormatError(f"mlp model lacks arrays {missing}")
-    for name in ("input_mean", "loss_curve"):
-        if arrays[name].ndim != 1:
-            raise ModelFormatError(f"mlp {name} must be 1-D")
-    widths = (len(arrays["input_mean"]), *hidden, 1)
-    shapes = {"input_std": widths[:1]}
-    for i in range(n):
-        shapes[f"W{i}"] = (widths[i], widths[i + 1])
-        shapes[f"b{i}"] = (widths[i + 1],)
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ModelFormatError(
-                f"mlp {name} has shape {arrays[name].shape}, layer widths "
-                f"{list(widths)} need {shape}")
-    std = arrays["input_std"]
-    if not np.all(np.isfinite(std) & (std > 0)):
-        raise ModelFormatError("mlp input_std must be finite and > 0")
-    for name in ("input_mean", *shapes):
-        if not np.isfinite(arrays[name]).all():
-            raise ModelFormatError(f"mlp {name} holds a value that is not finite")
+        raise ModelFormatError(f"{kind} model lacks arrays {missing}")
 
 
 def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
+    """The model a file's kind, parameter block and arrays describe.  The
+    params class checks the block, and the model's constructor its arrays:
+    either raises ``ValueError``."""
     if kind == "gbdt":
-        missing = [name for name in (*FOREST_DTYPES, "meta", "train_mse") if name not in arrays]
-        if missing:
-            raise ModelFormatError(f"gbdt model lacks arrays {missing}")
-        meta = arrays["meta"]
+        forest = ("feature", "threshold", "left", "right", "value", "offsets")
+        _present(kind, arrays, (*forest, "meta", "train_mse"))
+        meta = arrays["meta"]   # this format's packing of the two scalars
         if meta.shape != (2,) or not np.isfinite(meta).all() or meta[1] < 0 or meta[1] % 1:
             raise ModelFormatError("gbdt meta must hold a finite base prediction "
                                    "and a whole feature count")
         base, n_features = meta
-        p = _params(GbdtParams, params)
-        # checked before the model derives its descent tables from it
-        forest = {name: np.asarray(arrays[name], dtype=dtype)
-                  for name, dtype in FOREST_DTYPES.items()}
-        _check_forest(forest, int(n_features), p.max_depth)
-        return GbdtModel(float(base), forest, p, int(n_features), list(arrays["train_mse"]))
+        p = replace_from_json(GbdtParams(), params, "GbdtParams")
+        return GbdtModel(float(base), {name: arrays[name] for name in forest}, p,
+                         int(n_features), list(arrays["train_mse"]))
     if kind == "mlp":
-        p = _params(MlpParams, params)
-        _check_mlp(arrays, p.hidden)
-        weights = [(arrays[f"W{i}"], arrays[f"b{i}"]) for i in range(len(p.hidden) + 1)]
+        p = replace_from_json(MlpParams(), params, "MlpParams")
+        n = len(p.hidden) + 1
+        _present(kind, arrays, ("input_mean", "input_std",
+                                *(f"{w}{i}" for i in range(n) for w in "Wb"), "loss_curve"))
+        weights = [(arrays[f"W{i}"], arrays[f"b{i}"]) for i in range(n)]
         return MlpModel(weights, arrays["input_mean"], arrays["input_std"], p,
-                        list(arrays["loss_curve"]))
+                        arrays["loss_curve"])
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 
@@ -253,7 +177,10 @@ def load_model_bytes(data: bytes):
     if not isinstance(params, dict):
         raise ModelFormatError("parameter block is not a JSON object")
     arrays = _read_arrays(fh)
-    return _restore(kind, params, arrays)
+    try:
+        return _restore(kind, params, arrays)
+    except ValueError as exc:   # this module's, or a params or model class's rule
+        raise ModelFormatError(str(exc)) from None
 
 
 def save_model(model, path: str) -> None:

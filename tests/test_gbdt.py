@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speedtrim.gbdt import GbdtModel, GbdtParams, PAPER_SCALE, train_gbdt
+from speedtrim.gbdt import GbdtModel, GbdtParams, train_gbdt
 from speedtrim.modelio import dump_model, load_model_bytes
 from speedtrim.traceio import REGRESSOR_ARITY
 
@@ -28,10 +26,6 @@ class TestParams:
             GbdtParams(learning_rate=1.5)
         with pytest.raises(ValueError, match="unknown objective"):
             GbdtParams(objective="mae")
-
-    def test_paper_scale_preset(self):
-        assert (PAPER_SCALE.max_depth, PAPER_SCALE.n_trees,
-                PAPER_SCALE.learning_rate) == (7, 1500, 0.03)
 
     def test_rel_objective_is_a_hook_only(self):
         # the relative-error loss is not implemented; "rel" is refused like
@@ -251,10 +245,11 @@ class TestPredictEquivalence:
         assert_predict_is_reference(model, X)
 
     def test_paper_scale_forest(self):
+        # the paper's regressor: 1500 trees of depth 7, learning rate 0.03
         rng = np.random.default_rng(8)
-        forest = random_forest(rng, PAPER_SCALE.n_trees, PAPER_SCALE.max_depth,
-                               REGRESSOR_ARITY, 0.0)
+        forest = random_forest(rng, 1500, 7, REGRESSOR_ARITY, 0.0)
         for objective in ("mse", "log-mse"):
-            params = dataclasses.replace(PAPER_SCALE, objective=objective)
+            params = GbdtParams(max_depth=7, n_trees=1500, learning_rate=0.03,
+                                objective=objective)
             model = GbdtModel(3.0, forest, params, REGRESSOR_ARITY, [])
             assert_predict_is_reference(model, rng.random((20, REGRESSOR_ARITY)))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from speedtrim import modelio
-from speedtrim.gbdt import GbdtParams, train_gbdt
-from speedtrim.mlp import MlpParams, train_mlp
+from speedtrim.gbdt import GbdtModel, GbdtParams, train_gbdt
+from speedtrim.mlp import MlpModel, MlpParams, train_mlp
 from speedtrim.modelio import (
     ModelFormatError,
     dump_model,
@@ -321,6 +321,38 @@ class TestParamsAndMlpValidation:
         assert main(["run", "--trace", str(trace), "--regressor", path,
                      "--classifier", path]) == EXIT_MODEL
         assert f"parameter '{key}'" in capsys.readouterr().err
+
+
+class TestRulesOfTheModelClass:
+    """The loader's checks are the model classes' own, and a forest
+    descends its own depth, which max_depth only bounds."""
+
+    def test_max_depth_bounds_the_descent_but_does_not_set_it(self, gbdt_model):
+        back = load_model_bytes(dump_edited(gbdt_model, lambda p, a: p.update(max_depth=100000)))
+        assert back.params.max_depth == 100000
+        # the fixture's trees are 3 levels deep
+        assert back._descent[-1] == gbdt_model._descent[-1] == 3
+        X = np.random.default_rng(9).random((50, 5))
+        assert back.predict(X).tobytes() == gbdt_model.predict(X).tobytes()
+        assert back.predict(X[0]).tobytes() == gbdt_model.predict(X[0]).tobytes()
+
+    def test_bad_forest_built_in_memory_gets_the_loaders_message(self, gbdt_model):
+        bad = copy.deepcopy(gbdt_model)
+        _child_into_next_tree(bad.forest)
+        with pytest.raises(ModelFormatError) as loaded:
+            load_model_bytes(dump_model(bad))
+        with pytest.raises(ValueError, match="gbdt left child index outside its tree") as built:
+            GbdtModel(bad.base_prediction, bad.forest, bad.params, bad.n_features, [])
+        assert str(built.value) == str(loaded.value)
+
+    def test_bad_mlp_built_in_memory_gets_the_loaders_message(self, mlp_model):
+        bad = copy.deepcopy(mlp_model)
+        bad.input_std[0] = 0.0
+        with pytest.raises(ModelFormatError) as loaded:
+            load_model_bytes(dump_model(bad))
+        with pytest.raises(ValueError, match="mlp input_std must be finite and > 0") as built:
+            MlpModel(bad.weights, bad.input_mean, bad.input_std, bad.params, [])
+        assert str(built.value) == str(loaded.value)
 
 
 def with_block(blob: bytes, old: bytes, new: bytes) -> bytes:
