@@ -1,18 +1,22 @@
 """Online termination pipeline: one session per test.
 
-A session windows snapshots as they arrive: at each decision stride the
-snapshots received since the previous one fill the 100 ms windows up to
-the boundary, through the window statistics ``resample`` uses, in place
-in one fixed frame buffer that holds a whole capped test.  It then
-evaluates the stop classifier (after a variability guard), and invokes
-the regressor exactly once when the test stops early.  Replay feeds a
-recorded trace through the same session.  End of trace is always a
-valid stop; the engine never fails a test, late stopping only costs data.
+A session builds its 100 ms frames as snapshots arrive, in place in one
+fixed frame buffer that holds a whole capped test.  A snapshot in a later
+window than the open one closes the open window: its frame is written,
+and any empty windows up to the snapshot's carry it forward with the std
+channels zeroed.  The open window's snapshots are folded into its running
+sums with ``traceio.fold_window`` when it closes and whenever 16 are
+held, so a session holds few snapshots whatever their rate.  At each
+decision stride the frames before the boundary are therefore already
+built: the session evaluates the stop classifier (after a variability
+guard), and invokes the regressor exactly once when the test stops early.
+Replay feeds a recorded trace through the same session.  End of trace is
+always a valid stop; the engine never fails a test, late stopping only
+costs data.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -30,6 +34,7 @@ from .core import (
     REASON_CLASSIFIER,
     REASON_END_OF_TRACE,
     SNAPSHOT_FIELDS,
+    STD_CHANNELS,
     STOP_THRESHOLD,
     Snapshot,
     StopDecision,
@@ -40,20 +45,25 @@ from .core import (
 )
 from .gbdt import GbdtModel
 from .mlp import MlpModel
-from .traceio import STRIDE_MS, WINDOW_MS, classifier_input, regressor_input, window_frames
+from .traceio import (
+    EMPTY_WINDOW,
+    STRIDE_MS,
+    WINDOW_MS,
+    classifier_input,
+    fold_window,
+    regressor_input,
+    window_frame,
+)
 from .traceio import resample  # noqa: F401  engine.resample stays available to its readers
 
 _CUMULATIVE = [SNAPSHOT_FIELDS.index(name) for name in CUMULATIVE_FIELDS]
 # Windows of a test that reaches the MAX_TEST_US cap: a session's frames.
-_MAX_WINDOWS = MAX_TEST_US // (WINDOW_MS * 1000)
-
-
-def _int64_columns(snapshots: list[Snapshot]) -> np.ndarray:
-    """The validated snapshots' values as int64 columns in SNAPSHOT_FIELDS
-    order."""
-    width = len(SNAPSHOT_FIELDS)
-    values = itertools.chain.from_iterable(snapshots)
-    return np.fromiter(values, np.int64, width * len(snapshots)).reshape(-1, width).T
+_WINDOW_US = WINDOW_MS * 1000
+_MAX_WINDOWS = MAX_TEST_US // _WINDOW_US
+# Snapshots of the open window a session holds before folding them into
+# its running sums.
+_FOLD_EVERY = 16
+_STD = list(STD_CHANNELS)
 
 
 @dataclass(frozen=True)
@@ -100,10 +110,11 @@ class Session:
         self.policy = policy
         self._frames = np.empty((_MAX_WINDOWS, N_FEATURES))
         self._filled = 0                    # windows [0, _filled) hold frames
-        self._pending: list[Snapshot] = []  # received, not yet windowed
-        self._windowed = 0                  # snapshots windowed
-        self._prev: Snapshot | None = None  # last snapshot windowed
+        self._sums = EMPTY_WINDOW           # window _filled's running sums
+        self._held: list[Snapshot] = []     # received, not yet in the sums
+        self._prev: Snapshot | None = None  # last snapshot in the sums
         self._last: Snapshot | None = None  # last snapshot received
+        self._second_us: int | None = None  # t_us of the second snapshot received
         self._next_stride_ms = STRIDE_MS
         self._terminal: StopDecision | None = None
         self._finalized = False
@@ -131,6 +142,12 @@ class Session:
         if snapshot.t_us > MAX_TEST_US:
             raise ValidationError(f"t_us {snapshot.t_us} exceeds the test-length cap "
                                   f"of {MAX_TEST_US} us")
+        w = int(snapshot.t_us) // _WINDOW_US
+        if last is None:
+            self._frames[:w] = 0.0          # no snapshot before: zero frames
+            self._filled = w
+        elif w > self._filled:
+            self._close(w)
         # strict inequality: a stride is judged at the first snapshot past
         # its boundary, so the final stride of a trace is never an early stop
         while self._next_stride_ms * 1000 < snapshot.t_us:
@@ -141,28 +158,41 @@ class Session:
                 self._terminal = decision
                 self._stop_ms = t_ms
                 return decision
-        self._pending.append(snapshot)
+        held = self._held
+        held.append(snapshot)
+        if len(held) == _FOLD_EVERY:
+            self._fold()
+        if last is not None and self._second_us is None:
+            self._second_us = snapshot.t_us
         self._last = snapshot
         return CONTINUE
 
+    def _fold(self) -> None:
+        held = self._held
+        if held:
+            self._sums = fold_window(self._sums, held, self._prev)
+            self._prev = held[-1]
+            held.clear()
+
+    def _close(self, w: int) -> None:
+        """Write the open window's frame, carry it forward over the empty
+        windows before window w, and open window w."""
+        self._fold()
+        buf, k = self._frames, self._filled
+        buf[k] = window_frame(self._sums, self._prev)
+        if w > k + 1:
+            carried = buf[k].copy()
+            carried[_STD] = 0.0
+            buf[k + 1:w] = carried
+        self._filled, self._sums = w, EMPTY_WINDOW
+
     def _evaluate_stride(self, t_ms: int) -> StopDecision:
-        # the snapshots received since the previous stride fill the windows
-        # from the first unfilled one up to t_ms; one exactly on the boundary
-        # opens the next window.
-        pending, buf, w0 = self._pending, self._frames, self._filled
-        n = len(pending) - (bool(pending) and pending[-1].t_us == t_ms * 1000)
-        run, self._pending = pending[:n], pending[n:]
-        cols = _int64_columns(run)
-        w1 = t_ms // WINDOW_MS
-        buf[w0:w1] = window_frames(cols, cols[0] // (WINDOW_MS * 1000), w0, w1,
-                                   self._prev, buf[w0 - 1] if self._prev is not None else None)
-        self._filled = w1
-        frames = buf[:w1]
-        if run:
-            self._prev = run[-1]
-            self._windowed += n
-        if self._windowed < 2:
+        # the snapshot past the boundary closed every window before it; a
+        # stride is judged once two snapshots lie strictly before it
+        second = self._second_us
+        if second is None or second >= t_ms * 1000:
             return CONTINUE
+        frames = self._frames[:t_ms // WINDOW_MS]
         if not variability_guard(frames, t_ms):
             return CONTINUE
         t0 = time.perf_counter()
@@ -176,8 +206,8 @@ class Session:
         """Declare the stream complete; stopping here is always valid."""
         if self.terminal:
             return self._terminal
-        n = self._windowed + len(self._pending)
-        if n < 2:
+        if self._second_us is None:
+            n = int(self._last is not None)
             raise ValidationError(f"a test needs >= 2 snapshots, got {n}")
         if self._last.bytes_acked <= 0:
             raise ValidationError(f"no bytes acked by the last snapshot (t_us={self._last.t_us})")

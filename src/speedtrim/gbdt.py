@@ -26,10 +26,11 @@ per-tree start to add and no multiply.  The table is ordered [right,
 left] and indexed by ``x < threshold``, never by ``x >= threshold``,
 which differs from it where a threshold is NaN.
 
-A model checks its forest as it derives these tables, so a bad forest is
-a ``ValueError`` whether it is built in memory or loaded.  The check
-walks from the roots until it reaches only leaves: that many levels are
-the forest's depth, which ``max_depth`` bounds.
+A model checks its forest as it casts the arrays to ``FOREST_DTYPES``,
+which must keep every value, and as it derives these tables, so a bad
+forest is a ``ValueError`` whether it is built in memory or loaded.  The
+check walks from the roots until it reaches only leaves: that many
+levels are the forest's depth, which ``max_depth`` bounds.
 
 Prediction descends all trees together, the forest's depth in levels
 (leaves point to themselves), and sums each row's terms
@@ -68,6 +69,27 @@ class GbdtParams:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.objective not in ("mse", "log-mse"):
             raise ValueError(f"unknown objective {self.objective!r}")
+
+
+def _packed(forest: dict) -> dict[str, np.ndarray]:
+    """The forest's arrays cast to ``FOREST_DTYPES``.  Raises ``ValueError``
+    naming an array whose values the cast changes: a fraction, a NaN or an
+    out-of-range value in an integer array, or an integer that float64
+    rounds."""
+    packed = {}
+    for name, dtype in FOREST_DTYPES.items():
+        arr = np.asarray(forest[name])
+        with np.errstate(invalid="ignore", over="ignore"):
+            cast = arr.astype(dtype, copy=False)
+            back = cast.astype(arr.dtype)
+        # both ways, as neither alone sees every change: a wrapped integer
+        # casts back to itself, and a rounded one compares equal in float64
+        if not (np.array_equal(cast, arr, equal_nan=True)
+                and np.array_equal(back, arr, equal_nan=True)):
+            raise ValueError(f"gbdt {name} holds a value that changes under the cast to "
+                             f"{np.dtype(dtype).name}")
+        packed[name] = cast
+    return packed
 
 
 def _descent(forest: dict[str, np.ndarray], n_features: int,
@@ -228,8 +250,7 @@ class GbdtModel:
     def __init__(self, base_prediction: float, forest: dict, params: GbdtParams,
                  n_features: int, train_mse: list[float]):
         self.base_prediction = float(base_prediction)
-        self.forest = {name: np.asarray(forest[name], dtype=dtype)
-                       for name, dtype in FOREST_DTYPES.items()}
+        self.forest = _packed(forest)
         self.params = params
         self.n_features = int(n_features)
         self.train_mse = list(train_mse)

@@ -12,7 +12,8 @@ An input of exactly 0 then adds nothing to the first layer, so
 `predict_proba` multiplies only the columns up to the last nonzero one
 before the final column (elapsed ms): the zero-filled history of an early
 stride costs nothing.  This needs every ``input_std`` finite and > 0,
-which a model checks when it is built, in memory or loaded.
+and the folded layer finite (a tiny std overflows it), which a model
+checks when it is built, in memory or loaded.
 The weight matrices it predicts with are copies that start on a cache
 line: a one-row product over a block that fits in cache runs up to twice
 as fast from an aligned start, and the allocator's own start varies from
@@ -108,10 +109,11 @@ def loss_and_grads(weights, X: np.ndarray, y: np.ndarray):
 
 
 def _check_layers(weights, input_mean: np.ndarray, input_std: np.ndarray, hidden: tuple,
-                  loss_curve: np.ndarray) -> None:
-    """Reject arrays that do not give the layer widths (that of
-    ``input_mean``, the ``hidden`` widths, one output) or that hold a value
-    the folded first layer cannot serve."""
+                  loss_curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first layer with the standardization folded in, ``W0 / std``
+    and ``b0 - (mean / std) @ W0``.  Rejects arrays that do not give the
+    layer widths (that of ``input_mean``, the ``hidden`` widths, one
+    output) or that hold a value the folded first layer cannot serve."""
     for name, arr in (("input_mean", input_mean), ("loss_curve", loss_curve)):
         if arr.ndim != 1:
             raise ValueError(f"mlp {name} must be 1-D")
@@ -135,6 +137,14 @@ def _check_layers(weights, input_mean: np.ndarray, input_std: np.ndarray, hidden
     for name in ("input_mean", *shapes):
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"mlp {name} holds a value that is not finite")
+    # a tiny std overflows the fold: checked here, so no warning escapes
+    W0, b0 = weights[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = (W0 / input_std[:, None], b0 - (input_mean / input_std) @ W0)
+    for name, arr in zip(("first layer", "first-layer bias"), folded):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"mlp input_std folds into a {name} that is not finite")
+    return folded
 
 
 class MlpModel:
@@ -147,12 +157,10 @@ class MlpModel:
         self.input_mean = np.asarray(input_mean, dtype=np.float64)
         self.input_std = np.asarray(input_std, dtype=np.float64)
         self.params = params
-        _check_layers(self.weights, self.input_mean, self.input_std, params.hidden,
-                      np.asarray(loss_curve))
+        W0, b0 = _check_layers(self.weights, self.input_mean, self.input_std, params.hidden,
+                               np.asarray(loss_curve))
         self.loss_curve = list(loss_curve)
-        W0, b0 = self.weights[0]
-        self._layers = [(_aligned(W0 / self.input_std[:, None]),
-                         b0 - (self.input_mean / self.input_std) @ W0)]
+        self._layers = [(_aligned(W0), b0)]
         self._layers += [(_aligned(W), b) for W, b in self.weights[1:]]
 
     @property

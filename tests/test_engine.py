@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speedtrim import engine, label, synth
+from speedtrim import engine, label, synth, traceio
 from speedtrim.core import (
     CUMULATIVE_FIELDS,
     F_DUPACK_MEAN,
@@ -18,6 +18,7 @@ from speedtrim.core import (
     N_FEATURES,
     SNAPSHOT_FIELDS,
     WINDOW_MS,
+    Snapshot,
     ValidationError,
 )
 from speedtrim.engine import (
@@ -71,19 +72,26 @@ class TestVariabilityGuard:
 
 
 class TestIntake:
-    """A run's snapshots become int64 columns as np.array would make them;
-    a value outside int64, where np.array fails, is named by
-    Snapshot.validate and so never reaches a run."""
+    """NumPy integer snapshots window as the same values as Python ints do;
+    a value outside int64 is named by Snapshot.validate and so never
+    reaches a window."""
 
-    def test_columns_equal_np_array(self):
-        snaps = [util.snapshot(np.int32(0), np.uint64(10), cwnd_bytes=np.int32(-7)),
-                 util.snapshot(100_000, np.uint64(2 ** 63 - 1), rtt_us=np.uint64(9),
-                               retrans=-2 ** 63, pipe_full=np.int32(3))]
-        for run in (snaps, snaps[:1], []):
-            expected = np.array(run, dtype=np.int64).reshape(-1, len(SNAPSHOT_FIELDS)).T
-            got = engine._int64_columns(run)
-            assert got.dtype == np.int64 and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64],
+                             ids=["int32", "int64", "uint64"])
+    def test_numpy_integers_give_the_frames_of_python_ints(self, dtype):
+        # the session's windows fold the values as given, not as int64
+        # columns: every stride must still see byte-identical frames
+        big = 2 ** 31 - 1 if dtype is np.int32 else 2 ** 63 - 1
+        rows = [(0, 0, 7, 0, 9, 0, 0, 0)]
+        rows += [(t_us, t_us * 12 if t_us < 1_100_000 else big - 1_400_000 + t_us,
+                  big - t_us, t_us % 7, 20_000 + t_us % 13, t_us // 90_000,
+                  big if t_us >= 1_100_000 else t_us // 70_000, t_us // 400_000)
+                 for t_us in range(30_000, 1_400_000, 30_000)]
+        snaps = [Snapshot(*row) for row in rows]
+        typed = [Snapshot(*map(dtype, row)) for row in rows]
+        seen = [judged_series(feed) for feed in (snaps, typed)]
+        assert [t for t, _ in seen[0]] == [500, 1000]
+        assert [(t, f.tobytes()) for t, f in seen[0]] == [(t, f.tobytes()) for t, f in seen[1]]
 
     @pytest.mark.parametrize("field, value", [
         ("cwnd_bytes", 2 ** 63), ("cwnd_bytes", np.uint64(2 ** 63)),
@@ -225,9 +233,9 @@ class TestReplayEquivalence:
         assert out.ran_to_completion
 
 
-def judged_series(trace):
+def judged_series(snapshots):
     """(t_ms, frames) of every stride a never-stopping session judges
-    while the trace is fed to it, read where the guard sees them."""
+    while the snapshots are fed to it, read where the guard sees them."""
     seen = []
 
     def recording(ws, t_ms):
@@ -237,14 +245,14 @@ def judged_series(trace):
     session = Session(make_policy(0.0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "variability_guard", recording)
-        for snap in trace.snapshots:    # strides are judged while feeding
+        for snap in snapshots:      # strides are judged while feeding
             session.feed(snap)
     return seen
 
 
 def assert_frames_match_resample(trace):
     ws = resample(trace)
-    seen = judged_series(trace)
+    seen = judged_series(trace.snapshots)
     for t_ms, frames in seen:
         n = t_ms // WINDOW_MS
         assert frames.shape[0] == n
@@ -273,30 +281,56 @@ def timings(draw):
                            retrans=rising(5), dup_acks=rising(5), pipe_full=rising(2))
 
 
+@st.composite
+def dense_snapshots(draw):
+    """Snapshots 1 ms apart for 1.2 to 2.5 s from a random start, about a
+    hundred to a window, with random valid values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1_200, 2_500))
+    t_us = draw(st.integers(0, 99_999)) + 1_000 * np.arange(n)
+
+    def rising(hi):
+        return np.cumsum(rng.integers(0, hi, n, endpoint=True))
+
+    return util.make_trace(t_us, rising(10 ** 5), cwnd_bytes=rng.integers(0, 10 ** 6, n),
+                           bytes_in_flight=rng.integers(0, 10 ** 6, n),
+                           rtt_us=rng.integers(1, 10 ** 6, n), retrans=rising(2),
+                           dup_acks=rising(3), pipe_full=rising(1))
+
+
 class TestWindowKernel:
-    """window_frames equals a per-window plain-Python reference bit for bit,
-    over a whole trace and over two runs split at a window boundary."""
+    """The two window kernels agree bit for bit: window_frames with a
+    per-window plain-Python reference, and fold_window with window_frames
+    whatever the chunks a window is folded in."""
 
     @settings(max_examples=150, deadline=None)
-    @given(trace=timings(), data=st.data())
-    def test_frames_equal_the_reference(self, trace, data):
+    @given(trace=timings())
+    def test_frames_equal_the_reference(self, trace):
         win_us = WINDOW_MS * 1000
         n = max(1, math.ceil(trace.t_us[-1] / win_us))
         w_of = np.minimum(trace.t_us // win_us, n - 1)
         cols = np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS])
-        whole = window_frames(cols, w_of, 0, n)
-        assert whole.tobytes() == util.reference_window_frames(cols, w_of, 0, n).tobytes()
+        whole = window_frames(cols, w_of, n)
+        assert whole.tobytes() == util.reference_window_frames(cols, w_of, n).tobytes()
         assert whole.tobytes() == resample(trace).tobytes()
 
-        split = data.draw(st.integers(1, n), label="split")
-        k = int(np.searchsorted(w_of, split))       # snapshots before the split
-        head = window_frames(cols[:, :k], w_of[:k], 0, split)
-        prev = tuple(cols[:, k - 1].tolist()) if k else None
-        prev_frame = head[-1] if k else None
-        args = (cols[:, k:], w_of[k:], split, n, prev, prev_frame)
-        tail = window_frames(*args)
-        assert tail.tobytes() == util.reference_window_frames(*args).tobytes()
-        assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
+    @settings(max_examples=150, deadline=None)
+    @given(trace=st.one_of(timings(), dense_snapshots()), data=st.data())
+    def test_folded_windows_equal_the_batch_kernel(self, trace, data):
+        w_of = trace.t_us // (WINDOW_MS * 1000)
+        n = int(w_of[-1]) + 1
+        batch = window_frames(np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS]),
+                              w_of, n)
+        snaps, prev = trace.snapshots, None
+        for w in np.unique(w_of):
+            members = snaps[np.searchsorted(w_of, w):np.searchsorted(w_of, w, "right")]
+            sums, i = traceio.EMPTY_WINDOW, 0
+            while i < len(members):     # the window in chunks of random sizes
+                k = data.draw(st.integers(1, 20), label="chunk")
+                sums = traceio.fold_window(sums, members[i:i + k], prev)
+                prev, i = members[min(i + k, len(members)) - 1], i + k
+            frame = np.array(traceio.window_frame(sums, members[-1]))
+            assert frame.tobytes() == batch[w].tobytes(), w
 
 
 class TestOneDecisionPath:
@@ -313,6 +347,25 @@ class TestOneDecisionPath:
     @given(trace=timings())
     def test_frames_equal_resample_on_any_timing(self, trace):
         assert_frames_match_resample(trace)
+
+    @settings(max_examples=25, deadline=None)
+    @given(trace=dense_snapshots())
+    def test_frames_equal_resample_on_dense_snapshots(self, trace):
+        # more snapshots to a window than a session holds unfolded
+        assert len(assert_frames_match_resample(trace)) >= 2
+
+    def test_second_snapshot_on_a_stride_boundary_before_a_gap(self):
+        # the 500 ms snapshot opens window 5, which the 700 ms one closes
+        # early; it does not lie before stride 500, so that stride is not
+        # judged, as in a replay
+        t_us = [0, 500_000] + list(range(700_000, 3_000_001, 100_000))
+        trace = util.make_trace(t_us, [t * 10 for t in t_us])
+        assert [t_ms for t_ms, _ in assert_frames_match_resample(trace)] == [
+            1000, 1500, 2000, 2500]
+        policy = make_policy(1.0)
+        live, replay = util.feed_trace(trace, policy), run_trace(trace, policy)
+        assert live == replay
+        assert live.stop_time_ms > 500.0
 
     def test_boundary_snapshot_before_gap(self):
         # every 100 ms, 124 Mbps from 300 to 400 ms, nothing from 400 to

@@ -1,6 +1,7 @@
 import copy
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -273,6 +274,14 @@ class TestParamsAndMlpValidation:
               *((k, v, f"mlp {k} holds a value that is not finite")
                 for k, v in (("input_mean", np.nan), ("W0", np.inf), ("b0", np.nan),
                              ("W1", -np.inf), ("b1", np.nan))))),
+        # a positive but tiny input_std overflows the fold
+        pytest.param("mlp", lambda p, a: a.update(input_std=with_entry(a["input_std"], 1e-310)),
+                     "input_std folds into a first layer that is not finite",
+                     id="mlp-input_std-tiny"),
+        pytest.param("mlp", lambda p, a: a.update(input_std=np.full(5, 1e-5),
+                                                  input_mean=np.full(5, 1e306)),
+                     "input_std folds into a first-layer bias that is not finite",
+                     id="mlp-folded-bias-overflows"),
     ])
     def test_rejected_on_load(self, gbdt_model, mlp_model, model, edit, match):
         model = {"gbdt": gbdt_model, "mlp": mlp_model}[model]
@@ -294,9 +303,13 @@ class TestParamsAndMlpValidation:
         nan_std = tmp_path / "nan_std.bin"
         nan_std.write_bytes(dump_edited(
             mlp_model, lambda p, a: a.update(input_std=with_entry(a["input_std"], np.nan))))
+        tiny_std = tmp_path / "tiny_std.bin"
+        tiny_std.write_bytes(dump_edited(
+            mlp_model, lambda p, a: a.update(input_std=with_entry(a["input_std"], 1e-310))))
         trace = tmp_path / "t.jsonl"
         trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
-        for regressor, classifier in ((extra_param, good), (good, no_bias), (good, nan_std)):
+        for regressor, classifier in ((extra_param, good), (good, no_bias), (good, nan_std),
+                                      (good, tiny_std)):
             assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
                          "--classifier", str(classifier)]) == EXIT_MODEL
 
@@ -353,6 +366,81 @@ class TestRulesOfTheModelClass:
         with pytest.raises(ValueError, match="mlp input_std must be finite and > 0") as built:
             MlpModel(bad.weights, bad.input_mean, bad.input_std, bad.params, [])
         assert str(built.value) == str(loaded.value)
+
+    def test_tiny_input_std_rejected_without_a_warning(self, mlp_model):
+        # 1e-310 is finite and > 0, but W0 / 1e-310 overflows: the model
+        # used to load and give p_stop 1.0 for every row
+        bad = copy.deepcopy(mlp_model)
+        bad.input_std[0] = 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFormatError, match="not finite") as loaded:
+                load_model_bytes(dump_model(bad))
+            with pytest.raises(ValueError, match="input_std folds into a first layer") as built:
+                MlpModel(bad.weights, bad.input_mean, bad.input_std, bad.params, [])
+        assert str(built.value) == str(loaded.value)
+
+
+def _with_array(model, name: str, arr: np.ndarray):
+    """A copy of a gbdt model whose forest holds arr under name, uncast."""
+    bad = copy.deepcopy(model)
+    bad.forest[name] = arr
+    return bad
+
+
+class TestForestDtypes:
+    """A forest array loads in another integer or float dtype only when
+    the cast to its own dtype keeps every value."""
+
+    @pytest.mark.parametrize("name, dtype, at, value", [
+        pytest.param("left", np.float64, 0, 1.7, id="fractional-child"),
+        pytest.param("left", np.float64, 1, np.nan, id="nan-child"),
+        pytest.param("right", np.int64, 0, 2 ** 32 + 2, id="child-past-int32"),
+        pytest.param("feature", np.float64, 0, 0.5, id="fractional-feature"),
+        pytest.param("offsets", np.uint64, -1, 2 ** 64 - 1, id="offset-past-int64"),
+        pytest.param("threshold", np.int64, 0, 2 ** 53 + 1, id="threshold-float64-rounds"),
+    ])
+    def test_inexact_cast_rejected(self, gbdt_model, name, dtype, at, value):
+        arr = gbdt_model.forest[name].astype(dtype)
+        arr[at] = value
+        bad = _with_array(gbdt_model, name, arr)
+        message = f"gbdt {name} holds a value that changes under the cast"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFormatError, match=message):
+                load_model_bytes(dump_model(bad))
+            with pytest.raises(ValueError, match=message):
+                GbdtModel(bad.base_prediction, bad.forest, bad.params, bad.n_features, [])
+
+    def test_exact_i8_and_f8_arrays_load(self, gbdt_model):
+        X = np.random.default_rng(3).random((40, 5))
+        for name in ("feature", "left", "right", "offsets", "threshold", "value"):
+            for dtype in (np.int64, np.float64):
+                arr = gbdt_model.forest[name]
+                if not np.array_equal(arr.astype(dtype), arr):
+                    continue        # a fractional threshold or value has no <i8 form
+                blob = dump_model(_with_array(gbdt_model, name, arr.astype(dtype)))
+                assert np.dtype(dtype).str.encode() in blob
+                back = load_model_bytes(blob)
+                assert back.forest[name].dtype == gbdt_model.forest[name].dtype
+                assert back.predict(X).tobytes() == gbdt_model.predict(X).tobytes()
+
+    def test_cli_exits_4(self, tmp_path):
+        from speedtrim.cli import EXIT_MODEL, main
+        from speedtrim.traceio import REGRESSOR_ARITY, dump_trace
+        import util
+        rng = np.random.default_rng(5)
+        regressor = train_gbdt(rng.random((60, REGRESSOR_ARITY)), rng.uniform(1, 100, 60),
+                               GbdtParams(n_trees=3, max_depth=3))
+        left = regressor.forest["left"].astype(np.float64)
+        left[0] += 0.7
+        path, classifier = str(tmp_path / "r.bin"), str(tmp_path / "c.bin")
+        save_model(_with_array(regressor, "left", left), path)
+        save_model(util.constant_classifier(0.5), classifier)
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
+        assert main(["run", "--trace", str(trace), "--regressor", path,
+                     "--classifier", classifier]) == EXIT_MODEL
 
 
 def with_block(blob: bytes, old: bytes, new: bytes) -> bytes:

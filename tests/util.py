@@ -231,13 +231,13 @@ def reference_parse_trace(stream, default_id: str = "trace") -> Trace:
     return Trace(trace_id, duration_us, cols)
 
 
-def reference_window_frames(cols, w_of, w0: int, w1: int, prev=None, prev_frame=None):
+def reference_window_frames(cols, w_of, n: int):
     """traceio.window_frames window by window in plain Python: each sum is
     taken one value at a time in snapshot order, then put through the
     kernel's formulas.  The reference the kernel must match bit for bit."""
     rows = [tuple(map(int, row)) for row in zip(*cols)]
-    windows = [int(w) - w0 for w in w_of]
-    frames = np.zeros((w1 - w0, N_FEATURES))
+    windows = [int(w) for w in w_of]
+    frames = np.zeros((n, N_FEATURES))
 
     def stats(values):
         total = squares = 0.0
@@ -248,9 +248,9 @@ def reference_window_frames(cols, w_of, w0: int, w1: int, prev=None, prev_frame=
         mean = total / safe
         return mean, math.sqrt(max(squares / safe - mean * mean, 0.0))
 
-    for w in range(w1 - w0):
+    for w in range(n):
         members = [i for i, wi in enumerate(windows) if wi == w]
-        before = frames[w - 1] if w else prev_frame
+        before = frames[w - 1] if w else None
         if not members:
             if before is not None:
                 frames[w] = before
@@ -261,9 +261,9 @@ def reference_window_frames(cols, w_of, w0: int, w1: int, prev=None, prev_frame=
             frames[w, ch], frames[w, ch + 1] = stats(values)
         deltas = []
         for i in members:
-            last = rows[i - 1] if i else prev
-            if last is None:
+            if not i:
                 continue
+            last = rows[i - 1]
             d = [float(rows[i][k]) - float(last[k]) for k in (0, 1, 5, 6)]
             deltas.append((8.0 * d[1] / d[0], d[2], d[3]))
         inst, retrans, dup_acks = zip(*deltas) if deltas else ((), (), ())
