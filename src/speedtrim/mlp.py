@@ -11,7 +11,8 @@ standardization folded in: ``W0 / std`` and ``b0 - (mean / std) @ W0``.
 An input of exactly 0 then adds nothing to the first layer, so
 `predict_proba` multiplies only the columns up to the last nonzero one
 before the final column (elapsed ms): the zero-filled history of an early
-stride costs nothing.  This needs every ``input_std`` finite and > 0,
+stride costs nothing.  One 1-D row is computed on 1-D arrays, with no
+promotion to a (1, n) batch.  This needs every ``input_std`` finite and > 0,
 and the folded layer finite (a tiny std overflows it), which a model
 checks when it is built, in memory or loaded.
 The weight matrices it predicts with are copies that start on a cache
@@ -168,23 +169,25 @@ class MlpModel:
         return self.weights[0][0].shape[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """P(stop) for one row of shape (n_features,), a scalar, or for rows
+        of shape (rows, n_features), an array of shape (rows,)."""
         X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.n_features:
+        if X.ndim not in (1, 2):
+            raise ValueError(f"feature shape mismatch: model expects one row of shape "
+                             f"({self.n_features},) or rows of shape (rows, {self.n_features}), "
+                             f"got shape {X.shape}")
+        if X.shape[-1] != self.n_features:
             raise ValueError(
-                f"feature arity mismatch: model expects {self.n_features}, got {X.shape[1]}")
+                f"feature arity mismatch: model expects {self.n_features}, got {X.shape[-1]}")
         # columns past the last nonzero one before the final column add
         # nothing to the folded first layer; a full history keeps them all
         (W, b), *rest = self._layers
-        nonzero = np.flatnonzero(X[:, :-1].any(axis=0))
+        nonzero = np.flatnonzero(X[:-1] if X.ndim == 1 else X[:, :-1].any(axis=0))
         k = nonzero[-1] + 1 if len(nonzero) else 0
-        z = X[:, :k] @ W[:k] + X[:, -1:] * W[-1] + b
+        z = X[..., :k] @ W[:k] + X[..., -1:] * W[-1] + b
         for W, b in rest:
             z = np.maximum(z, 0.0) @ W + b
-        p = 1.0 / (1.0 + np.exp(-z[:, 0]))
-        return p[0] if single else p
+        return 1.0 / (1.0 + np.exp(-z[..., 0]))
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams(),

@@ -336,8 +336,11 @@ class TestCriterion7Latency:
                        if s.regressor_latency_s is not None]
             mean_cls = float(np.mean(cls_lat))
             mean_reg = float(np.mean(reg_lat))
+            p50_reg, p95_reg = np.percentile(reg_lat, [50, 95])
             print(f"mean classifier decision {mean_cls * 1000:.2f} ms, "
-                  f"mean regressor call {mean_reg * 1000:.2f} ms")
+                  f"mean regressor call {mean_reg * 1000:.2f} ms "
+                  f"(p50 {p50_reg * 1000:.3f} ms, p95 {p95_reg * 1000:.3f} ms, "
+                  f"{len(reg_lat)} calls)")
             assert mean_cls < 0.100 and mean_reg < 0.100
             if mean_cls >= 0.014:
                 warnings.warn(f"classifier decision mean {mean_cls * 1000:.2f} ms "

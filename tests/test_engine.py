@@ -192,6 +192,26 @@ class TestFinalize:
 
 
 class TestReplayEquivalence:
+    def test_estimate_is_the_labeling_batchs_prediction(self, small_corpus, small_regressor,
+                                                        small_classifier15):
+        # the session's one-row call at the stop stride gives, by bytes, the
+        # number that labeling's batch over every stride of the trace gives
+        policy = Policy(small_regressor, small_classifier15, 15.0)
+        stops = []
+        for tid in small_corpus.ids:
+            trace = small_corpus.load(tid)
+            out = run_trace(trace, policy)
+            if out.ran_to_completion:
+                continue
+            frames = resample(trace)
+            times = traceio.stride_times(len(frames) * traceio.WINDOW_MS)
+            batch = small_regressor.predict(
+                np.vstack([traceio.regressor_input(frames, t) for t in times]))
+            want = batch[times.index(int(out.stop_time_ms))]
+            assert np.float64(out.estimate_mbps).tobytes() == want.tobytes(), tid
+            stops.append(out.stop_time_ms)
+        assert len(stops) >= 10 and len(set(stops)) >= 3, stops
+
     def test_fast_and_slow_paths_agree(self, small_corpus, small_regressor,
                                        small_classifier15):
         policy = Policy(small_regressor, small_classifier15, 15.0)

@@ -115,6 +115,21 @@ class TestPredict:
         model = GbdtModel(1.0, NO_TREES, GbdtParams(), 7, [])
         with pytest.raises(ValueError, match="arity"):
             model.predict(np.zeros(8))
+        # neither one row nor rows: a stack of matrices, a 0-D value
+        for X in (np.zeros((2, 7, 7)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"expects one row of shape \(7,\) or rows "
+                                                 r"of shape \(rows, 7\)"):
+                model.predict(X)
+
+    @pytest.mark.parametrize("forest", ["none", "trained"])
+    def test_shape_contract(self, forest):
+        X, y = toy_step_data()
+        model = (GbdtModel(1.0, NO_TREES, GbdtParams(), 3, []) if forest == "none"
+                 else train_gbdt(X, y, GbdtParams(n_trees=5, max_depth=2)))
+        assert model.predict(np.zeros((0, 3))).shape == (0,)
+        assert model.predict(X[:1]).shape == (1,)
+        one = model.predict(X[0])
+        assert isinstance(one, np.float64) and one == model.predict(X[:1])[0]
 
     def test_nonfinite_rejected(self):
         model = GbdtModel(1.0, NO_TREES, GbdtParams(), 2, [])

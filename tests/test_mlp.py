@@ -123,6 +123,22 @@ class TestPredict:
         model = util.constant_classifier(0.5, n_features=9)
         with pytest.raises(ValueError, match="expects 9"):
             model.predict_proba(np.zeros(10))
+        # neither one row nor rows: a stack of matrices, a 0-D value
+        for X in (np.zeros((2, 9, 9)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"expects one row of shape \(9,\) or rows "
+                                                 r"of shape \(rows, 9\)"):
+                model.predict_proba(X)
+
+    def test_shape_contract(self):
+        rng = np.random.default_rng(7)
+        params = MlpParams(hidden=(4,))
+        model = MlpModel(_init_weights(5, params.hidden, rng), np.zeros(5), np.ones(5),
+                         params, [])
+        X = rng.standard_normal((3, 5))
+        assert model.predict_proba(np.zeros((0, 5))).shape == (0,)
+        assert model.predict_proba(X[:1]).shape == (1,)
+        one = model.predict_proba(X[0])
+        assert isinstance(one, np.float64) and one == model.predict_proba(X[:1])[0]
 
 
 class TestFoldedForward:
