@@ -10,7 +10,6 @@ a model file ``<stem>.bin``.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -171,21 +170,6 @@ def cmd_train_regressor(args) -> int:
     return EXIT_OK
 
 
-def cmd_label(args) -> int:
-    config = _load_config(args)
-    corpus = traceio.read_corpus(args.corpus)
-    (regressor,) = _load_models([(args.regressor, "regressor")])
-    X, labels, meta = label.build_classification_dataset(corpus, regressor, (args.epsilon,))
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trace_id", "t_ms", "label"]
-                   + [f"feature_{i}" for i in range(X.shape[1])])
-        for (tid, t_ms), (lab,), row in zip(meta, labels, X):
-            w.writerow([tid, t_ms, int(lab)] + [repr(v) for v in row])
-    _log(f"wrote {len(X)} labeled samples (epsilon={args.epsilon}) to {args.out}")
-    return EXIT_OK
-
-
 def cmd_train_classifier(args) -> int:
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
@@ -204,7 +188,8 @@ def cmd_train_classifier(args) -> int:
 def cmd_run(args) -> int:
     _load_config(args)   # no key changes a replay, but a bad file is still a data error
     trace = traceio.parse_trace(args.trace)
-    (policy,) = _load_policies(args, [args.epsilon], args.classifier).values()
+    eps = 15.0 if args.epsilon is None else args.epsilon
+    (policy,) = _load_policies(args, [eps], args.classifier).values()
     outcome = run_trace(trace, policy)
     print(json.dumps({
         "trace_id": trace.id,
@@ -305,13 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_regressor)
 
-    p = sub.add_parser("label", help="emit a labeled classification dataset", parents=[common])
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--regressor", required=True)
-    p.add_argument("--epsilon", type=epsilon, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_label)
-
     p = sub.add_parser("train-classifier", help="fit the stop classifier", parents=[common])
     p.add_argument("--corpus", required=True)
     p.add_argument("--regressor", required=True)
@@ -325,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     classifier = p.add_mutually_exclusive_group()
     classifier.add_argument("--classifier")
     classifier.add_argument("--models-dir", dest="models_dir")
-    p.add_argument("--epsilon", type=epsilon, default=15.0)
+    p.add_argument("--epsilon", type=epsilon,
+                   help="picks the classifier under --models-dir (default 15)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="Pareto sweep of one method", parents=[common])
@@ -356,9 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_model_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Usage error (exit 2) when no classifier path can be formed."""
+    """Usage error (exit 2) when no classifier path can be formed, or when
+    ε would go unread."""
     if args.command == "run" and args.classifier is None and args.models_dir is None:
         parser.error("run needs --classifier or --models-dir")
+    if args.command == "run" and args.classifier is not None and args.epsilon is not None:
+        parser.error("run takes --epsilon with --models-dir, not with --classifier, "
+                     "whose file it would not read")
     if args.command == "sweep" and args.method == "ml":
         for flag, value in (("--regressor", args.regressor), ("--models-dir", args.models_dir)):
             if value is None:

@@ -81,7 +81,8 @@ def evaluate_method(corpus: Corpus, method: str, param=None, *,
 
 def _sweep(corpus: Corpus, method: str, params: list, policies) -> dict:
     """Records per parameter, in corpus order, from one pass over the corpus:
-    each trace is decoded, and for a baseline resampled, once for all."""
+    each trace is decoded, and for a baseline other than the static cap,
+    which reads the trace alone, resampled, once for all."""
     if method in BASELINE_PARAMS:
         key, parse = BASELINE_PARAMS[method]
         values = {p: parse(p) for p in params}
@@ -93,7 +94,7 @@ def _sweep(corpus: Corpus, method: str, params: list, policies) -> dict:
     for tid in corpus.ids:
         trace = None if method == "full" else corpus.load(tid)
         s = corpus.summary(tid)
-        frames = resample(trace) if method in BASELINE_PARAMS else None
+        frames = resample(trace) if method in BASELINE_PARAMS and method != "static" else None
         for p, value in values.items():
             if method == "full":
                 label, stop_ms, early, estimate, err, complete = (

@@ -2,10 +2,13 @@
 default on log targets (``log-mse``).
 
 Exact greedy splits (no histogramming): feature columns are argsorted
-once per fit and every tree partitions those sort orders top-down, so
-split search is a cumulative-sum scan per node.  Leaf values are the mean
-residual, which makes per-round training MSE nonincreasing for any
-learning rate in (0, 1].
+once per fit.  A tree node holds its rows as ascending ids into the one
+training matrix, and the same ids in each feature's sort order; a split
+divides both with one boolean mask, which keeps them ascending and
+sorted.  Split search is a cumulative-sum scan per node over the values
+read through those ids, and no node keeps a copy of its rows.  Leaf
+values are the mean residual, which makes per-round training MSE
+nonincreasing for any learning rate in (0, 1].
 
 A forest is one set of packed node arrays (``FOREST_DTYPES``): the trees'
 nodes back to back, tree t at ``offsets[t]:offsets[t + 1]``.  A node goes
@@ -195,47 +198,55 @@ class _TreeBuilder:
         return i
 
     def build(self, X: np.ndarray, g: np.ndarray, order: np.ndarray) -> dict[str, np.ndarray]:
-        """Grow one tree; returns it as a one-tree forest."""
+        """Grow one tree on the rows of ``X`` with gradients ``g``, given
+        each feature's stable sort order of all rows (one column per
+        feature); returns it as a one-tree forest."""
         root = self._new_node()
-        self._grow(root, X, g, order, depth=0)
+        self._grow(root, X, g, np.arange(len(X)), order, depth=0)
         cols = {"feature": self.feature, "threshold": self.threshold, "left": self.left,
                 "right": self.right, "value": self.value, "offsets": [0, len(self.value)]}
         return {name: np.asarray(cols[name], dtype=dtype)
                 for name, dtype in FOREST_DTYPES.items()}
 
-    def _grow(self, node: int, Xn, gn, order, depth: int) -> None:
-        n = len(gn)
+    def _grow(self, node: int, X, g, rows, order, depth: int) -> None:
+        """``rows`` are the node's row ids into ``X``, ascending; ``order``
+        holds the same ids sorted by each feature."""
+        gn = g[rows]
+        n = len(rows)
         self.value[node] = float(gn.mean())
         if depth >= self.max_depth or n < 2 * self.min_leaf or n < 2:
             return
-        split = self._best_split(Xn, gn, order)
+        split = self._best_split(X, g, order, float(gn.sum()))
         if split is None:
             return
-        f, thr, mask = split
+        f, thr = split
         self.feature[node] = f
         self.threshold[node] = thr
-        order_l, order_r = _partition_order(order, mask)
         left = self._new_node()
         right = self._new_node()
         self.left[node] = left
         self.right[node] = right
-        self._grow(left, Xn[mask], gn[mask], order_l, depth + 1)
-        self._grow(right, Xn[~mask], gn[~mask], order_r, depth + 1)
+        # a boolean mask keeps each side's ids ascending and, taken column
+        # by column, each of its sort orders sorted
+        goes_left = X[:, f] < thr
+        for child, side in ((left, goes_left), (right, ~goes_left)):
+            side_order = order.T[side[order].T].reshape(order.shape[1], -1).T
+            self._grow(child, X, g, rows[side[rows]], side_order, depth + 1)
 
-    def _best_split(self, Xn, gn, order):
-        n, d = Xn.shape
-        Xs = np.take_along_axis(Xn, order, axis=0)
-        csum = np.cumsum(gn[order], axis=0)
-        total = float(gn.sum())
+    def _best_split(self, X, g, order, total: float):
+        """(feature, threshold) of the best split of the rows that
+        ``order`` sorts, whose gradients sum to ``total``; None when no
+        split gains."""
+        n, d = order.shape
+        Xs = X[order, np.arange(d)]
+        csum = np.cumsum(g[order], axis=0)
         n_left = np.arange(1, n, dtype=np.float64)[:, None]
         left_sum = csum[:-1]
         score = left_sum ** 2 / n_left + (total - left_sum) ** 2 / (n - n_left)
         valid = Xs[1:] > Xs[:-1]
-        if self.min_leaf > 1:
-            k = self.min_leaf
-            valid[: k - 1] = False
-            if k > 1:
-                valid[n - k:] = False
+        k = self.min_leaf
+        valid[: k - 1] = False
+        valid[n - k:] = False
         score = np.where(valid, score, -np.inf)
         flat = int(np.argmax(score))
         baseline = total * total / n
@@ -245,20 +256,7 @@ class _TreeBuilder:
         thr = 0.5 * (Xs[i, f] + Xs[i + 1, f])
         if not (thr > Xs[i, f]):
             thr = Xs[i + 1, f]
-        mask = Xn[:, f] < thr
-        return f, float(thr), mask
-
-
-def _partition_order(order: np.ndarray, mask: np.ndarray):
-    """Split per-feature sort orders into left/right, preserving order."""
-    d = order.shape[1]
-    M = mask[order]
-    n_l = int(mask.sum())
-    raw_l = order.T[M.T].reshape(d, n_l).T
-    raw_r = order.T[~M.T].reshape(d, len(mask) - n_l).T
-    relabel_l = np.cumsum(mask) - 1
-    relabel_r = np.cumsum(~mask) - 1
-    return relabel_l[raw_l], relabel_r[raw_r]
+        return f, float(thr)
 
 
 class GbdtModel:

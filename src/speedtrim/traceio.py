@@ -449,7 +449,15 @@ def read_corpus(root: str) -> Corpus:
     index_path = os.path.join(root, "index.csv")
     if not os.path.exists(index_path):
         raise FileNotFoundError(f"no index.csv under {root}")
-    entries = [(row["file"], row["id"]) for _, row in _csv_rows(index_path, ("file", "id"))]
+    entries = []
+    listed = set()
+    for where, row in _csv_rows(index_path, ("file", "id")):
+        if row["id"] in listed:
+            raise ValueError(f"{where}: trace id {row['id']!r} is listed twice")
+        listed.add(row["id"])
+        entries.append((row["file"], row["id"]))
+    if not entries:
+        raise ValueError(f"{index_path}: lists no trace")
     summaries: dict[str, TraceSummary] = {}
     manifest = os.path.join(root, "manifest.csv")
     if os.path.exists(manifest):

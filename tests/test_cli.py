@@ -202,6 +202,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    def test_run_epsilon_goes_with_models_dir_only(self, capsys):
+        # ε picks a file under --models-dir; beside --classifier nothing reads it
+        with pytest.raises(SystemExit) as exc:
+            run("run", "--trace", "t.jsonl", "--regressor", "r.bin", "--classifier", "c.bin",
+                "--epsilon", "5")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--epsilon" in err and "--classifier" in err
+
     def test_missing_corpus(self, tmp_path):
         assert run("train-regressor", "--corpus", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.bin")) == 3
@@ -252,17 +261,6 @@ class TestPipeline:
         out = json.loads(capsys.readouterr().out)
         assert 0 < out["stop_time_ms"] <= 10_000
         assert out["reason"] in ("classifier", "end-of-trace")
-
-    def test_label_csv_shape(self, cli_pipeline, tmp_path):
-        out = str(tmp_path / "labels.csv")
-        assert run("label", "--corpus", cli_pipeline["corpus"],
-                   "--regressor", cli_pipeline["regressor"],
-                   "--epsilon", "15", "--out", out) == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][:3] == ["trace_id", "t_ms", "label"]
-        assert len(rows[0]) == 3 + 1301
-        assert all(r[2] in ("0", "1") for r in rows[1:])
 
     @pytest.mark.parametrize("method, params, labels", [
         ("static", "10MB,25MB", ["cap_bytes=10000000", "cap_bytes=25000000"]),

@@ -136,6 +136,21 @@ class TestOnePassSweep:
         assert decodes == files
         assert resampled == corpus.ids
 
+    def test_static_sweep_resamples_no_trace(self, small_corpus, monkeypatch):
+        # the static cap reads the trace's own byte counts, not frames
+        corpus = read_corpus(small_corpus.root)
+        decodes = util.count_decodes(monkeypatch)
+        resampled = []
+
+        def counting_resample(trace):
+            resampled.append(trace.id)
+            return resample(trace)
+
+        monkeypatch.setattr(E, "resample", counting_resample)
+        E.pareto_sweep(corpus, "static", ["10MB", "25MB"])
+        assert decodes == {fn: 1 for fn, _ in corpus.entries}
+        assert resampled == []
+
     def test_without_manifest_each_trace_decoded_once(self, small_corpus, tmp_path,
                                                       monkeypatch):
         root = tmp_path / "corpus"

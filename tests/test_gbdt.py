@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speedtrim.gbdt import GbdtModel, GbdtParams, train_gbdt
+from speedtrim.gbdt import EPS_GAIN, GbdtModel, GbdtParams, train_gbdt
 from speedtrim.modelio import dump_model, load_model_bytes
 from speedtrim.traceio import REGRESSOR_ARITY
 
@@ -103,6 +103,94 @@ class TestTraining:
         for lo, hi in zip(offsets[:-1], offsets[1:]):
             n_leaves = int(np.sum(model.forest["feature"][lo:hi] < 0))
             assert n_leaves <= 6
+
+
+def reference_split(Xn: np.ndarray, gn: np.ndarray, k: int):
+    """(feature, threshold) of the best split of one node's own rows, which
+    it sorts afresh, or None: the first of the highest-scoring splits
+    between two distinct values with ``k`` rows or more on each side."""
+    n, d = Xn.shape
+    o = np.argsort(Xn, axis=0, kind="stable")
+    Xs = np.take_along_axis(Xn, o, axis=0)
+    left_sum = np.cumsum(gn[o], axis=0)[:-1]
+    total = float(gn.sum())
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    score = left_sum ** 2 / n_left + (total - left_sum) ** 2 / (n - n_left)
+    valid = Xs[1:] > Xs[:-1]
+    valid[:k - 1] = valid[n - k:] = False
+    score = np.where(valid, score, -np.inf)
+    i, f = np.unravel_index(np.argmax(score), score.shape)
+    if not score[i, f] > total * total / n + EPS_GAIN:
+        return None
+    thr = 0.5 * (Xs[i, f] + Xs[i + 1, f])
+    return int(f), float(thr if thr > Xs[i, f] else Xs[i + 1, f])
+
+
+def reference_train(X: np.ndarray, y: np.ndarray, params: GbdtParams) -> GbdtModel:
+    """``train_gbdt`` node by node: each node copies its rows out of ``X``
+    and sorts them afresh, so no sort order passes from a node to its
+    children; each row's leaf value is recorded as its leaf is reached."""
+    y = np.log(y) if params.objective == "log-mse" else y
+    base = float(y.mean())
+    pred = np.full(len(X), base)
+    trees, train_mse = [], []
+    for _ in range(params.n_trees):
+        g = y - pred
+        nodes = [[-1, 0.0, 0, 0, 0.0]]      # feature, threshold, left, right, value
+        leaf = np.empty(len(X))
+
+        def grow(node, rows, depth):
+            nodes[node][4] = value = float(g[rows].mean())
+            split = None
+            if depth < params.max_depth and len(rows) >= max(2, 2 * params.min_samples_leaf):
+                split = reference_split(X[rows], g[rows], params.min_samples_leaf)
+            if split is None:
+                leaf[rows] = value
+                return
+            left, right = len(nodes), len(nodes) + 1
+            nodes.extend([[-1, 0.0, left, left, 0.0], [-1, 0.0, right, right, 0.0]])
+            nodes[node][:4] = *split, left, right
+            go_left = X[rows, split[0]] < split[1]
+            grow(left, rows[go_left], depth + 1)
+            grow(right, rows[~go_left], depth + 1)
+
+        grow(0, np.arange(len(X)), 0)
+        trees.append(nodes)
+        pred = pred + params.learning_rate * leaf
+        train_mse.append(float(np.mean((y - pred) ** 2)))
+    columns = list(zip(*(node for tree in trees for node in tree)))
+    forest = dict(zip(("feature", "threshold", "left", "right", "value"), columns))
+    forest["offsets"] = np.cumsum([0] + [len(tree) for tree in trees])
+    return GbdtModel(base, forest, params, X.shape[1], train_mse)
+
+
+class TestTrainerEquivalence:
+    """train_gbdt, which partitions one set of sort orders top-down, gives
+    the forest of a trainer that sorts every node's rows afresh, byte for
+    byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 300),
+           n_features=st.integers(1, 8), n_values=st.sampled_from([2, 3, 5, 40, 10 ** 6]),
+           depth=st.integers(1, 6), min_leaf=st.integers(1, 30),
+           n_trees=st.integers(1, 8), learning_rate=st.floats(0.05, 1.0),
+           objective=st.sampled_from(["mse", "log-mse"]))
+    def test_random_data_with_ties(self, seed, n_rows, n_features, n_values, depth, min_leaf,
+                                   n_trees, learning_rate, objective):
+        rng = np.random.default_rng(seed)
+        # few distinct values make ties in most sort orders.  The last
+        # feature coarsens the first, so both can split off the same rows,
+        # summed in the orders their sorts give: which split scores higher
+        # turns on those orders down to the last bit.
+        X = rng.integers(0, n_values, (n_rows, n_features)).astype(np.float64)
+        X[:, -1] = X[:, 0] // 2
+        y = np.exp(X[:, 0] / n_values + rng.standard_normal(n_rows))
+        params = GbdtParams(max_depth=depth, n_trees=n_trees, learning_rate=learning_rate,
+                            min_samples_leaf=min_leaf, objective=objective)
+        model = train_gbdt(X, y, params)
+        want = reference_train(X, y, params)
+        assert dump_model(model) == dump_model(want)
+        assert model.train_mse == want.train_mse
 
 
 class TestPredict:

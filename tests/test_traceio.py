@@ -494,6 +494,10 @@ def drop_column(name):
     return edit
 
 
+def keep_header(rows):
+    del rows[1:]
+
+
 def set_cell(line, name, value):
     def edit(rows):
         rows[line - 1][rows[0].index(name)] = value
@@ -511,8 +515,11 @@ class TestCorpusFileErrors:
          "manifest.csv line 3: invalid literal for int() with base 10: 'x'"),
         ("manifest.csv", drop_column("duration_ms"), "manifest.csv: no column duration_ms"),
         ("index.csv", lambda rows: rows[2].pop(), "index.csv line 3: fewer cells than the header"),
+        ("index.csv", keep_header, "index.csv: lists no trace"),
+        ("index.csv", lambda rows: rows.append(rows[1]),
+         "index.csv line 4: trace id 'a' is listed twice"),
     ], ids=["manifest-no-tier", "index-no-file", "manifest-bad-tier",
-            "manifest-no-duration", "index-short-row"])
+            "manifest-no-duration", "index-short-row", "index-empty", "index-repeated-id"])
     def test_exits_3_naming_file_and_place(self, tmp_path, capsys, name, edit, message):
         from speedtrim.cli import EXIT_DATA, main
         root = tmp_path / "c"
