@@ -132,6 +132,8 @@ class Trace:
         # neighbours are compared, not differenced: an int64 difference wraps
         if np.any(self.t_us[1:] <= self.t_us[:-1]):
             raise ValidationError(f"trace {self.id!r}: t_us not strictly increasing")
+        if self.t_us[0] < 0:
+            raise ValidationError(f"trace {self.id!r}: negative t_us {int(self.t_us[0])}")
         if self.t_us[-1] > MAX_TEST_US:
             raise ValidationError(f"trace {self.id!r}: last t_us {self.t_us[-1]} exceeds "
                                   f"the test-length cap of {MAX_TEST_US} us")

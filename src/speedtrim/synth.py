@@ -34,7 +34,7 @@ GENSPEC_LIMITS = {
                     (0.0, sys.float_info.max)),
     **dict.fromkeys(("ramp_tau_range", "noise_rel_std", "burst_rate", "dropout_rate",
                      "transient_spread", "plateau_spread", "difficulty_coupling"), (0.0, 10.0)),
-    "n_traces": (0, math.inf), "duration_s": (0.5, MAX_TEST_US / 1e6),
+    "n_traces": (1, math.inf), "duration_s": (0.5, MAX_TEST_US / 1e6),
     "snapshot_ms": (1.0, 1000.0),
     "ar_coeff": (0.0, 1.0), "timestamp_jitter_ms": (0.0, 1000.0),
     "capacity_range": (0.001, 100_000.0),

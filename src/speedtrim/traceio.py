@@ -7,16 +7,14 @@ dup_acks, pipe_full.  A corpus is a directory of ``*.jsonl`` files plus
 ``index.csv`` (file,id) and optionally ``manifest.csv`` with per-trace
 summaries.
 
-Window statistics have two kernels, one per caller's shape of work.
-``window_frames`` windows a whole trace at once with a few dozen NumPy
-calls; ``resample`` uses it.  ``fold_window`` and ``window_frame`` take
-one window's snapshots in plain Python, as a live session closes each
-window, where the NumPy calls would cost more than the few snapshots.
-On a 2-core Xeon, a 10 s trace of 1001 snapshots takes 0.19 ms through
-the first and 1.7 ms through the second.  Both add each value one at a
-time in snapshot order with the same float64 operations, so they must
-agree bit for bit: replay and live feeding decide on the same frames.
-The tests compare the two by bytes.
+Window statistics have one kernel, in plain Python: ``fold_window`` adds
+a window's snapshots to its running sums one at a time in snapshot order,
+and ``window_frame`` turns the sums into the window's frame.  A live
+session folds each window as its snapshots arrive; ``resample`` folds a
+whole trace window by window.  So the frames the models train on, the
+baselines read, and a live or replayed session decides on all come from
+the same code.  On a 2-core Xeon, ``resample`` takes 1.3 ms for a 10 s
+trace of 1001 snapshots.
 """
 
 from __future__ import annotations
@@ -33,9 +31,6 @@ import numpy as np
 
 from .core import (
     CUMULATIVE_FIELDS,
-    F_CUM_AVG,
-    F_PIPE_FULL,
-    F_TPUT,
     N_FEATURES,
     SNAPSHOT_FIELDS,
     STD_CHANNELS,
@@ -187,93 +182,23 @@ def dump_trace(trace: Trace) -> bytes:
     return (head + "".join(map(_SNAPSHOT_LINE.format, *cols))).encode("utf-8")
 
 
-# Rows of window_frames' value matrix: three level channels, three delta
-# channels (retrans and dup_acks deltas, instantaneous throughput), a level
-# and a delta count, then the squares of those eight.
-_LEVEL_COUNT, _DELTA_COUNT, _N_SUMS = 6, 7, 8
-_COUNT_OF = [_LEVEL_COUNT] * 3 + [_DELTA_COUNT] * 3
-_DELTA_ROWS = np.array([3, 4, 5, _DELTA_COUNT, 11, 12, 13, _DELTA_COUNT + _N_SUMS])
-_STD = list(STD_CHANNELS)
-
-
-def window_frames(cols: np.ndarray, w_of: np.ndarray, n: int) -> np.ndarray:
-    """Frames of windows [0, n) from a whole trace's snapshots: the batch
-    kernel.
-
-    ``cols`` holds the snapshots' int64 columns in SNAPSHOT_FIELDS order,
-    shape (8, snapshots), one snapshot or more, and ``w_of`` the window of
-    each snapshot, nondecreasing and in [0, n).  Counters do not decrease
-    (Trace ensures it).
-
-    Every per-window sum comes from one ``np.bincount`` over a flattened
-    (16 x snapshots) value matrix: cwnd, bif and rtt in ms at the
-    snapshot's window; the retrans and dup_acks deltas and the
-    instantaneous throughput at the window of the interval's endpoint; a
-    level and a delta count; and the squares of those eight.  Bin
-    ``row * (n + 1) + window`` adds its weights one at a time in snapshot
-    order, as ``fold_window`` does, so the batching changes no bit; a
-    pairwise ``np.add.reduceat`` or a matmul would round differently.  The
-    first snapshot has no delta, and its delta entries go to a dummy
-    window n.
-    """
-    m = cols.shape[1]
-    # Deltas of t, acked, retrans and dup_acks taken in float64, which
-    # cannot wrap where int64 would and is exact for counters below 2**53.
-    counters = cols[[0, 1, 5, 6]].astype(np.float64)
-    d = counters[:, 1:] - counters[:, :-1]
-
-    values = np.empty((2 * _N_SUMS, m))
-    values[0:2], values[2] = cols[2:4], cols[4] / 1000.0
-    values[3:5, 1:], values[5, 1:] = d[2:4], 8.0 * d[1] / d[0]
-    values[3:6, 0] = 0.0                    # the dummy window's deltas
-    values[_LEVEL_COUNT:_N_SUMS] = 1.0
-    np.multiply(values[:_N_SUMS], values[:_N_SUMS], out=values[_N_SUMS:])
-    bins = w_of + np.arange(0, 2 * _N_SUMS * (n + 1), n + 1)[:, None]
-    bins[_DELTA_ROWS, 0] = _DELTA_ROWS * (n + 1) + n
-    sums = np.bincount(bins.ravel(), weights=values.ravel(), minlength=2 * _N_SUMS * (n + 1))
-    sums = sums.reshape(2 * _N_SUMS, n + 1)[:, :n]
-    safe = np.maximum(sums[_COUNT_OF], 1.0)
-    mean = sums[:6] / safe
-    std = np.sqrt(np.maximum(sums[_N_SUMS:_N_SUMS + 6] / safe - mean * mean, 0.0))
-    frames = np.zeros((n, N_FEATURES))      # channels 3-12: mean and std of rows 0-4
-    frames[:, 3::2], frames[:, 4::2], frames[:, F_TPUT] = mean[:5].T, std[:5].T, mean[5]
-
-    # Pipe-full channel: the window's max count, at least 0.  Cum-avg
-    # channel: bytes-so-far over elapsed time at the window's last snapshot,
-    # which only for a window holding just a trace's first one is at t = 0.
-    counts = sums[_LEVEL_COUNT].astype(np.int64)
-    held = np.flatnonzero(counts)
-    ends = np.cumsum(counts)[held]
-    frames[held, F_PIPE_FULL] = np.maximum(np.maximum.reduceat(cols[7], ends - counts[held]), 0)
-    last = ends - 1
-    first = int(cols[0, last[0]] <= 0)
-    frames[held[first:], F_CUM_AVG] = 8.0 * cols[1, last[first:]] / cols[0, last[first:]]
-
-    # Carry-forward for empty windows: the frame before, std channels
-    # zeroed; windows before the first snapshot stay zero.
-    for w in np.flatnonzero(counts[1:] == 0) + 1:
-        frames[w] = frames[w - 1]
-        frames[w, _STD] = 0.0
-    return frames
-
-
 # fold_window's running sums of one window, in this order: the level count
 # and the delta count; sum and sum of squares of cwnd, bif, rtt in ms and
 # the retrans and dup_acks deltas; the sum of instantaneous throughput; and
 # the largest pipe-full count, at least 0.
 EMPTY_WINDOW = (0.0,) * 14
+_STD = list(STD_CHANNELS)
 
 
 def fold_window(sums: tuple, snapshots, prev) -> tuple:
-    """The running sums ``sums`` of one window with ``snapshots`` added: the
-    live kernel.
+    """The running sums ``sums`` of one window with ``snapshots`` added.
 
     ``snapshots`` are the window's next snapshots in order, and ``prev``
     the snapshot before them (None for a test's first).  Each value is
-    added one at a time in snapshot order, with the float64 operations of
-    ``window_frames``: a difference of floats, ``8.0 * dA / dT``,
-    ``rtt / 1000.0`` and a square by multiplying.  Folding a window in
-    several calls gives the sums of one call.
+    added one at a time in snapshot order, in float64: a difference of
+    floats, ``8.0 * dA / dT``, ``rtt / 1000.0`` and a square by
+    multiplying.  Folding a window in several calls gives the sums of one
+    call.
     """
     (n, n_d, cwnd_s, cwnd_q, bif_s, bif_q, rtt_s, rtt_q,
      retrans_s, retrans_q, dup_s, dup_q, tput_s, pipe) = sums
@@ -314,7 +239,7 @@ def window_frame(sums: tuple, last) -> tuple:
     """The frame, in channel order, of a window that holds a snapshot, from
     its running sums and its last snapshot ``last``: means over
     ``max(count, 1.0)`` and stds ``sqrt(max(squares / count - mean**2,
-    0.0))``, as ``window_frames`` takes them."""
+    0.0))``."""
     (n, n_d, cwnd_s, cwnd_q, bif_s, bif_q, rtt_s, rtt_q,
      retrans_s, retrans_q, dup_s, dup_q, tput_s, pipe) = sums
     n_d = max(n_d, 1.0)
@@ -338,13 +263,24 @@ def resample(trace: Trace) -> np.ndarray:
     final snapshot of the trace, when it lands exactly on the trailing
     boundary, folds into the last window so a 10 s trace yields exactly
     100 frames.  Windows without snapshots carry the previous frame
-    forward with zeroed std channels.
+    forward with zeroed std channels; windows before the first snapshot
+    stay zero.
     """
     win_us = WINDOW_MS * 1000
-    n_windows = max(1, math.ceil(trace.t_us[-1] / win_us))
+    n_windows = math.ceil(trace.t_us[-1] / win_us)
     w_of = np.minimum(trace.t_us // win_us, n_windows - 1)
-    cols = np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS])
-    frames = window_frames(cols, w_of, n_windows)
+    ends = np.searchsorted(w_of, np.arange(n_windows), side="right").tolist()
+    rows = list(zip(*[getattr(trace, name).tolist() for name in SNAPSHOT_FIELDS]))
+    frames = np.zeros((n_windows, N_FEATURES))
+    lo = 0
+    for w, hi in enumerate(ends):
+        if hi > lo:
+            sums = fold_window(EMPTY_WINDOW, rows[lo:hi], rows[lo - 1] if lo else None)
+            frames[w] = window_frame(sums, rows[hi - 1])
+            lo = hi
+        elif lo:                # a gap after the first snapshot
+            frames[w] = frames[w - 1]
+            frames[w, _STD] = 0.0
     frames.setflags(write=False)
     return frames
 
@@ -416,6 +352,9 @@ class Corpus:
     def load(self, trace_id: str) -> Trace:
         path = os.path.join(self.root, self._file_of[trace_id])
         trace = parse_trace(path, default_id=trace_id)
+        if trace.id != trace_id:
+            raise ValidationError(
+                f"{path}: header id {trace.id!r} is not the index id {trace_id!r}")
         if trace_id not in self._summaries:     # no manifest row: keep one decode
             self._summaries[trace_id] = trace.summarize()
         return trace

@@ -93,6 +93,15 @@ class TestSynth:
         assert "unknown preset 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_no_trace_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"genspec": {"n_traces": 0}}')
+        for args in (["--n", "0"], ["--config", str(config)]):
+            capsys.readouterr()
+            assert run("synth", *args, "--out", str(tmp_path / "x")) == 3
+            assert "n_traces must lie in [1, inf], got 0" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
+
 
 class TestIngest:
     def test_round_trip(self, tmp_path):
@@ -112,7 +121,8 @@ class TestIngest:
         zero_bytes = dump_trace(util.make_trace([0, 500_000, 1_000_000], 0, id="idle"))
         huge = dump_trace(util.make_trace([0, 500_000, 1_000_000], [0, 10, 20], id="huge"))
         huge = huge.replace(b'"bytes_acked": 20', b'"bytes_acked": %d' % 2 ** 70)
-        early = dump_trace(util.make_trace([-500_000, 0, 500_000], [0, 10, 20], id="early"))
+        early = dump_trace(util.make_trace([0, 500_000, 1_000_000], [0, 10, 20], id="early"))
+        early = early.replace(b'"t_us": 0,', b'"t_us": -500000,')     # a Trace rejects it
         long = dump_trace(util.make_trace([0, 500_000, 1_000_000], [0, 10, 20], id="long"))
         long = long.replace(b'"t_us": 1000000', b'"t_us": 60000001')
         for i, (content, message) in enumerate([

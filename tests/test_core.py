@@ -88,6 +88,12 @@ class TestTrace:
         with pytest.raises(ValidationError):
             util.make_trace([0, 10, 10], [0, 1, 2])
 
+    def test_negative_t_us_rejected(self):
+        # as parse_trace rejects it, with its message
+        snaps = [util.snapshot(-150000, 0), util.snapshot(50000, 10), util.snapshot(250000, 20)]
+        with pytest.raises(ValidationError, match="trace 'neg': negative t_us -150000"):
+            Trace.from_snapshots("neg", 250000, snaps)
+
     def test_cumulative_decrease_rejected(self):
         with pytest.raises(ValidationError):
             util.make_trace([0, 10, 20], [0, 5, 3])

@@ -29,7 +29,7 @@ from speedtrim.engine import (
     variability_guard,
 )
 from speedtrim.mlp import MlpParams, train_mlp
-from speedtrim.traceio import parse_trace, resample, window_frames
+from speedtrim.traceio import parse_trace, resample
 
 import util
 
@@ -319,28 +319,25 @@ def dense_snapshots(draw):
 
 
 class TestWindowKernel:
-    """The two window kernels agree bit for bit: window_frames with a
-    per-window plain-Python reference, and fold_window with window_frames
-    whatever the chunks a window is folded in."""
+    """resample builds its frames with the live session's kernel: they equal
+    a per-window plain-Python reference bit for bit, and fold_window gives
+    them whatever the chunks a window is folded in."""
 
     @settings(max_examples=150, deadline=None)
     @given(trace=timings())
     def test_frames_equal_the_reference(self, trace):
         win_us = WINDOW_MS * 1000
-        n = max(1, math.ceil(trace.t_us[-1] / win_us))
+        n = math.ceil(trace.t_us[-1] / win_us)
         w_of = np.minimum(trace.t_us // win_us, n - 1)
         cols = np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS])
-        whole = window_frames(cols, w_of, n)
-        assert whole.tobytes() == util.reference_window_frames(cols, w_of, n).tobytes()
-        assert whole.tobytes() == resample(trace).tobytes()
+        assert resample(trace).tobytes() == util.reference_window_frames(cols, w_of, n).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(trace=st.one_of(timings(), dense_snapshots()), data=st.data())
-    def test_folded_windows_equal_the_batch_kernel(self, trace, data):
-        w_of = trace.t_us // (WINDOW_MS * 1000)
-        n = int(w_of[-1]) + 1
-        batch = window_frames(np.array([getattr(trace, name) for name in SNAPSHOT_FIELDS]),
-                              w_of, n)
+    def test_folded_windows_equal_resample(self, trace, data):
+        frames = resample(trace)
+        # a last snapshot on the trailing boundary folds into the last window
+        w_of = np.minimum(trace.t_us // (WINDOW_MS * 1000), len(frames) - 1)
         snaps, prev = trace.snapshots, None
         for w in np.unique(w_of):
             members = snaps[np.searchsorted(w_of, w):np.searchsorted(w_of, w, "right")]
@@ -350,7 +347,7 @@ class TestWindowKernel:
                 sums = traceio.fold_window(sums, members[i:i + k], prev)
                 prev, i = members[min(i + k, len(members)) - 1], i + k
             frame = np.array(traceio.window_frame(sums, members[-1]))
-            assert frame.tobytes() == batch[w].tobytes(), w
+            assert frame.tobytes() == frames[w].tobytes(), w
 
 
 class TestOneDecisionPath:

@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from speedtrim.core import (
     CUMULATIVE_FIELDS,
     F_CUM_AVG,
+    F_CWND_MEAN,
+    F_CWND_STD,
+    F_PIPE_FULL,
     F_TPUT,
     MAX_TEST_US,
     N_FEATURES,
@@ -352,6 +355,24 @@ class TestResample:
         np.testing.assert_allclose(ws[2], expect)
         np.testing.assert_allclose(ws[3], expect)
 
+    def test_late_start_gap_and_trailing_boundary(self):
+        # snapshots in windows 2, 5 and 7, the last exactly at 800 ms
+        t = np.array([250, 260, 280, 550, 750, 800]) * 1000
+        cwnd = [1000, 3000, 2000, 4000, 5000, 9000]
+        tr = util.make_trace(t, [0, 10, 30, 90, 200, 400], cwnd_bytes=cwnd, pipe_full=[0] * 5 + [3])
+        ws = resample(tr)
+        assert len(ws) == 8                 # the 800 ms snapshot joins window 7
+        assert np.all(ws[:2] == 0.0)        # nothing before the first snapshot
+        assert ws[2, F_CWND_MEAN] == 2000.0 and ws[2, F_CWND_STD] > 0.0
+        expect = ws[2].copy()
+        expect[list(STD_CHANNELS)] = 0.0
+        for w in (3, 4):                    # the gap carries window 2 forward
+            assert ws[w].tobytes() == expect.tobytes()
+        assert ws[6].tobytes() == ws[5].tobytes()   # one snapshot: std already 0
+        assert ws[7, F_CWND_MEAN] == 7000.0
+        assert ws[7, F_CUM_AVG] == 8.0 * 400 / 800_000
+        assert ws[7, F_PIPE_FULL] == 3.0
+
     def test_two_rate_trace_final_cum_avg(self):
         tr = util.rate_profile_trace([50.0, 150.0], seg_s=5.0)
         ws = resample(tr)
@@ -518,21 +539,28 @@ class TestCorpusFileErrors:
         ("index.csv", keep_header, "index.csv: lists no trace"),
         ("index.csv", lambda rows: rows.append(rows[1]),
          "index.csv line 4: trace id 'a' is listed twice"),
+        ("b.jsonl", lambda text: text.replace('"id": "b"', '"id": "other"', 1),
+         "b.jsonl: header id 'other' is not the index id 'b'"),
     ], ids=["manifest-no-tier", "index-no-file", "manifest-bad-tier",
-            "manifest-no-duration", "index-short-row", "index-empty", "index-repeated-id"])
+            "manifest-no-duration", "index-short-row", "index-empty", "index-repeated-id",
+            "trace-header-id"])
     def test_exits_3_naming_file_and_place(self, tmp_path, capsys, name, edit, message):
         from speedtrim.cli import EXIT_DATA, main
         root = tmp_path / "c"
         traces = [util.constant_rate_trace(rate, duration_s=1, id=tid)
                   for rate, tid in ((50, "a"), (150, "b"))]
         write_corpus(str(root), ((t, "test") for t in traces))
-        with open(root / name, newline="") as fh:
-            rows = list(csv.reader(fh))
-        edit(rows)
-        with open(root / name, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        path = root / name
+        if name.endswith(".csv"):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            edit(rows)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        else:                           # a trace file: edit its text
+            path.write_text(edit(path.read_text()))
         with pytest.raises(ValueError) as exc:
-            read_corpus(str(root))
+            list(read_corpus(str(root)).traces())
         assert message in str(exc.value)
         capsys.readouterr()
         assert main(["sweep", "--corpus", str(root), "--method", "bbr", "--params", "3",

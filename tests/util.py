@@ -232,9 +232,11 @@ def reference_parse_trace(stream, default_id: str = "trace") -> Trace:
 
 
 def reference_window_frames(cols, w_of, n: int):
-    """traceio.window_frames window by window in plain Python: each sum is
-    taken one value at a time in snapshot order, then put through the
-    kernel's formulas.  The reference the kernel must match bit for bit."""
+    """The frames of windows [0, n) of the snapshots ``cols`` (int64
+    columns in SNAPSHOT_FIELDS order), each in window ``w_of``, built
+    window by window in plain Python: each channel's values are listed,
+    then summed one at a time in snapshot order.  traceio.resample must
+    match it bit for bit."""
     rows = [tuple(map(int, row)) for row in zip(*cols)]
     windows = [int(w) for w in w_of]
     frames = np.zeros((n, N_FEATURES))
