@@ -166,8 +166,7 @@ class Trace:
         """
         total_bytes = int(self.bytes_acked[-1])
         t_last_us = int(self.t_us[-1])
-        y_true = 8.0 * total_bytes / t_last_us
-        min_rtt_ms = float(self.rtt_us.min()) / 1000.0
+        y_true, min_rtt_ms = ground_truth(total_bytes, t_last_us, self.rtt_us.min())
         tier, rtt_bin = assign_bins(y_true, min_rtt_ms)
         return TraceSummary(
             id=self.id,
@@ -229,6 +228,12 @@ def rel_error(t_true: float, t_early: float) -> float:
     if t_true <= 0:
         raise ValueError(f"true throughput must be positive, got {t_true}")
     return abs(t_true - t_early) / t_true
+
+
+def ground_truth(total_bytes: int, t_last_us: int, min_rtt_us) -> tuple[float, float]:
+    """A summary's throughput and minimum RTT, in Mbps and ms, from the
+    final bytes_acked, the last timestamp and the least rtt_us."""
+    return 8.0 * total_bytes / t_last_us, float(min_rtt_us) / 1000.0
 
 
 def assign_bins(throughput_mbps: float, min_rtt_ms: float) -> tuple[int, int]:

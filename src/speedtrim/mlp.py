@@ -84,6 +84,12 @@ def _forward(weights, X: np.ndarray):
     raise AssertionError("unreachable")
 
 
+def _sigmoid(z):
+    """1 / (1 + e^-z), with z clamped at -709 so that e^-z stays finite:
+    exact for every z >= -709, and about 1e-308 below it."""
+    return 1.0 / (1.0 + np.exp(-np.maximum(z, -709.0)))
+
+
 def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> float:
     # stable: max(z,0) - z*y + log1p(exp(-|z|))
     return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
@@ -97,7 +103,7 @@ def loss_and_grads(weights, X: np.ndarray, y: np.ndarray):
     n = len(X)
     grads = [None] * len(weights)
     # d loss / d logit for mean BCE
-    dz = (1.0 / (1.0 + np.exp(-z)) - y)[:, None] / n
+    dz = (_sigmoid(z) - y)[:, None] / n
     grads[-1] = (acts[-1].T @ dz, dz.sum(axis=0))
     dh = dz @ weights[-1][0].T
     for i in range(len(weights) - 2, -1, -1):
@@ -187,7 +193,7 @@ class MlpModel:
         z = X[..., :k] @ W[:k] + X[..., -1:] * W[-1] + b
         for W, b in rest:
             z = np.maximum(z, 0.0) @ W + b
-        return 1.0 / (1.0 + np.exp(-z[..., 0]))
+        return _sigmoid(z[..., 0])
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams(),
@@ -208,9 +214,11 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams(),
 
     rng = np.random.default_rng(seed)
     weights = _init_weights(X.shape[1], params.hidden, rng)
-    # (array, first moment, second moment) per weight matrix and bias, in
-    # the order loss_and_grads gives their gradients; updated in place
-    adam = [(w, np.zeros_like(w), np.zeros_like(w)) for layer in weights for w in layer]
+    # (array, first moment, second moment, two scratch arrays) per weight
+    # matrix and bias, in the order loss_and_grads gives their gradients;
+    # every step updates them in place, allocating no temporaries
+    adam = [(w, np.zeros_like(w), np.zeros_like(w), np.empty_like(w), np.empty_like(w))
+            for layer in weights for w in layer]
 
     n = len(Xn)
     step = 0
@@ -226,12 +234,19 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams(),
             step += 1
             corr1 = 1 - b1 ** step
             corr2 = 1 - b2 ** step
-            for (w, m, v), g in zip(adam, (g for layer in grads for g in layer)):
+            for (w, m, v, a, c), g in zip(adam, (g for layer in grads for g in layer)):
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
                 m *= b1
-                m += (1 - b1) * g
+                m += np.multiply(g, 1 - b1, out=a)
                 v *= b2
-                v += (1 - b2) * g * g
-                w -= params.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
+                np.multiply(g, 1 - b2, out=a)
+                v += np.multiply(a, g, out=a)
+                # w -= lr (m / corr1) / (sqrt(v / corr2) + eps)
+                np.divide(m, corr1, out=a)
+                a *= params.learning_rate
+                np.sqrt(np.divide(v, corr2, out=c), out=c)
+                c += eps
+                w -= np.divide(a, c, out=a)
             epoch_loss += loss
             n_batches += 1
         loss_curve.append(epoch_loss / max(n_batches, 1))

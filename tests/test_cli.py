@@ -600,6 +600,21 @@ class TestConfig:
         ('{"mlp": {"hidden": [256, 0]}}', "mlp: hidden widths must be >= 1"),
         ('{"gbdt": {"n_trees": 0}}', "gbdt: n_trees must be >= 1"),
         ('{"genspec": {"snapshot_ms": 0}}', "genspec: snapshot_ms must lie in"),
+        # settings inside the limits that could never draw a valid trace
+        ('{"genspec": {"duration_s": 60, "snapshot_ms": 1}}',
+         "genspec: timestamp_jitter_ms 2.0 can tie or reorder two snapshot times"),
+        ('{"genspec": {"timestamp_jitter_ms": 1000, "snapshot_ms": 1}}',
+         "genspec: timestamp_jitter_ms 1000.0 can tie or reorder two snapshot times"),
+        ('{"genspec": {"snapshot_ms": 1000, "duration_s": 0.5}}',
+         "genspec: duration_s 0.5 holds no step of snapshot_ms 1000.0"),
+        ('{"genspec": {"plateau_span": [2, 1]}}',
+         "genspec: plateau_span must run from low to high, got (2.0, 1.0)"),
+        ('{"genspec": {"capacity_range": [100, 10]}}',
+         "genspec: capacity_range must run from low to high"),
+        ('{"genspec": {"rtt_bin_weights": [0, 0, 0, 0, 0]}}',
+         "genspec: rtt_bin_weights must have a finite sum > 0"),
+        ('{"genspec": {"tier_weights": [1e308, 1e308, 0, 0, 0]}}',
+         "genspec: tier_weights must have a finite sum > 0"),
         ('{"gbdt": ', "Expecting value"),
     ])
     def test_bad_config_is_data_error_naming_the_key(self, cli_pipeline, tmp_path, capsys,

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from speedtrim.core import N_FEATURES, WINDOW_MS
 from speedtrim.mlp import (
@@ -191,3 +194,31 @@ class TestFoldedForward:
             out = _aligned(a)
             assert out.ctypes.data % CACHE_LINE == 0 and out.flags.c_contiguous
             assert out.shape == a.shape and out.tobytes() == np.ascontiguousarray(a).tobytes()
+
+
+class TestSigmoidClamp:
+    @staticmethod
+    def logit_model(logit: float) -> MlpModel:
+        """One layer of zero weights: every row's logit is the bias."""
+        return MlpModel([(np.zeros((4, 1)), np.array([logit]))], np.zeros(4), np.ones(4),
+                        MlpParams(hidden=()), [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(logit=st.one_of(st.floats(-709.0, 709.0), st.floats(709.0, 1e300),
+                           st.sampled_from([-709.0, -708.5, 0.0, 36.7, 745.2])))
+    def test_p_stop_unchanged_from_minus_709_up(self, logit):
+        model = self.logit_model(logit)
+        want = 1.0 / (1.0 + np.exp(-np.float64(logit)))
+        assert model.predict_proba(np.zeros(4)) == want
+        assert model.predict_proba(np.zeros((2, 4))).tolist() == [want, want]
+
+    def test_no_overflow_warning_below_the_clamp(self):
+        model = self.logit_model(-800.0)
+        X = np.zeros((3, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = model.predict_proba(np.zeros(4))
+            loss, grads = loss_and_grads(model.weights, X, np.array([0.0, 1.0, 0.0]))
+        assert 0.0 < p < 1e-300
+        assert np.isfinite(loss) and all(np.isfinite(g).all() for layer in grads for g in layer)
+

@@ -7,10 +7,21 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from speedtrim import traceio
+from speedtrim.synth import (
+    MAX_ATTEMPTS,
+    MSS_BYTES,
+    RTT_BIN_RANGES,
+    TIER_Y_RANGES,
+    GenSpec,
+    _event_multiplier,
+    _log_uniform,
+    ramp_mean_fraction,
+)
 from speedtrim.core import (
     CUMULATIVE_FIELDS,
     F_CUM_AVG,
@@ -159,6 +170,19 @@ def count_decodes(monkeypatch) -> collections.Counter:
     return counts
 
 
+def count_trace_builds(monkeypatch) -> list[str]:
+    """A list that gains the id of every core.Trace built from now on."""
+    built = []
+    original = Trace.__init__
+
+    def counting(self, id, *args, **kwargs):
+        built.append(id)
+        original(self, id, *args, **kwargs)
+
+    monkeypatch.setattr(Trace, "__init__", counting)
+    return built
+
+
 def reference_parse_trace(stream, default_id: str = "trace") -> Trace:
     """traceio.parse_trace as it was with a json.loads and type check per
     line: the reference the bulk parser must agree with.
@@ -280,3 +304,171 @@ def reference_window_frames(cols, w_of, n: int):
             pipe_full = max(pipe_full, before[F_PIPE_FULL])
         frames[w, F_PIPE_FULL] = pipe_full
     return frames
+
+
+def _reference_pipe_full_counter(t_us: np.ndarray, inst_rate: np.ndarray,
+                                 round_us: float) -> np.ndarray:
+    """synth._pipe_full_counter as it was: a loop over Python lists."""
+    counts = [0]
+    max_bw = 0.0
+    plateau_rounds = 0
+    total = 0
+    round_end = round_us
+    round_max = 0.0
+    # over Python lists: indexing a NumPy array per element is several times slower
+    for t, rate in zip(t_us[1:].tolist(), inst_rate.tolist()):
+        if rate > round_max:
+            round_max = rate
+        if t >= round_end:
+            if max_bw > 0 and round_max < 1.25 * max_bw:
+                plateau_rounds += 1
+            else:
+                plateau_rounds = 0
+            if plateau_rounds >= 3:
+                total += 1
+            max_bw = max(max_bw, round_max)
+            round_max = 0.0
+            round_end += round_us
+        counts.append(total)
+    return np.array(counts, dtype=np.int64)
+
+
+def _reference_simulate(rng: np.random.Generator, spec: GenSpec, trace_id: str,
+                        capacity: float, tau_s: float, base_rtt_ms: float) -> Trace:
+    """synth._simulate as it was: AR(1) noise over NumPy scalars, and every
+    telemetry channel and the Trace built for every draw."""
+    duration_us = int(round(spec.duration_s * 1e6))
+    step_us = spec.snapshot_ms * 1000.0
+    n_steps = int(round(duration_us / step_us))
+
+    t_us = (np.arange(n_steps + 1) * step_us).astype(np.float64)
+    if spec.timestamp_jitter_ms > 0:
+        jitter = rng.uniform(-spec.timestamp_jitter_ms, spec.timestamp_jitter_ms,
+                             size=n_steps + 1) * 1000.0
+        jitter[0] = 0.0
+        jitter[-1] = 0.0
+        t_us = t_us + jitter
+    t_us = np.round(t_us).astype(np.int64)
+    t_us[-1] = duration_us
+
+    t_mid_s = (t_us[:-1] + t_us[1:]) / 2.0 / 1e6
+    ramp = 1.0 - np.exp(-t_mid_s / tau_s) if tau_s > 0 else np.ones_like(t_mid_s)
+
+    # Startup transient in two phases: a short slow-start over/undershoot,
+    # then a settling plateau offset from the sustained rate. Both offsets
+    # carry a random sign, so early windows cannot resolve the final rate.
+    shape = np.ones_like(t_mid_s)
+    if spec.transient_spread > 0:
+        t1 = rng.uniform(*spec.transient_span)
+        amp1 = rng.uniform(max(0.05, spec.transient_spread - 0.05),
+                           spec.transient_spread)
+        level1 = max(1.0 + (-amp1 if rng.random() < 0.5 else amp1), 0.1)
+        t2 = t1 + rng.uniform(*spec.plateau_span)
+        amp2 = rng.uniform(max(0.02, spec.plateau_spread - 0.10),
+                           spec.plateau_spread + 0.10)
+        level2 = max(1.0 + (-amp2 if rng.random() < 0.5 else amp2), 0.1)
+        shape = np.where(t_mid_s < t1, level1,
+                         np.where(t_mid_s < t2, level2, 1.0))
+
+    if spec.noise_rel_std > 0 and spec.ar_coeff < 1.0:
+        eps = rng.standard_normal(n_steps)
+        noise = np.empty(n_steps)
+        scale = spec.noise_rel_std * math.sqrt(1.0 - spec.ar_coeff ** 2)
+        acc = 0.0
+        for i in range(n_steps):
+            acc = spec.ar_coeff * acc + scale * eps[i]
+            noise[i] = acc
+    else:
+        noise = np.zeros(n_steps)
+
+    mult = np.clip(1.0 + noise, 0.05, None)
+    mult *= _event_multiplier(rng, t_mid_s, spec.dropout_rate, spec.duration_s,
+                              mult=0.05, mean_len_s=0.25)
+    mult *= _event_multiplier(rng, t_mid_s, spec.burst_rate, spec.duration_s,
+                              mult=1.8, mean_len_s=0.1)
+    inst_rate = capacity * ramp * shape * mult               # Mbps per interval
+
+    dt_us = np.diff(t_us).astype(np.float64)
+    byte_increments = inst_rate * dt_us / 8.0
+    bytes_acked = np.zeros(n_steps + 1)
+    bytes_acked[1:] = np.cumsum(byte_increments)
+    bytes_acked = np.floor(bytes_acked).astype(np.int64)
+
+    base_rtt_us = base_rtt_ms * 1000.0
+    util = np.concatenate([[0.0], inst_rate / capacity])
+    # Queueing inflation with a per-trace coefficient and per-sample jitter,
+    # so RTT growth tracks load qualitatively without fixing the scale.
+    queue_coeff = rng.uniform(0.05, 0.50)
+    rtt_noise = rng.lognormal(0.0, 0.08, size=n_steps + 1)
+    rtt_us = np.round(base_rtt_us * (1.0 + queue_coeff * util) * rtt_noise)
+    rtt_us = np.maximum(rtt_us.astype(np.int64), 1)
+
+    rate_per_snap = np.concatenate([[0.0], inst_rate])
+    cwnd_bytes = np.maximum(
+        np.round(rate_per_snap * rtt_us / 8.0).astype(np.int64), MSS_BYTES)
+    bif = np.round(cwnd_bytes * rng.uniform(0.75, 1.0, size=n_steps + 1)).astype(np.int64)
+    bif[0] = 0
+
+    dropout_active = mult < 0.5
+    retx_inc = rng.poisson(0.02, size=n_steps) + rng.poisson(2.0, size=n_steps) * dropout_active
+    retrans = np.zeros(n_steps + 1, dtype=np.int64)
+    retrans[1:] = np.cumsum(retx_inc)
+    dup_inc = 3 * retx_inc + rng.poisson(0.05, size=n_steps)
+    dup_acks = np.zeros(n_steps + 1, dtype=np.int64)
+    dup_acks[1:] = np.cumsum(dup_inc)
+
+    pipe_full = _reference_pipe_full_counter(t_us, inst_rate, base_rtt_us)
+
+    return Trace(trace_id, duration_us, {
+        "t_us": t_us,
+        "bytes_acked": bytes_acked,
+        "cwnd_bytes": cwnd_bytes,
+        "bytes_in_flight": bif,
+        "rtt_us": rtt_us,
+        "retrans": retrans,
+        "dup_acks": dup_acks,
+        "pipe_full": pipe_full,
+    })
+
+
+def reference_gen_trace(spec: GenSpec, index: int) -> tuple[Trace, str]:
+    """synth.gen_trace as it was, with each draw's Trace summarized to test
+    its tier and RTT bin: the reference the generator must equal by bytes.
+    It shares with the generator only helpers it has kept unchanged."""
+    pick_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index, 0xA5)))
+    eff = spec
+    if eff.mode == "balanced":
+        target_tier = index % 5
+    elif eff.mode == "natural":
+        target_tier = int(pick_rng.choice(5, p=np.asarray(eff.tier_weights) / sum(eff.tier_weights)))
+    else:
+        raise ValueError(f"unknown mode {eff.mode!r}")
+    target_bin = int(pick_rng.choice(5, p=np.asarray(eff.rtt_bin_weights) / sum(eff.rtt_bin_weights)))
+
+    # Slow links and high-RTT paths are noisier and less stationary, so
+    # their early windows are less predictive of the final rate.
+    d = eff.difficulty_coupling * max((4 - target_tier) / 4.0, target_bin / 4.0)
+    if d > 0:
+        plo, phi = eff.plateau_span
+        eff = replace(eff,
+                      noise_rel_std=min(0.45, eff.noise_rel_std * (1.0 + 2.5 * d)),
+                      ar_coeff=min(0.95, eff.ar_coeff + 0.28 * d),
+                      dropout_rate=min(0.30, eff.dropout_rate * (1.0 + 3.0 * d)),
+                      burst_rate=min(0.15, eff.burst_rate * (1.0 + 2.0 * d)),
+                      plateau_spread=min(0.36, eff.plateau_spread + 0.24 * d),
+                      plateau_span=(plo + 1.5 * d, phi + 1.5 * d))
+
+    for attempt in range(MAX_ATTEMPTS):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index, attempt)))
+        tau = rng.uniform(*eff.ramp_tau_range)
+        y_target = _log_uniform(rng, *TIER_Y_RANGES[target_tier])
+        frac = ramp_mean_fraction(tau, eff.duration_s)
+        capacity = float(np.clip(y_target / frac, *eff.capacity_range))
+        base_rtt = _log_uniform(rng, *RTT_BIN_RANGES[target_bin])
+        trace = _reference_simulate(rng, eff, f"t{index:05d}", capacity, tau, base_rtt)
+        s = trace.summarize()
+        if s.speed_tier == target_tier and s.rtt_bin == target_bin:
+            return trace, spec.preset
+    raise ValueError(
+        f"trace {index}: no draw landed in tier {target_tier}/bin {target_bin} "
+        f"after {MAX_ATTEMPTS} attempts")
