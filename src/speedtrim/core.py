@@ -83,6 +83,18 @@ class Snapshot(NamedTuple):
     pipe_full: int
 
     def validate(self) -> None:
+        # one straight line for the common case, eight Python ints in range;
+        # anything else goes through the loop, which names the first fault
+        # or passes a NumPy integer in range
+        t_us, bytes_acked, cwnd_bytes, bytes_in_flight, rtt_us, retrans, dup_acks, pipe_full = self
+        if (type(t_us) is int and type(bytes_acked) is int and type(cwnd_bytes) is int
+                and type(bytes_in_flight) is int and type(rtt_us) is int
+                and type(retrans) is int and type(dup_acks) is int and type(pipe_full) is int
+                and 0 <= t_us < 1 << 63 and -(1 << 63) <= bytes_acked < 1 << 63
+                and -(1 << 63) <= cwnd_bytes < 1 << 63 and 0 <= bytes_in_flight < 1 << 63
+                and 0 < rtt_us < 1 << 63 and -(1 << 63) <= retrans < 1 << 63
+                and -(1 << 63) <= dup_acks < 1 << 63 and -(1 << 63) <= pipe_full < 1 << 63):
+            return
         for name, value in zip(SNAPSHOT_FIELDS, self):
             if type(value) is not int:  # not bool
                 if not isinstance(value, np.integer):
@@ -202,10 +214,11 @@ class StopDecision:
     """A stride's decision: a stop names its reason, "" continues."""
 
     reason: str = ""
+    # stored, not a property: every caller of Session.feed reads it per snapshot
+    stopping: bool = dataclasses.field(init=False, repr=False, compare=False)
 
-    @property
-    def stopping(self) -> bool:
-        return bool(self.reason)
+    def __post_init__(self):
+        object.__setattr__(self, "stopping", bool(self.reason))
 
 
 CONTINUE = StopDecision()

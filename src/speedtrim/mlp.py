@@ -154,6 +154,17 @@ def _check_layers(weights, input_mean: np.ndarray, input_std: np.ndarray, hidden
     return folded
 
 
+def _history_end(values: np.ndarray) -> int:
+    """One past the last nonzero entry of a 1-D array, 0 if none is:
+    ``np.flatnonzero(values)[-1] + 1`` from one reversed argmax, without
+    building the index array.  NaN counts as nonzero, -0.0 as zero."""
+    if not len(values):
+        return 0
+    mask = values.astype(bool, copy=False)
+    r = mask[::-1].argmax()
+    return len(mask) - r if r or mask[-1] else 0
+
+
 class MlpModel:
     """Trained classifier: weights plus input normalization and metadata."""
 
@@ -188,8 +199,7 @@ class MlpModel:
         # columns past the last nonzero one before the final column add
         # nothing to the folded first layer; a full history keeps them all
         (W, b), *rest = self._layers
-        nonzero = np.flatnonzero(X[:-1] if X.ndim == 1 else X[:, :-1].any(axis=0))
-        k = nonzero[-1] + 1 if len(nonzero) else 0
+        k = _history_end(X[:-1] if X.ndim == 1 else X[:, :-1].any(axis=0))
         z = X[..., :k] @ W[:k] + X[..., -1:] * W[-1] + b
         for W, b in rest:
             z = np.maximum(z, 0.0) @ W + b

@@ -357,9 +357,16 @@ def gen_trace(spec: GenSpec, index: int) -> tuple[Trace, str]:
                           target=(target_tier, target_bin))
         if trace is not None:
             return trace, spec.preset
+    # no static rule says which tiers a spec reaches: noise and bursts can
+    # carry a draw past its capacity, so the message names the keys instead
+    y_lo, y_hi = TIER_Y_RANGES[target_tier]
+    cap_lo, cap_hi = spec.capacity_range
+    keys = ("genspec.capacity_range and tier_weights decide" if spec.mode == "natural"
+            else "genspec.capacity_range decides")
     raise ValueError(
-        f"trace {index}: no draw landed in tier {target_tier}/bin {target_bin} "
-        f"after {MAX_ATTEMPTS} attempts")
+        f"trace {index}: no draw landed in tier {target_tier} ({y_lo:g}-{y_hi:g} Mbps)"
+        f"/bin {target_bin} after {MAX_ATTEMPTS} attempts; {keys} which tiers can be "
+        f"reached (capacity_range is {cap_lo:g}-{cap_hi:g} Mbps)")
 
 
 def gen_corpus(spec: GenSpec, out_dir: str) -> "traceio.Corpus":

@@ -93,6 +93,21 @@ class TestSynth:
         assert "unknown preset 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("mode, keys", [
+        ("balanced", "genspec.capacity_range decides"),
+        ("natural", "genspec.capacity_range and tier_weights decide"),
+    ])
+    def test_unreachable_tier_names_the_config_keys(self, tmp_path, capsys, mode, keys):
+        # a 2 Mbps capacity cap leaves tier 1 out of reach; the config passes
+        # every check, so the generator's message names the keys to change
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"genspec": {"mode": mode, "capacity_range": [1, 2]}}))
+        capsys.readouterr()
+        assert run("synth", "--n", "3", "--config", str(config), "--out", str(tmp_path / "x")) == 3
+        err = capsys.readouterr().err
+        assert "no draw landed in tier 1 (26.5-98 Mbps)/bin" in err
+        assert f"{keys} which tiers can be reached (capacity_range is 1-2 Mbps)" in err
+
     def test_no_trace_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"genspec": {"n_traces": 0}}')

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from speedtrim.core import (
+    CONTINUE,
     F_CUM_AVG,
+    SNAPSHOT_FIELDS,
     Snapshot,
+    StopDecision,
     Trace,
     ValidationError,
     assign_bins,
@@ -56,6 +59,34 @@ class TestAssignBins:
             assign_bins(-1, 10)
 
 
+INT64_END = 1 << 63
+# Python ints at and past both int64 ends and at the range rules' edges
+# (t_us -1, rtt_us 0, bytes_in_flight -1)
+EDGES = [-INT64_END - 1, -INT64_END, -1, 0, 1, INT64_END - 1, INT64_END]
+# a field's value: the edges, Python ints inside and past int64, bools,
+# NumPy integer scalars, floats, a string and None
+FIELD_VALUES = st.one_of(
+    st.sampled_from(EDGES),
+    st.integers(-(1 << 70), 1 << 70),
+    st.booleans(),
+    st.integers(-128, 127).map(np.int8),
+    st.integers(-INT64_END, INT64_END - 1).map(np.int64),
+    st.integers(0, (1 << 64) - 1).map(np.uint64),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+def outcome(check):
+    """None when ``check()`` passes, else the class and message it raised."""
+    try:
+        check()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestSnapshot:
     def test_valid(self):
         util.snapshot(0, 0).validate()
@@ -77,6 +108,37 @@ class TestSnapshot:
 
     def test_numpy_integers_accepted(self):
         util.snapshot(np.int64(0), np.int64(5), rtt_us=np.int32(1)).validate()
+
+    @settings(max_examples=600, deadline=None)
+    @given(base=st.lists(st.integers(1, INT64_END - 1), min_size=8, max_size=8),
+           changes=st.lists(st.tuples(st.integers(0, 7), FIELD_VALUES), max_size=3))
+    def test_validate_agrees_with_the_reference_loop(self, base, changes):
+        # a valid snapshot of Python ints with up to three fields redrawn:
+        # validate passes exactly when the loop does, and otherwise raises
+        # the loop's class with the loop's message, naming the first fault
+        values = list(base)
+        for i, value in changes:
+            values[i] = value
+        snap = Snapshot(*values)
+        assert outcome(snap.validate) == outcome(lambda: util.reference_validate(snap))
+
+    @pytest.mark.parametrize("field", range(8))
+    def test_each_edge_of_each_field_agrees_with_the_reference_loop(self, field):
+        for value in EDGES + [True, np.int64(-1), np.uint64(INT64_END), 0.0]:
+            snap = util.snapshot(1, 1)._replace(**{SNAPSHOT_FIELDS[field]: value})
+            assert outcome(snap.validate) == outcome(lambda: util.reference_validate(snap))
+
+
+class TestStopDecision:
+    def test_stopping_is_stored_from_the_reason(self):
+        assert CONTINUE.stopping is False
+        assert StopDecision("classifier").stopping is True
+
+    def test_equality_hash_and_repr_see_only_the_reason(self):
+        stop = StopDecision("end-of-trace")
+        assert repr(stop) == "StopDecision(reason='end-of-trace')"
+        assert stop == StopDecision("end-of-trace") != CONTINUE
+        assert hash(stop) == hash(("end-of-trace",)) and CONTINUE == StopDecision()
 
 
 class TestTrace:

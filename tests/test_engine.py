@@ -80,7 +80,8 @@ class TestIntake:
                              ids=["int32", "int64", "uint64"])
     def test_numpy_integers_give_the_frames_of_python_ints(self, dtype):
         # the session's windows fold the values as given, not as int64
-        # columns: every stride must still see byte-identical frames
+        # columns: every stride must still see byte-identical frames, and
+        # a session that stops and one that never does decide as on ints
         big = 2 ** 31 - 1 if dtype is np.int32 else 2 ** 63 - 1
         rows = [(0, 0, 7, 0, 9, 0, 0, 0)]
         rows += [(t_us, t_us * 12 if t_us < 1_100_000 else big - 1_400_000 + t_us,
@@ -92,6 +93,10 @@ class TestIntake:
         seen = [judged_series(feed) for feed in (snaps, typed)]
         assert [t for t, _ in seen[0]] == [500, 1000]
         assert [(t, f.tobytes()) for t, f in seen[0]] == [(t, f.tobytes()) for t, f in seen[1]]
+        for p_stop in (0.0, 1.0):
+            decided = [decisions(feed, make_policy(p_stop)) for feed in (snaps, typed)]
+            assert decided[0] == decided[1]
+            assert decided[0][0][-1].reason == ("classifier" if p_stop else "end-of-trace")
 
     @pytest.mark.parametrize("field, value", [
         ("cwnd_bytes", 2 ** 63), ("cwnd_bytes", np.uint64(2 ** 63)),
@@ -130,6 +135,20 @@ class TestSessionFeed:
         session.feed(util.snapshot(10000, 100))
         with pytest.raises(SessionError, match="out-of-order"):
             session.feed(util.snapshot(5000, 50))
+
+    @pytest.mark.parametrize("first, second", [("bytes_acked", "retrans"),
+                                               ("dup_acks", "pipe_full")])
+    def test_first_decreasing_counter_named(self, first, second):
+        session = Session(make_policy(0.0))
+        session.feed(util.snapshot(**dict(t_us=0, bytes_acked=0) | {first: 9, second: 9}))
+        with pytest.raises(ValidationError, match=f"^{first} decreases at t_us=10000$"):
+            session.feed(util.snapshot(**dict(t_us=10000, bytes_acked=0) | {first: 8, second: 8}))
+
+    def test_out_of_order_named_before_any_counter(self):
+        session = Session(make_policy(0.0))
+        session.feed(util.snapshot(10000, 100, retrans=5, dup_acks=5, pipe_full=5))
+        with pytest.raises(SessionError, match="^out-of-order snapshot: t_us=5000 after 10000$"):
+            session.feed(util.snapshot(5000, 50, retrans=4, dup_acks=4, pipe_full=4))
 
     def test_feed_after_stop_rejected(self):
         session = Session(make_policy(1.0))
@@ -268,6 +287,20 @@ def judged_series(snapshots):
         for snap in snapshots:      # strides are judged while feeding
             session.feed(snap)
     return seen
+
+
+def decisions(snapshots, policy):
+    """Every decision a session gives while the snapshots are fed to it,
+    up to its stop or the end of the trace, and its outcome."""
+    session = Session(policy)
+    decided = []
+    for snap in snapshots:
+        decided.append(session.feed(snap))
+        if decided[-1].stopping:
+            break
+    else:
+        decided.append(session.end_of_trace())
+    return decided, session.finalize(100.0)
 
 
 def assert_frames_match_resample(trace):

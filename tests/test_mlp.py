@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from speedtrim import mlp
 from speedtrim.core import N_FEATURES, WINDOW_MS
 from speedtrim.mlp import (
     CACHE_LINE,
     MlpModel,
     MlpParams,
     _aligned,
+    _history_end,
     _init_weights,
     loss_and_grads,
     train_mlp,
@@ -183,6 +185,31 @@ class TestFoldedForward:
                                    rtol=0, atol=1e-12)
         # the rows span the sigmoid, not only its saturated ends
         assert np.ptp(batch) > 0.1
+
+    def test_history_end_is_flatnonzeros(self, model, rows, monkeypatch):
+        # the reversed argmax finds the k that flatnonzero does, on NaN,
+        # -0.0, all zeros, a full history and every fill in between; the
+        # same k gives bit-identical p_stop, one row and a batch alike
+        def reference(values):
+            nonzero = np.flatnonzero(values)
+            return nonzero[-1] + 1 if len(nonzero) else 0
+
+        odd = np.zeros((6, CLASSIFIER_ARITY))
+        odd[0, 40] = np.nan
+        odd[1, 40] = -0.0
+        odd[2, [3, 40]] = (1.0, -0.0)
+        odd[3, :-1] = 1.0
+        odd[4, -2] = np.nan
+        odd[:, -1] = 1500.0
+        cases = np.vstack([rows, odd])
+        for row in cases:
+            assert _history_end(row[:-1]) == reference(row[:-1])
+        for mask in (cases[:, :-1].any(axis=0), odd[:3, :-1].any(axis=0), np.zeros(0, bool)):
+            assert _history_end(mask) == reference(mask)
+        got = [model.predict_proba(row) for row in cases] + [model.predict_proba(cases)]
+        monkeypatch.setattr(mlp, "_history_end", reference)
+        want = [model.predict_proba(row) for row in cases] + [model.predict_proba(cases)]
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
     def test_weights_it_predicts_with_start_on_a_cache_line(self, model):
         for W, _ in model._layers:

@@ -183,6 +183,27 @@ def count_trace_builds(monkeypatch) -> list[str]:
     return built
 
 
+def reference_validate(snap: Snapshot) -> None:
+    """Snapshot.validate as one loop over the fields, a type check and an
+    int64 range check each, then the range rules: the reference the
+    straight-line check must agree with, pass for pass and message for
+    message."""
+    for name, value in zip(SNAPSHOT_FIELDS, snap):
+        if type(value) is not int:  # not bool
+            if not isinstance(value, np.integer):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            value = int(value)
+        if not -(1 << 63) <= value < 1 << 63:
+            raise ValidationError(
+                f"{name} outside the 64-bit integer range at t_us={snap.t_us}")
+    if snap.rtt_us <= 0:
+        raise ValidationError(f"rtt_us must be > 0, got {snap.rtt_us}")
+    if snap.bytes_in_flight < 0:
+        raise ValidationError("bytes_in_flight must be >= 0")
+    if snap.t_us < 0:
+        raise ValidationError("t_us must be >= 0")
+
+
 def reference_parse_trace(stream, default_id: str = "trace") -> Trace:
     """traceio.parse_trace as it was with a json.loads and type check per
     line: the reference the bulk parser must agree with.
