@@ -145,13 +145,9 @@ def cmd_ingest(args) -> int:
     if not files:
         _log(f"no .jsonl files under {args.input}")
         return EXIT_DATA
-
-    def produce():
-        for path in files:
-            default_id = os.path.splitext(os.path.basename(path))[0]
-            yield traceio.parse_trace(path, default_id=default_id), "ingested"
-
-    traceio.write_corpus(args.out, produce())
+    ids = [os.path.splitext(os.path.basename(path))[0] for path in files]
+    traceio.write_corpus(args.out, ((traceio.parse_trace(path, default_id=tid), "ingested")
+                                    for path, tid in zip(files, ids)))
     _write_manifest(os.path.join(args.out, ""), "ingest", config, files)
     _log(f"ingested {len(files)} traces into {args.out}")
     return EXIT_OK

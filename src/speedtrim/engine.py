@@ -1,12 +1,10 @@
 """Online termination pipeline: one session per test.
 
-A session builds its 100 ms frames as snapshots arrive, in place in one
-fixed frame buffer that holds a whole capped test.  A snapshot in a later
-window than the open one closes the open window: its frame is written,
-and any empty windows up to the snapshot's carry it forward with the std
-channels zeroed.  The open window's snapshots are folded into its running
-sums with ``traceio.fold_window`` when it closes and whenever 16 are
-held, so a session holds few snapshots whatever their rate.  At each
+A session builds its 100 ms frames as snapshots arrive, in one
+``traceio.FrameBuffer`` that holds a whole capped test; ``resample`` fills
+the same kind of buffer from a whole trace.  A snapshot in a later window
+than the open one closes the open window, and any empty windows up to the
+snapshot carry its frame forward with the std channels zeroed.  At each
 decision stride the frames before the boundary are therefore already
 built: the session evaluates the stop classifier (after a variability
 guard), and invokes the regressor exactly once when the test stops early.
@@ -14,10 +12,8 @@ Replay feeds a recorded trace through the same session.  End of trace is
 always a valid stop; the engine never fails a test, late stopping only
 costs data.
 
-A feed that judges no stride costs about 1.8 us per snapshot of a natural
-10 ms trace (2-core Xeon, best of 15 passes over 8 traces): about 0.4 us
-checks the snapshot (``Snapshot.validate``), about 0.9 us folds and writes
-its windows, and the rest is the ordering and counter checks.
+A feed that judges no stride costs about 2.3 us per snapshot of a natural
+10 ms trace (2-core Xeon, median of 30 rounds over 8 traces).
 """
 
 from __future__ import annotations
@@ -35,11 +31,9 @@ from .core import (
     GUARD_V_MAX,
     GUARD_WINDOW_MS,
     MAX_TEST_US,
-    N_FEATURES,
     REASON_CLASSIFIER,
     REASON_END_OF_TRACE,
     SNAPSHOT_FIELDS,
-    STD_CHANNELS,
     STOP_THRESHOLD,
     Snapshot,
     StopDecision,
@@ -50,25 +44,13 @@ from .core import (
 )
 from .gbdt import GbdtModel
 from .mlp import MlpModel
-from .traceio import (
-    EMPTY_WINDOW,
-    STRIDE_MS,
-    WINDOW_MS,
-    classifier_input,
-    fold_window,
-    regressor_input,
-    window_frame,
-)
+from .traceio import STRIDE_MS, WINDOW_MS, FrameBuffer, classifier_input, regressor_input
 from .traceio import resample  # noqa: F401  engine.resample stays available to its readers
 
 _CUMULATIVE = [SNAPSHOT_FIELDS.index(name) for name in CUMULATIVE_FIELDS]
 # Windows of a test that reaches the MAX_TEST_US cap: a session's frames.
 _WINDOW_US = WINDOW_MS * 1000
 _MAX_WINDOWS = MAX_TEST_US // _WINDOW_US
-# Snapshots of the open window a session holds before folding them into
-# its running sums.
-_FOLD_EVERY = 16
-_STD = list(STD_CHANNELS)
 
 
 @dataclass(frozen=True)
@@ -113,11 +95,7 @@ class Session:
 
     def __init__(self, policy: Policy):
         self.policy = policy
-        self._frames = np.empty((_MAX_WINDOWS, N_FEATURES))
-        self._filled = 0                    # windows [0, _filled) hold frames
-        self._sums = EMPTY_WINDOW           # window _filled's running sums
-        self._held: list[Snapshot] = []     # received, not yet in the sums
-        self._prev: Snapshot | None = None  # last snapshot in the sums
+        self._buf = FrameBuffer(_MAX_WINDOWS)
         self._last: Snapshot | None = None  # last snapshot received
         self._second_us: int | None = None  # t_us of the second snapshot received
         self._next_stride_ms = STRIDE_MS
@@ -150,11 +128,9 @@ class Session:
             raise ValidationError(f"t_us {t_us} exceeds the test-length cap "
                                   f"of {MAX_TEST_US} us")
         w = int(t_us) // _WINDOW_US
-        if last is None:
-            self._frames[:w] = 0.0          # no snapshot before: zero frames
-            self._filled = w
-        elif w > self._filled:
-            self._close(w)
+        buf = self._buf
+        if w > buf.filled:
+            buf.place(w)
         # strict inequality: a stride is judged at the first snapshot past
         # its boundary, so the final stride of a trace is never an early stop
         while self._next_stride_ms * 1000 < t_us:
@@ -165,33 +141,11 @@ class Session:
                 self._terminal = decision
                 self._stop_ms = t_ms
                 return decision
-        held = self._held
-        held.append(snapshot)
-        if len(held) == _FOLD_EVERY:
-            self._fold()
+        buf.hold(snapshot)
         if last is not None and self._second_us is None:
             self._second_us = t_us
         self._last = snapshot
         return CONTINUE
-
-    def _fold(self) -> None:
-        held = self._held
-        if held:
-            self._sums = fold_window(self._sums, held, self._prev)
-            self._prev = held[-1]
-            held.clear()
-
-    def _close(self, w: int) -> None:
-        """Write the open window's frame, carry it forward over the empty
-        windows before window w, and open window w."""
-        self._fold()
-        buf, k = self._frames, self._filled
-        buf[k] = window_frame(self._sums, self._prev)
-        if w > k + 1:
-            carried = buf[k].copy()
-            carried[_STD] = 0.0
-            buf[k + 1:w] = carried
-        self._filled, self._sums = w, EMPTY_WINDOW
 
     def _evaluate_stride(self, t_ms: int) -> StopDecision:
         # the snapshot past the boundary closed every window before it; a
@@ -199,7 +153,7 @@ class Session:
         second = self._second_us
         if second is None or second >= t_ms * 1000:
             return CONTINUE
-        frames = self._frames[:t_ms // WINDOW_MS]
+        frames = self._buf.frames[:t_ms // WINDOW_MS]
         if not variability_guard(frames, t_ms):
             return CONTINUE
         t0 = time.perf_counter()
@@ -235,7 +189,7 @@ class Session:
             # so the last one received is the last at or before it
             t0 = time.perf_counter()
             estimate = float(self.policy.regressor.predict(
-                regressor_input(self._frames[:self._filled], self._stop_ms)))
+                regressor_input(self._buf.frames[:self._buf.filled], self._stop_ms)))
             self.regressor_latency_s = time.perf_counter() - t0
             stop_ms = float(self._stop_ms)
             err = rel_error(y_true_mbps, estimate) if y_true_mbps is not None else None

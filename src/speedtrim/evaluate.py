@@ -293,12 +293,15 @@ def read_records_csv(path: str) -> list[Record]:
             missing = [c for c in RECORD_COLUMNS if row.get(c) is None]
             if missing:
                 raise ValueError(f"{where}: missing {', '.join(missing)}")
+            ran = row["ran_to_completion"]
+            if ran not in ("0", "1"):
+                raise ValueError(f"{where}: ran_to_completion must be 0 or 1, got {ran!r}")
             try:
                 r = Record(row["trace_id"], row["method"], row["param"],
                            float(row["stop_ms"]), int(row["bytes_early"]),
                            int(row["bytes_full"]), float(row["estimate"]),
                            float(row["rel_error"]), int(row["tier"]), int(row["rtt_bin"]),
-                           bool(int(row["ran_to_completion"])))
+                           ran == "1")
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             records.append(r)

@@ -371,13 +371,7 @@ def gen_trace(spec: GenSpec, index: int) -> tuple[Trace, str]:
 
 def gen_corpus(spec: GenSpec, out_dir: str) -> "traceio.Corpus":
     """Generate the full corpus under out_dir with index and manifest."""
-    os.makedirs(out_dir, exist_ok=True)
-
-    def produce():
-        for index in range(spec.n_traces):
-            yield gen_trace(spec, index)
-
-    corpus = traceio.write_corpus(out_dir, produce())
+    corpus = traceio.write_corpus(out_dir, (gen_trace(spec, i) for i in range(spec.n_traces)))
     with open(os.path.join(out_dir, "genspec.json"), "w") as fh:
         json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")

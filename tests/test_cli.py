@@ -108,6 +108,20 @@ class TestSynth:
         assert "no draw landed in tier 1 (26.5-98 Mbps)/bin" in err
         assert f"{keys} which tiers can be reached (capacity_range is 1-2 Mbps)" in err
 
+    def test_failed_synth_leaves_no_partial_corpus(self, tmp_path, capsys):
+        # trace 0 is drawn and written before trace 1 finds no draw
+        out = tmp_path / "x"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"genspec": {"capacity_range": [1, 2]}}))
+        assert run("synth", "--n", "3", "--config", str(config), "--out", str(out)) == 3
+        assert os.listdir(out) == []
+        # a corpus already there stays as it was
+        assert run("synth", "--n", "2", "--out", str(out)) == 0
+        before = sha_tree(out)
+        assert run("synth", "--n", "3", "--config", str(config), "--out", str(out)) == 3
+        assert sha_tree(out) == before
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "x"]
+
     def test_no_trace_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"genspec": {"n_traces": 0}}')
@@ -160,6 +174,20 @@ class TestIngest:
             assert run("ingest", "--in", str(raw), "--out", str(tmp_path / f"c{i}")) == 3
             assert message in capsys.readouterr().err
 
+
+    def test_failed_ingest_leaves_no_partial_corpus(self, tmp_path, capsys):
+        from speedtrim.traceio import dump_trace
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "a.jsonl").write_bytes(dump_trace(util.constant_rate_trace(50.0, duration_s=1)))
+        (raw / "b.jsonl").write_bytes(b"{not json\n")
+        capsys.readouterr()
+        assert run("ingest", "--in", str(raw), "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["out", "raw"]
+        assert os.listdir(tmp_path / "out") == []
+        # the error names the bad file
+        assert f"data error: {raw / 'b.jsonl'}: line 1: malformed JSON" in err
 
     @pytest.mark.parametrize("trace_id", ["../up", "a/b", "a" * 300, "tab\there"])
     def test_id_must_name_a_corpus_file(self, tmp_path, capsys, trace_id):
@@ -355,6 +383,8 @@ class TestPipeline:
             (dict(good, rel_error="np.float64(0.1)"), None,
              "line 3: could not convert string to float"),
             (dict(good, bytes_full="0"), None, "line 3: bytes_full must be positive, got 0"),
+            (dict(good, ran_to_completion="7"), None,
+             "line 3: ran_to_completion must be 0 or 1, got '7'"),
         ]):
             path = str(tmp_path / f"bad{i}.csv")
             with open(path, "w", newline="") as fh:

@@ -82,6 +82,23 @@ class TestParseTrace:
         with pytest.raises(ParseError, match="line 2"):
             parse_trace(data)
 
+    def test_file_error_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        content = json.dumps(snap_obj(0, 0)).encode() + b"\n{not json\n"
+        path.write_bytes(content)
+        message = "line 2: malformed JSON (Expecting property name enclosed in double quotes)"
+        for arg in (path, str(path)):
+            with pytest.raises(ParseError) as exc:
+                parse_trace(arg)
+            assert str(exc.value) == f"{path}: {message}"
+        with pytest.raises(ParseError) as exc:  # a stream has no name to give
+            parse_trace(io.BytesIO(content))
+        assert str(exc.value) == message
+        path.write_bytes(jsonl([snap_obj(0, 0), snap_obj(0, 5)]).getvalue())
+        with pytest.raises(ValidationError) as exc:
+            parse_trace(path)
+        assert str(exc.value) == f"{path}: trace 'trace': nonmonotonic timestamps"
+
     def test_missing_keys(self):
         with pytest.raises(ParseError, match="missing keys"):
             parse_trace(jsonl([{"t_us": 0, "bytes_acked": 0}, snap_obj(1, 1)]))
@@ -541,9 +558,11 @@ class TestCorpusFileErrors:
          "index.csv line 4: trace id 'a' is listed twice"),
         ("b.jsonl", lambda text: text.replace('"id": "b"', '"id": "other"', 1),
          "b.jsonl: header id 'other' is not the index id 'b'"),
+        ("b.jsonl", lambda text: text.replace('"t_us": 0,', '"t_us": "0",', 1),
+         "b.jsonl: line 2: non-integer field t_us='0'"),
     ], ids=["manifest-no-tier", "index-no-file", "manifest-bad-tier",
             "manifest-no-duration", "index-short-row", "index-empty", "index-repeated-id",
-            "trace-header-id"])
+            "trace-header-id", "trace-bad-line"])
     def test_exits_3_naming_file_and_place(self, tmp_path, capsys, name, edit, message):
         from speedtrim.cli import EXIT_DATA, main
         root = tmp_path / "c"
