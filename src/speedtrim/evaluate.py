@@ -309,8 +309,8 @@ def read_records_csv(path: str) -> list[Record]:
 
 
 def write_frontier_csv(path: str, points: list[FrontierPoint],
-                       frontier: list[FrontierPoint] | None = None) -> None:
-    on_frontier = {(q.method, q.param) for q in (frontier or [])}
+                       frontier: list[FrontierPoint]) -> None:
+    on_frontier = {(q.method, q.param) for q in frontier}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "param", "median_rel_error", "transfer_fraction",
@@ -319,7 +319,7 @@ def write_frontier_csv(path: str, points: list[FrontierPoint],
             w.writerow([p.method, p.param, repr(p.median_rel_error),
                         repr(p.transfer_fraction), repr(1.0 - p.transfer_fraction),
                         repr(p.total_gb), p.n_records,
-                        int((p.method, p.param) in on_frontier or frontier is None)])
+                        int((p.method, p.param) in on_frontier)])
 
 
 def write_groups_csv(path: str, policies: list[GroupPolicy],

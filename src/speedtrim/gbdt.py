@@ -268,6 +268,8 @@ class GbdtModel:
         self.forest = _packed(forest)
         self.params = params
         self.n_features = int(n_features)
+        if np.ndim(train_mse) != 1:
+            raise ValueError("gbdt train_mse must be 1-D")
         self.train_mse = list(train_mse)
         self._descent = _descent(self.forest, self.n_features, params.max_depth)
 

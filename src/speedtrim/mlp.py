@@ -1,21 +1,18 @@
 """Feed-forward binary classifier trained with BCE and Adam.
 
-Plain numpy: ReLU hidden layers, a sigmoid output, and per-feature input
-standardization stored with the model.  Training runs `_forward` on
-standardized inputs; `loss_and_grads` is a pure function of the weights so
-gradients can be checked against finite differences.
+Plain numpy: ReLU hidden layers and a sigmoid output.  Training runs
+`_forward` on inputs standardized per feature; `loss_and_grads` is a pure
+function of the weights so gradients can be checked against finite
+differences.
 
-A model keeps its weights and standardization as trained, and so as its
-file holds them, but predicts through a first layer with the
-standardization folded in: ``W0 / std`` and ``b0 - (mean / std) @ W0``.
-An input of exactly 0 then adds nothing to the first layer, so
-`predict_proba` multiplies only the columns up to the last nonzero one
-before the final column (elapsed ms): the zero-filled history of an early
-stride costs nothing.  One 1-D row is computed on 1-D arrays, with no
-promotion to a (1, n) batch.  This needs every ``input_std`` finite and > 0,
-and the folded layer finite (a tiny std overflows it), which a model
-checks when it is built, in memory or loaded.
-The weight matrices it predicts with are copies that start on a cache
+At the end of training the standardization is folded into the first
+layer, ``W0 / std`` and ``b0 - (mean / std) @ W0``, so a model holds one
+list of weights: the ones it predicts with, writes and reads.  An input of
+exactly 0 adds nothing to the first layer, so `predict_proba` multiplies
+only the columns up to the last nonzero one before the final column
+(elapsed ms): the zero-filled history of an early stride costs nothing.
+One 1-D row is computed on 1-D arrays, with no promotion to a (1, n)
+batch.  The weight matrices are held as copies that start on a cache
 line: a one-row product over a block that fits in cache runs up to twice
 as fast from an aligned start, and the allocator's own start varies from
 one load to the next.
@@ -115,43 +112,26 @@ def loss_and_grads(weights, X: np.ndarray, y: np.ndarray):
     return loss, grads
 
 
-def _check_layers(weights, input_mean: np.ndarray, input_std: np.ndarray, hidden: tuple,
-                  loss_curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first layer with the standardization folded in, ``W0 / std``
-    and ``b0 - (mean / std) @ W0``.  Rejects arrays that do not give the
-    layer widths (that of ``input_mean``, the ``hidden`` widths, one
-    output) or that hold a value the folded first layer cannot serve."""
-    for name, arr in (("input_mean", input_mean), ("loss_curve", loss_curve)):
-        if arr.ndim != 1:
-            raise ValueError(f"mlp {name} must be 1-D")
-    widths = (len(input_mean), *hidden, 1)
-    if len(weights) != len(widths) - 1:
-        raise ValueError(f"mlp has {len(weights)} layers, layer widths "
-                         f"{list(widths)} need {len(widths) - 1}")
-    arrays = {"input_std": input_std}
-    shapes = {"input_std": widths[:1]}
+def _check_weights(weights, hidden: tuple, loss_curve: np.ndarray) -> None:
+    """Rejects arrays that do not give the layer widths (the rows of a 2-D
+    ``W0``, the ``hidden`` widths, one output) or that hold a value that
+    is not finite."""
+    if loss_curve.ndim != 1:
+        raise ValueError("mlp loss_curve must be 1-D")
+    if len(weights) != len(hidden) + 1:
+        raise ValueError(f"mlp has {len(weights)} layers, hidden widths "
+                         f"{list(hidden)} need {len(hidden) + 1}")
+    if weights[0][0].ndim != 2:
+        raise ValueError("mlp W0 must be 2-D")
+    widths = (len(weights[0][0]), *hidden, 1)
     for i, (W, b) in enumerate(weights):
-        arrays[f"W{i}"], arrays[f"b{i}"] = W, b
-        shapes[f"W{i}"] = (widths[i], widths[i + 1])
-        shapes[f"b{i}"] = (widths[i + 1],)
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ValueError(f"mlp {name} has shape {arrays[name].shape}, layer widths "
-                             f"{list(widths)} need {shape}")
-    if not np.all(np.isfinite(input_std) & (input_std > 0)):
-        raise ValueError("mlp input_std must be finite and > 0")
-    arrays["input_mean"] = input_mean
-    for name in ("input_mean", *shapes):
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"mlp {name} holds a value that is not finite")
-    # a tiny std overflows the fold: checked here, so no warning escapes
-    W0, b0 = weights[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        folded = (W0 / input_std[:, None], b0 - (input_mean / input_std) @ W0)
-    for name, arr in zip(("first layer", "first-layer bias"), folded):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"mlp input_std folds into a {name} that is not finite")
-    return folded
+        for name, arr, shape in ((f"W{i}", W, (widths[i], widths[i + 1])),
+                                 (f"b{i}", b, (widths[i + 1],))):
+            if arr.shape != shape:
+                raise ValueError(f"mlp {name} has shape {arr.shape}, layer widths "
+                                 f"{list(widths)} need {shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"mlp {name} holds a value that is not finite")
 
 
 def _history_end(values: np.ndarray) -> int:
@@ -166,20 +146,16 @@ def _history_end(values: np.ndarray) -> int:
 
 
 class MlpModel:
-    """Trained classifier: weights plus input normalization and metadata."""
+    """Trained classifier: the weights it predicts with (the first layer
+    with the input standardization folded in), its params and loss curve."""
 
-    def __init__(self, weights, input_mean: np.ndarray, input_std: np.ndarray,
-                 params: MlpParams, loss_curve: list[float]):
-        self.weights = [(np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
-                        for W, b in weights]
-        self.input_mean = np.asarray(input_mean, dtype=np.float64)
-        self.input_std = np.asarray(input_std, dtype=np.float64)
+    def __init__(self, weights, params: MlpParams, loss_curve: list[float]):
+        weights = [(np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                   for W, b in weights]
+        _check_weights(weights, params.hidden, np.asarray(loss_curve))
+        self.weights = [(_aligned(W), b) for W, b in weights]
         self.params = params
-        W0, b0 = _check_layers(self.weights, self.input_mean, self.input_std, params.hidden,
-                               np.asarray(loss_curve))
         self.loss_curve = list(loss_curve)
-        self._layers = [(_aligned(W0), b0)]
-        self._layers += [(_aligned(W), b) for W, b in self.weights[1:]]
 
     @property
     def n_features(self) -> int:
@@ -198,7 +174,7 @@ class MlpModel:
                 f"feature arity mismatch: model expects {self.n_features}, got {X.shape[-1]}")
         # columns past the last nonzero one before the final column add
         # nothing to the folded first layer; a full history keeps them all
-        (W, b), *rest = self._layers
+        (W, b), *rest = self.weights
         k = _history_end(X[:-1] if X.ndim == 1 else X[:, :-1].any(axis=0))
         z = X[..., :k] @ W[:k] + X[..., -1:] * W[-1] + b
         for W, b in rest:
@@ -261,4 +237,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, params: MlpParams = MlpParams(),
             n_batches += 1
         loss_curve.append(epoch_loss / max(n_batches, 1))
 
-    return MlpModel(weights, mean, std, params, loss_curve)
+    # (X - mean) / std @ W0 + b0 is X @ (W0 / std) + b0 - (mean / std) @ W0
+    W0, b0 = weights[0]
+    weights[0] = (W0 / std[:, None], b0 - (mean / std) @ W0)
+    return MlpModel(weights, params, loss_curve)

@@ -3,9 +3,12 @@
 Layout: magic, format version, model kind, params JSON blob, a named
 array section, and a trailing CRC32 over everything before it.  Arrays
 are written raw (dtype + shape + C-order bytes), so a given model
-serializes byte-identically across runs.  The loader checks this framing
-and that each kind's arrays are present; what makes the arrays a valid
-model is checked by the model's own constructor.
+serializes byte-identically across runs.  Each kind's arrays are the
+model's own in-memory layout: the packed forest of a ``gbdt``, and the
+weights of an ``mlp`` with the input standardization folded into its
+first layer.  The loader checks this framing and that each kind's arrays
+are present, once each; what makes the arrays a valid model is checked
+by the model's own constructor.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .gbdt import GbdtModel, GbdtParams
 from .mlp import MlpModel, MlpParams
 
 MAGIC = b"STPM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -68,6 +71,8 @@ def _read_arrays(fh) -> dict[str, np.ndarray]:
     arrays = {}
     for _ in range(count):
         name = _read_bytes(fh).decode("utf-8", errors="replace")
+        if name in arrays:
+            raise ModelFormatError(f"array {name!r} appears twice")
         code = _read_bytes(fh).decode("ascii", errors="replace")
         try:
             dtype = np.dtype(code)
@@ -108,8 +113,6 @@ def _model_payload(model) -> tuple[str, dict, dict[str, np.ndarray]]:
         for i, (W, b) in enumerate(model.weights):
             arrays[f"W{i}"] = W
             arrays[f"b{i}"] = b
-        arrays["input_mean"] = model.input_mean
-        arrays["input_std"] = model.input_std
         arrays["loss_curve"] = np.asarray(model.loss_curve, dtype=np.float64)
         return "mlp", asdict(model.params), arrays
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
@@ -135,15 +138,13 @@ def _restore(kind: str, params: dict, arrays: dict[str, np.ndarray]):
         base, n_features = meta
         p = replace_from_json(GbdtParams(), params, "GbdtParams")
         return GbdtModel(float(base), {name: arrays[name] for name in forest}, p,
-                         int(n_features), list(arrays["train_mse"]))
+                         int(n_features), arrays["train_mse"])
     if kind == "mlp":
         p = replace_from_json(MlpParams(), params, "MlpParams")
         n = len(p.hidden) + 1
-        _present(kind, arrays, ("input_mean", "input_std",
-                                *(f"{w}{i}" for i in range(n) for w in "Wb"), "loss_curve"))
+        _present(kind, arrays, (*(f"{w}{i}" for i in range(n) for w in "Wb"), "loss_curve"))
         weights = [(arrays[f"W{i}"], arrays[f"b{i}"]) for i in range(n)]
-        return MlpModel(weights, arrays["input_mean"], arrays["input_std"], p,
-                        arrays["loss_curve"])
+        return MlpModel(weights, p, arrays["loss_curve"])
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 

@@ -25,6 +25,13 @@ def small_regressor(small_corpus):
 
 
 @pytest.fixture(scope="session")
-def small_classifier15(small_corpus, small_regressor):
+def small_classification15(small_corpus, small_regressor):
+    """The small corpus's classifier rows and their ε=15 labels."""
     X, labels, _ = label.build_classification_dataset(small_corpus, small_regressor, (15.0,))
-    return train_mlp(X, labels[:, 0], MlpParams(epochs=4), seed=5)
+    return X, labels[:, 0]
+
+
+@pytest.fixture(scope="session")
+def small_classifier15(small_classification15):
+    X, y = small_classification15
+    return train_mlp(X, y, MlpParams(epochs=4), seed=5)

@@ -8,6 +8,7 @@ from speedtrim import mlp
 from speedtrim.core import N_FEATURES, WINDOW_MS
 from speedtrim.mlp import (
     CACHE_LINE,
+    SIGMA_FLOOR,
     MlpModel,
     MlpParams,
     _aligned,
@@ -119,8 +120,7 @@ class TestPredict:
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(6)
         params = MlpParams(hidden=(4,))
-        model = MlpModel(_init_weights(5, params.hidden, rng), np.zeros(5), np.ones(5),
-                         params, [])
+        model = MlpModel(_init_weights(5, params.hidden, rng), params, [])
         p = model.predict_proba(rng.standard_normal((50, 5)) * 10)
         assert np.all((p > 0) & (p < 1))
 
@@ -137,8 +137,7 @@ class TestPredict:
     def test_shape_contract(self):
         rng = np.random.default_rng(7)
         params = MlpParams(hidden=(4,))
-        model = MlpModel(_init_weights(5, params.hidden, rng), np.zeros(5), np.ones(5),
-                         params, [])
+        model = MlpModel(_init_weights(5, params.hidden, rng), params, [])
         X = rng.standard_normal((3, 5))
         assert model.predict_proba(np.zeros((0, 5))).shape == (0,)
         assert model.predict_proba(X[:1]).shape == (1,)
@@ -147,9 +146,9 @@ class TestPredict:
 
 
 class TestFoldedForward:
-    """predict_proba, with the standardization folded into the first layer
-    and the zero-filled history skipped, agrees with standardizing every
-    column and running the dense forward pass."""
+    """train_mlp folds the standardization into the first layer, and
+    predict_proba, which skips the zero-filled history, agrees with the
+    dense forward pass over every column."""
 
     @pytest.fixture(scope="class")
     def rows(self, small_corpus):
@@ -164,13 +163,26 @@ class TestFoldedForward:
         return np.array(rows)
 
     @pytest.fixture(scope="class", params=["default", "single-layer"])
-    def model(self, request, small_classifier15):
+    def model(self, request, small_classifier15, small_classification15):
         if request.param == "default":
             assert small_classifier15.params.hidden == MlpParams().hidden == (256, 64)
             return small_classifier15
-        rng = np.random.default_rng(11)
-        return MlpModel(_init_weights(CLASSIFIER_ARITY, (), rng), small_classifier15.input_mean,
-                        small_classifier15.input_std, MlpParams(hidden=()), [])
+        # the initial weights, with the corpus's standardization folded in
+        return train_mlp(*small_classification15, MlpParams(hidden=(), epochs=0), seed=11)
+
+    @pytest.mark.parametrize("hidden", [(), (256, 64)], ids=["single-layer", "default"])
+    def test_training_folds_the_standardization(self, small_classification15, rows, hidden):
+        # with no epochs the weights are the initial ones: the folded model
+        # predicts what standardizing every column and the dense pass give
+        X, y = small_classification15
+        assert (X.std(axis=0) < SIGMA_FLOOR).any()      # a floored column too
+        model = train_mlp(X, y, MlpParams(hidden=hidden, epochs=0), seed=11)
+        weights = _init_weights(X.shape[1], hidden, np.random.default_rng(11))
+        mean, std = X.mean(axis=0), np.maximum(X.std(axis=0), SIGMA_FLOOR)
+        for Z in (rows, X[::7]):
+            _, z = mlp._forward(weights, (Z - mean) / std)
+            np.testing.assert_allclose(model.predict_proba(Z), 1.0 / (1.0 + np.exp(-z)),
+                                       rtol=0, atol=1e-12)
 
     def test_each_row_matches_the_dense_reference(self, model, rows):
         for w, row in enumerate(rows):
@@ -212,7 +224,7 @@ class TestFoldedForward:
         assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
     def test_weights_it_predicts_with_start_on_a_cache_line(self, model):
-        for W, _ in model._layers:
+        for W, _ in model.weights:
             assert W.ctypes.data % CACHE_LINE == 0 and W.flags.c_contiguous
 
     def test_aligned_copy_is_equal_wherever_the_input_starts(self):
@@ -227,8 +239,7 @@ class TestSigmoidClamp:
     @staticmethod
     def logit_model(logit: float) -> MlpModel:
         """One layer of zero weights: every row's logit is the bias."""
-        return MlpModel([(np.zeros((4, 1)), np.array([logit]))], np.zeros(4), np.ones(4),
-                        MlpParams(hidden=()), [])
+        return MlpModel([(np.zeros((4, 1)), np.array([logit]))], MlpParams(hidden=()), [])
 
     @settings(max_examples=300, deadline=None)
     @given(logit=st.one_of(st.floats(-709.0, 709.0), st.floats(709.0, 1e300),

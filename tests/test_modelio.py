@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import struct
 import warnings
@@ -79,13 +80,31 @@ class TestCorruption:
         with pytest.raises(ModelFormatError, match="magic"):
             load_model_bytes(b"NOPE" + b"\x00" * 64)
 
-    def test_version_mismatch(self, gbdt_model):
-        blob = bytearray(dump_model(gbdt_model)[:-4])
-        blob[4] = 99  # format version field
-        import struct, zlib
-        blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-        with pytest.raises(ModelFormatError, match="version"):
-            load_model_bytes(bytes(blob))
+    def test_version_mismatch(self, gbdt_model, mlp_model):
+        # version 1 held the classifier's weights as trained, so its W0 and
+        # b0 must never be read as the folded first layer
+        for model, version in itertools.product((gbdt_model, mlp_model), (1, 99)):
+            blob = bytearray(dump_model(model)[:-4])
+            blob[4] = version  # format version field
+            blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+            with pytest.raises(ModelFormatError, match=f"unsupported format version {version}$"):
+                load_model_bytes(bytes(blob))
+
+    def test_array_written_twice(self, tmp_path, mlp_model):
+        from speedtrim.cli import EXIT_MODEL, main
+        from speedtrim.traceio import dump_trace
+        import util
+        # b0 renamed: the file holds two arrays named W0
+        classifier = tmp_path / "classifier.bin"
+        classifier.write_bytes(with_block(dump_model(mlp_model), b"b0", b"W0"))
+        with pytest.raises(ModelFormatError, match="array 'W0' appears twice"):
+            load_model(str(classifier))
+        regressor = str(tmp_path / "regressor.bin")
+        save_model(util.constant_regressor(50.0), regressor)
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
+        assert main(["run", "--trace", str(trace), "--regressor", regressor,
+                     "--classifier", str(classifier)]) == EXIT_MODEL
 
 
 def _drop_offsets(f):
@@ -238,6 +257,8 @@ class TestParamsAndMlpValidation:
         # the fixture's trees are 3 levels deep
         pytest.param("gbdt", lambda p, a: p.update(max_depth=2),
                      "max_depth 2 levels can end on a split node", id="gbdt-trees-too-deep"),
+        pytest.param("gbdt", lambda p, a: a.update(train_mse=a["train_mse"][None, :]),
+                     "gbdt train_mse must be 1-D", id="gbdt-train_mse-2d"),
         pytest.param("mlp", lambda p, a: p.update(colour="red"),
                      "unknown MlpParams parameter 'colour'", id="mlp-unknown-key"),
         pytest.param("mlp", lambda p, a: p.update(hidden="4"),
@@ -246,42 +267,23 @@ class TestParamsAndMlpValidation:
                      id="mlp-zero-width"),
         pytest.param("mlp", lambda p, a: a.pop("b1"), r"lacks arrays \['b1'\]", id="mlp-no-b1"),
         pytest.param("mlp", lambda p, a: a.pop("W0"), r"lacks arrays \['W0'\]", id="mlp-no-W0"),
-        pytest.param("mlp", lambda p, a: a.pop("input_std"), "lacks arrays",
-                     id="mlp-no-input_std"),
         pytest.param("mlp", lambda p, a: a.pop("loss_curve"), "lacks arrays",
                      id="mlp-no-loss_curve"),
         pytest.param("mlp", lambda p, a: a.update(W1=a["W1"][:3]), "W1 has shape",
                      id="mlp-W1-rows"),
         pytest.param("mlp", lambda p, a: a.update(b0=a["b0"][None, :]), "b0 has shape",
                      id="mlp-b0-2d"),
-        # input_mean gives the input width, which input_std and W0 must share
-        pytest.param("mlp", lambda p, a: a.update(input_mean=a["input_mean"][:4]),
-                     r"input_std has shape \(5,\), layer widths \[4, 4, 1\]",
-                     id="mlp-input_mean-short"),
-        pytest.param("mlp", lambda p, a: a.update(input_mean=a["input_mean"][None, :]),
-                     "input_mean must be 1-D", id="mlp-input_mean-2d"),
+        # W0's rows give the input width
+        pytest.param("mlp", lambda p, a: a.update(W0=a["W0"][:, 0]),
+                     "W0 must be 2-D", id="mlp-W0-1d"),
         pytest.param("mlp", lambda p, a: p.update(hidden=[3]), "W0 has shape",
                      id="mlp-layers-disagree"),
         pytest.param("mlp", lambda p, a: a.update(loss_curve=np.zeros((2, 2))),
                      "loss_curve must be 1-D", id="mlp-loss_curve-2d"),
-        # the folded first layer divides by input_std: each must be finite
-        # and > 0, and every other value finite
+        # every weight and bias must be finite
         *(pytest.param("mlp", lambda p, a, k=key, v=value: a.update({k: with_entry(a[k], v)}),
-                       match, id=f"mlp-{key}-{value}")
-          for key, value, match in (
-              *(("input_std", v, "input_std must be finite and > 0")
-                for v in (0.0, -1.0, np.nan, np.inf)),
-              *((k, v, f"mlp {k} holds a value that is not finite")
-                for k, v in (("input_mean", np.nan), ("W0", np.inf), ("b0", np.nan),
-                             ("W1", -np.inf), ("b1", np.nan))))),
-        # a positive but tiny input_std overflows the fold
-        pytest.param("mlp", lambda p, a: a.update(input_std=with_entry(a["input_std"], 1e-310)),
-                     "input_std folds into a first layer that is not finite",
-                     id="mlp-input_std-tiny"),
-        pytest.param("mlp", lambda p, a: a.update(input_std=np.full(5, 1e-5),
-                                                  input_mean=np.full(5, 1e306)),
-                     "input_std folds into a first-layer bias that is not finite",
-                     id="mlp-folded-bias-overflows"),
+                       f"mlp {key} holds a value that is not finite", id=f"mlp-{key}-{value}")
+          for key, value in (("W0", np.inf), ("b0", np.nan), ("W1", -np.inf), ("b1", np.nan))),
     ])
     def test_rejected_on_load(self, gbdt_model, mlp_model, model, edit, match):
         model = {"gbdt": gbdt_model, "mlp": mlp_model}[model]
@@ -300,16 +302,12 @@ class TestParamsAndMlpValidation:
             gbdt_model, lambda p, a: p.update(colour="red")))
         no_bias = tmp_path / "classifier.bin"
         no_bias.write_bytes(dump_edited(mlp_model, lambda p, a: a.pop("b1")))
-        nan_std = tmp_path / "nan_std.bin"
-        nan_std.write_bytes(dump_edited(
-            mlp_model, lambda p, a: a.update(input_std=with_entry(a["input_std"], np.nan))))
-        tiny_std = tmp_path / "tiny_std.bin"
-        tiny_std.write_bytes(dump_edited(
-            mlp_model, lambda p, a: a.update(input_std=with_entry(a["input_std"], 1e-310))))
+        nan_weight = tmp_path / "nan_weight.bin"
+        nan_weight.write_bytes(dump_edited(
+            mlp_model, lambda p, a: a.update(W0=with_entry(a["W0"], np.nan))))
         trace = tmp_path / "t.jsonl"
         trace.write_bytes(dump_trace(util.constant_rate_trace(50.0)))
-        for regressor, classifier in ((extra_param, good), (good, no_bias), (good, nan_std),
-                                      (good, tiny_std)):
+        for regressor, classifier in ((extra_param, good), (good, no_bias), (good, nan_weight)):
             assert main(["run", "--trace", str(trace), "--regressor", str(regressor),
                          "--classifier", str(classifier)]) == EXIT_MODEL
 
@@ -360,24 +358,22 @@ class TestRulesOfTheModelClass:
 
     def test_bad_mlp_built_in_memory_gets_the_loaders_message(self, mlp_model):
         bad = copy.deepcopy(mlp_model)
-        bad.input_std[0] = 0.0
+        bad.weights[0][0][0, 0] = np.nan
         with pytest.raises(ModelFormatError) as loaded:
             load_model_bytes(dump_model(bad))
-        with pytest.raises(ValueError, match="mlp input_std must be finite and > 0") as built:
-            MlpModel(bad.weights, bad.input_mean, bad.input_std, bad.params, [])
+        with pytest.raises(ValueError, match="mlp W0 holds a value that is not finite") as built:
+            MlpModel(bad.weights, bad.params, [])
         assert str(built.value) == str(loaded.value)
 
-    def test_tiny_input_std_rejected_without_a_warning(self, mlp_model):
-        # 1e-310 is finite and > 0, but W0 / 1e-310 overflows: the model
-        # used to load and give p_stop 1.0 for every row
-        bad = copy.deepcopy(mlp_model)
-        bad.input_std[0] = 1e-310
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ModelFormatError, match="not finite") as loaded:
-                load_model_bytes(dump_model(bad))
-            with pytest.raises(ValueError, match="input_std folds into a first layer") as built:
-                MlpModel(bad.weights, bad.input_mean, bad.input_std, bad.params, [])
+    def test_bad_train_mse_built_in_memory_gets_the_loaders_message(self, gbdt_model):
+        # list() of a 2-D array would hold its rows as the per-tree MSEs
+        train_mse = np.array([gbdt_model.train_mse])
+        bad = copy.deepcopy(gbdt_model)
+        bad.train_mse = train_mse
+        with pytest.raises(ModelFormatError) as loaded:
+            load_model_bytes(dump_model(bad))
+        with pytest.raises(ValueError, match="gbdt train_mse must be 1-D") as built:
+            GbdtModel(bad.base_prediction, bad.forest, bad.params, bad.n_features, train_mse)
         assert str(built.value) == str(loaded.value)
 
 

@@ -129,14 +129,14 @@ def constant_classifier(p_stop: float, n_features: int = CLASSIFIER_ARITY) -> Ml
     logit = np.log(p_stop / (1.0 - p_stop)) if 0 < p_stop < 1 else (
         50.0 if p_stop >= 1 else -50.0)
     weights = [(np.zeros((n_features, 1)), np.array([logit]))]
-    return MlpModel(weights, np.zeros(n_features), np.ones(n_features), MlpParams(hidden=()), [])
+    return MlpModel(weights, MlpParams(hidden=()), [])
 
 
 def dense_predict_proba(model: MlpModel, X):
-    """p_stop the plain way: standardize every column of X, then the dense
-    forward pass over all of them (no fold, no skipped columns)."""
+    """p_stop the plain way: the dense forward pass over every column of X
+    through the stored weights (no skipped columns)."""
     X = np.asarray(X, dtype=np.float64)
-    _, z = _forward(model.weights, (np.atleast_2d(X) - model.input_mean) / model.input_std)
+    _, z = _forward(model.weights, np.atleast_2d(X))
     p = 1.0 / (1.0 + np.exp(-z))
     return p[0] if X.ndim == 1 else p
 
@@ -145,8 +145,7 @@ class DenseClassifier(MlpModel):
     """A classifier that predicts through dense_predict_proba."""
 
     def __init__(self, model: MlpModel):
-        super().__init__(model.weights, model.input_mean, model.input_std, model.params,
-                         model.loss_curve)
+        super().__init__(model.weights, model.params, model.loss_curve)
 
     def predict_proba(self, X):
         return dense_predict_proba(self, X)
