@@ -1,10 +1,10 @@
 """Command-line entry point wiring the modules into reproducible pipelines.
 
-Exit codes: 0 ok, 2 usage, 3 data error, 4 model error.  Logs go to
-stderr; data goes to files.  Every artifact-producing subcommand writes a
-manifest (config hash, seed, input checksums) and its config next to its
-outputs: ``manifest.json`` in a directory, ``<stem>.manifest.json`` beside
-a model file ``<stem>.bin``.
+Exit codes: 0 ok, 2 usage, 3 data error or an unusable path, 4 model
+error.  Logs go to stderr; data goes to files.  Every artifact-producing
+subcommand writes a manifest (config hash, seed, input checksums) and its
+config next to its outputs: ``manifest.json`` in a directory,
+``<stem>.manifest.json`` beside a model file ``<stem>.bin``.
 """
 
 from __future__ import annotations
@@ -91,15 +91,30 @@ def epsilon(text) -> float:
     return value
 
 
-def _parse_params(items: list, parse) -> list:
-    """Each --params item parsed; a value given twice is a data error."""
+def _parse_params(items: list, parse, flag: str = "--params") -> list:
+    """Each item of ``flag`` parsed; a value given twice is a ValueError."""
     values = [parse(item) for item in items]
     for i, value in enumerate(values):
         first = values.index(value)
         if first < i:
-            raise ValueError(f"--params gives {value!r} twice: as {items[first]!r} "
+            raise ValueError(f"{flag} gives {value!r} twice: as {items[first]!r} "
                              f"and as {items[i]!r}")
     return values
+
+
+def _epsilons(text: str) -> list[float]:
+    """The comma-separated ε of ``train-classifier --epsilon`` (an argparse
+    type): a bad or repeated value is a usage error that names it."""
+    items = text.split(",")
+    for item in items:
+        try:
+            epsilon(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid epsilon value: {item!r}") from None
+    try:
+        return _parse_params(items, epsilon, "--epsilon")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _classifier_name(eps: float) -> str:
@@ -167,17 +182,22 @@ def cmd_train_regressor(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
+    """A classifier per ε, each fit on its label column of one labeling pass;
+    every ε is fit before any file is written."""
     config = _load_config(args)
     corpus = traceio.read_corpus(args.corpus)
     (regressor,) = _load_models([(args.regressor, "regressor")])
-    X, labels, _ = label.build_classification_dataset(corpus, regressor, (args.epsilon,))
-    _log(f"training classifier (epsilon={args.epsilon}) on {len(X)} samples")
-    model = train_mlp(X, labels[:, 0], config.mlp, seed=config.seed)
-    out = args.out or _classifier_name(args.epsilon)
-    modelio.save_model(model, out)
-    _write_manifest(os.path.splitext(out)[0] + ".", "train-classifier", config,
-                    _corpus_inputs(args.corpus) + [args.regressor])
-    _log(f"final BCE {model.loss_curve[-1]:.4f} -> {out}")
+    X, labels, _ = label.build_classification_dataset(corpus, regressor, args.epsilon)
+    models = []
+    for j, eps in enumerate(args.epsilon):
+        _log(f"training classifier (epsilon={eps}) on {len(X)} samples")
+        models.append(train_mlp(X, labels[:, j], config.mlp, seed=config.seed))
+    inputs = _corpus_inputs(args.corpus) + [args.regressor]
+    for eps, model in zip(args.epsilon, models):
+        out = args.out or _classifier_name(eps)
+        modelio.save_model(model, out)
+        _write_manifest(os.path.splitext(out)[0] + ".", "train-classifier", config, inputs)
+        _log(f"final BCE {model.loss_curve[-1]:.4f} -> {out}")
     return EXIT_OK
 
 
@@ -227,9 +247,9 @@ def cmd_select(args) -> int:
     given = args.params.split(",") if args.params else label.EPSILON_SWEEP
     epsilons = _parse_params(given, epsilon)
     policies = _load_policies(args, epsilons)
+    os.makedirs(args.out, exist_ok=True)
     _, records_by_param = evaluate.pareto_sweep(corpus, "ml", epsilons, policies=policies)
     full_records = evaluate.evaluate_method(corpus, "full")
-    os.makedirs(args.out, exist_ok=True)
     group_policies = []
     applied = {}
     for strategy in evaluate.STRATEGIES:
@@ -289,7 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-classifier", help="fit the stop classifier", parents=[common])
     p.add_argument("--corpus", required=True)
     p.add_argument("--regressor", required=True)
-    p.add_argument("--epsilon", type=epsilon, required=True)
+    p.add_argument("--epsilon", type=_epsilons,
+                   default=",".join(map(str, label.EPSILON_SWEEP)),
+                   help="comma-separated tolerances in percent, one classifier each, "
+                        "all from one labeling pass (default %(default)s)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_classifier)
 
@@ -331,8 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_model_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Usage error (exit 2) when no classifier path can be formed, or when
-    ε would go unread."""
+    """Usage error (exit 2) when no classifier path can be formed, when ε
+    would go unread, or when several classifiers would share one --out."""
+    if args.command == "train-classifier" and args.out is not None and len(args.epsilon) > 1:
+        parser.error("train-classifier takes --out with one --epsilon; without --out, "
+                     "each classifier goes to its classifier_eps<epsilon>.bin")
     if args.command == "run" and args.classifier is None and args.models_dir is None:
         parser.error("run needs --classifier or --models-dir")
     if args.command == "run" and args.classifier is not None and args.epsilon is not None:
@@ -353,7 +379,7 @@ def main(argv=None) -> int:
     except ModelFormatError as exc:
         _log(f"model error: {exc}")
         return EXIT_MODEL
-    except (traceio.ParseError, ValidationError, FileNotFoundError, ValueError) as exc:
+    except (traceio.ParseError, ValidationError, OSError, ValueError) as exc:
         _log(f"data error: {exc}")
         return EXIT_DATA
 

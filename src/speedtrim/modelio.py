@@ -70,7 +70,10 @@ def _read_arrays(fh) -> dict[str, np.ndarray]:
     (count,) = struct.unpack("<I", raw)
     arrays = {}
     for _ in range(count):
-        name = _read_bytes(fh).decode("utf-8", errors="replace")
+        try:
+            name = _read_bytes(fh).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"array name block: {exc}") from None
         if name in arrays:
             raise ModelFormatError(f"array {name!r} appears twice")
         code = _read_bytes(fh).decode("ascii", errors="replace")

@@ -277,6 +277,32 @@ class TestExitCodes:
         assert run("run", "--trace", trace_path, "--regressor", str(bad),
                    "--classifier", cli_pipeline["classifier"]) == 4
 
+    @pytest.mark.parametrize("argv, error", [
+        (["train-classifier", "--config", "{config}", "--corpus", "{corpus}",
+          "--regressor", "{regressor}", "--epsilon", "15", "--out", "{dir}/"],
+         "Is a directory"),
+        (["train-regressor", "--config", "{config}", "--corpus", "{corpus}",
+          "--out", "{file}/regressor.bin"], "File exists"),
+        (["sweep", "--corpus", "{corpus}", "--method", "bbr", "--params", "3",
+          "--out", "{file}"], "File exists"),
+        (["synth", "--n", "2", "--out", "{file}"], "File exists"),
+        (["select", "--corpus", "{corpus}", "--regressor", "{regressor}",
+          "--models-dir", "{models_dir}", "--params", "15", "--out", "{file}"], "File exists"),
+        (["run", "--trace", "{dir}", "--regressor", "{regressor}",
+          "--classifier", "{classifier}"], "Is a directory"),
+        (["report", "--records", "{dir}"], "Is a directory"),
+    ], ids=["train-classifier-out-dir", "train-regressor-out-under-file", "sweep-out-file",
+            "synth-out-file", "select-out-file", "run-trace-dir", "report-records-dir"])
+    def test_unusable_path_is_data_error(self, cli_pipeline, tmp_path, capsys, argv, error):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        paths = dict(cli_pipeline, config=str(cli_pipeline["root"] / "config.json"),
+                     file=str(tmp_path / "afile"), dir=str(tmp_path / "adir"))
+        capsys.readouterr()
+        assert run(*(arg.format(**paths) for arg in argv)) == 3
+        err = capsys.readouterr().err
+        assert "data error: [Errno" in err and error in err
+
 
 @pytest.fixture(scope="module")
 def cli_pipeline(tmp_path_factory):
@@ -531,6 +557,51 @@ class TestEpsilon:
                    "--models-dir", ".", "--out", "sweep") == 0
         with open(os.path.join("sweep", "records.csv"), newline="") as fh:
             assert {r["param"] for r in csv.DictReader(fh)} == {"12.5"}
+
+    def train_classifiers(self, cli_pipeline, cwd, monkeypatch, *flags):
+        """Exit code of train-classifier run in cwd, one epoch per fit."""
+        cwd.mkdir(exist_ok=True)
+        monkeypatch.chdir(cwd)
+        (cwd / "config.json").write_text(json.dumps({"mlp": {"epochs": 1}}))
+        return run("train-classifier", "--config", "config.json", "--corpus",
+                   cli_pipeline["corpus"], "--regressor", cli_pipeline["regressor"], *flags)
+
+    def test_several_epsilons_write_what_one_epsilon_calls_write(self, cli_pipeline, tmp_path,
+                                                                monkeypatch):
+        for eps in ("10", "15"):
+            assert self.train_classifiers(cli_pipeline, tmp_path / "one", monkeypatch,
+                                          "--epsilon", eps) == 0
+        assert self.train_classifiers(cli_pipeline, tmp_path / "both", monkeypatch,
+                                      "--epsilon", "10,15") == 0
+        one, both = sha_tree(tmp_path / "one"), sha_tree(tmp_path / "both")
+        assert {f"classifier_eps{eps}.{ext}" for eps in (10, 15)
+                for ext in ("bin", "manifest.json", "config.json")} < set(both)
+        assert one == both
+
+    def test_without_epsilon_one_decode_serves_the_sweep(self, cli_pipeline, tmp_path,
+                                                         monkeypatch):
+        with open(os.path.join(cli_pipeline["corpus"], "index.csv"), newline="") as fh:
+            once = {row["file"]: 1 for row in csv.DictReader(fh)}
+        decodes = util.count_decodes(monkeypatch)
+        assert self.train_classifiers(cli_pipeline, tmp_path, monkeypatch) == 0
+        assert decodes == once
+        stems = [f"classifier_eps{eps}" for eps in EPSILON_SWEEP]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["config.json"] + [stem + ext for stem in stems
+                               for ext in (".bin", ".manifest.json", ".config.json")])
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--epsilon", "10,15", "--out", "c.bin"), "takes --out with one --epsilon"),
+        (("--out", "c.bin"), "takes --out with one --epsilon"),
+        (("--epsilon", "5,5"), "--epsilon gives 5.0 twice: as '5' and as '5'"),
+        (("--epsilon", "5,nan"), "invalid epsilon value: 'nan'"),
+    ], ids=["two-epsilons", "epsilon-sweep", "repeated", "bad"])
+    def test_classifier_flags_are_usage_errors(self, capsys, flags, message):
+        # checked before any file is read, so the paths need not exist
+        with pytest.raises(SystemExit) as exc:
+            run("train-classifier", "--corpus", "c", "--regressor", "r.bin", *flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.fixture
     def sweep_models(self, cli_pipeline, tmp_path):

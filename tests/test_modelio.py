@@ -498,7 +498,8 @@ BAD_BLOCKS = [
                  id="params-not-utf8"),
     pytest.param("kind", "\u00e9t\u00e9".encode(), "'ascii' codec can't decode",
                  id="kind-not-ascii"),
-    pytest.param("array", b"\xffname", "lacks arrays", id="array-name-not-utf8"),
+    pytest.param("array", b"\xffname", "array name block: 'utf-8' codec can't decode",
+                 id="array-name-not-utf8"),
 ]
 
 
