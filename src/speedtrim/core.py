@@ -129,11 +129,6 @@ class Trace:
             setattr(self, name, arr)
         self._validate()
 
-    @classmethod
-    def from_snapshots(cls, id: str, duration_us: int, snapshots: list[Snapshot]) -> "Trace":
-        rows = np.array(snapshots, dtype=np.int64).reshape(-1, len(SNAPSHOT_FIELDS))
-        return cls(id, duration_us, dict(zip(SNAPSHOT_FIELDS, rows.T)))
-
     def _validate(self) -> None:
         n = len(self.t_us)
         if n < 2:

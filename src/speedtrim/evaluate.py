@@ -9,6 +9,7 @@ minus the transfer fraction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,19 @@ class Record:
     ran_to_completion: bool
 
     def __post_init__(self):
+        # a record aggregates as it stands or not at all: no NaN, no negative share
+        where = f"(trace {self.trace_id!r})"
         if self.bytes_full <= 0:
-            raise ValueError(f"bytes_full must be positive, got {self.bytes_full} "
-                             f"(trace {self.trace_id!r})")
+            raise ValueError(f"bytes_full must be positive, got {self.bytes_full} {where}")
+        if not 0 <= self.bytes_early <= self.bytes_full:
+            raise ValueError(f"bytes_early must be in [0, bytes_full], got {self.bytes_early} "
+                             f"with bytes_full {self.bytes_full} {where}")
+        for name in ("stop_ms", "estimate_mbps", "rel_error"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r} {where}")
+        for name in ("stop_ms", "rel_error"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r} {where}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,8 @@ def evaluate_method(corpus: Corpus, method: str, param=None, *,
 
     `method` is full, ml, or a baseline named in `BASELINE_PARAMS`, whose
     parser reads `param` (text or a number); for ml, `policies` maps
-    epsilon to an engine Policy.  Full records come from the corpus
-    summaries alone, so with a manifest they decode no trace.
+    epsilon to an engine Policy.  Full records come from the trace
+    summaries alone, each computed at its trace's first decode.
     """
     return _sweep(corpus, method, [param], policies)[param]
 
@@ -82,7 +93,8 @@ def evaluate_method(corpus: Corpus, method: str, param=None, *,
 def _sweep(corpus: Corpus, method: str, params: list, policies) -> dict:
     """Records per parameter, in corpus order, from one pass over the corpus:
     each trace is decoded, and for a baseline other than the static cap,
-    which reads the trace alone, resampled, once for all."""
+    which reads the trace alone, resampled, once for all.  A run to
+    completion, of any method, is recorded from the trace's summary."""
     if method in BASELINE_PARAMS:
         key, parse = BASELINE_PARAMS[method]
         values = {p: parse(p) for p in params}
@@ -95,23 +107,24 @@ def _sweep(corpus: Corpus, method: str, params: list, policies) -> dict:
         trace = None if method == "full" else corpus.load(tid)
         s = corpus.summary(tid)
         frames = resample(trace) if method in BASELINE_PARAMS and method != "static" else None
+        completed = (s.duration_ms, s.total_bytes, s.y_true_mbps, 0.0)
         for p, value in values.items():
+            # (stop_ms, bytes_early, estimate, rel_error) of an early stop, else None
             if method == "full":
-                label, stop_ms, early, estimate, err, complete = (
-                    "", s.duration_ms, s.total_bytes, s.y_true_mbps, 0.0, True)
+                label, early_stop = "", None
             elif method == "ml":
                 out = run_trace(trace, policies[p], y_true_mbps=s.y_true_mbps)
-                label, stop_ms, early, estimate, err, complete = (
-                    str(p), out.stop_time_ms, out.bytes_at_stop, out.estimate_mbps,
-                    out.rel_error, out.ran_to_completion)
+                label = str(p)
+                early_stop = None if out.ran_to_completion else (
+                    out.stop_time_ms, out.bytes_at_stop, out.estimate_mbps, out.rel_error)
             else:
                 res = run_heuristic(method, trace, frames, value)
                 label, stop_ms, estimate = f"{key}={value}", res.stop_time_ms, res.estimate_mbps
-                complete = not res.stopped_early
-                err = 0.0 if complete else rel_error(s.y_true_mbps, estimate)
-                early = s.total_bytes if complete else _bytes_at(trace, stop_ms)
+                early_stop = (stop_ms, _bytes_at(trace, stop_ms), estimate,
+                              rel_error(s.y_true_mbps, estimate)) if res.stopped_early else None
+            stop_ms, early, estimate, err = early_stop or completed
             records[p].append(Record(tid, method, label, stop_ms, early, s.total_bytes,
-                                     estimate, err, s.speed_tier, s.rtt_bin, complete))
+                                     estimate, err, s.speed_tier, s.rtt_bin, early_stop is None))
     return records
 
 

@@ -24,7 +24,9 @@ CIS_COVERAGE = 0.8
 
 @dataclass(frozen=True)
 class HeuristicResult:
-    stop_time_ms: float          # trace end when no early stop fired
+    # when no early stop fired: the end of the last window for a frame rule,
+    # the last snapshot's time for the static cap
+    stop_time_ms: float
     estimate_mbps: float
     stopped_early: bool
 

@@ -4,8 +4,9 @@ The on-disk trace format is UTF-8 JSON Lines: an optional header object
 ``{"id", "duration_us"}`` followed by one object per snapshot with keys
 t_us, bytes_acked, cwnd_bytes, bytes_in_flight, rtt_us, retrans,
 dup_acks, pipe_full.  A corpus is a directory of ``*.jsonl`` files plus
-``index.csv`` (file,id) and optionally ``manifest.csv`` with per-trace
-summaries.
+``index.csv`` (file,id); a trace's summary is computed from the trace when
+it is decoded.  ``write_corpus`` also writes the summaries to
+``manifest.csv``, for provenance and checks; no reader opens it.
 
 Window statistics have one kernel, in plain Python: ``fold_window`` adds
 a window's snapshots to its running sums one at a time in snapshot order,
@@ -384,7 +385,9 @@ def classifier_input(frames: np.ndarray, t_ms: int) -> np.ndarray:
 
 
 class Corpus:
-    """A directory of trace files plus an index and per-trace summaries."""
+    """A directory of trace files plus an index.  A trace's summary comes
+    from the trace alone: computed at its first decode, or handed in by
+    write_corpus, which computed it from the trace it wrote."""
 
     def __init__(self, root: str, entries: list[tuple[str, str]],
                  summaries: dict[str, TraceSummary] | None = None):
@@ -403,7 +406,7 @@ class Corpus:
         if trace.id != trace_id:
             raise ValidationError(
                 f"{path}: header id {trace.id!r} is not the index id {trace_id!r}")
-        if trace_id not in self._summaries:     # no manifest row: keep one decode
+        if trace_id not in self._summaries:
             self._summaries[trace_id] = trace.summarize()
         return trace
 
@@ -417,52 +420,30 @@ class Corpus:
         return self._summaries[trace_id]
 
 
-def _csv_rows(path: str, columns):
-    """Yields ``("<path> line <n>", row)`` per row of a CSV file; a header
-    without one of ``columns`` or a short row raises ValueError naming it."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: no column {', '.join(missing)}")
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if None in row.values():
-                raise ValueError(f"{where}: fewer cells than the header")
-            yield where, row
-
-
 def read_corpus(root: str) -> Corpus:
+    """The corpus that root's index.csv lists; a header without a column,
+    a short row or an id listed twice raises ValueError naming it."""
     index_path = os.path.join(root, "index.csv")
     if not os.path.exists(index_path):
         raise FileNotFoundError(f"no index.csv under {root}")
     entries = []
     listed = set()
-    for where, row in _csv_rows(index_path, ("file", "id")):
-        if row["id"] in listed:
-            raise ValueError(f"{where}: trace id {row['id']!r} is listed twice")
-        listed.add(row["id"])
-        entries.append((row["file"], row["id"]))
+    with open(index_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("file", "id") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{index_path}: no column {', '.join(missing)}")
+        for row in reader:
+            where = f"{index_path} line {reader.line_num}"
+            if None in row.values():
+                raise ValueError(f"{where}: fewer cells than the header")
+            if row["id"] in listed:
+                raise ValueError(f"{where}: trace id {row['id']!r} is listed twice")
+            listed.add(row["id"])
+            entries.append((row["file"], row["id"]))
     if not entries:
         raise ValueError(f"{index_path}: lists no trace")
-    summaries: dict[str, TraceSummary] = {}
-    manifest = os.path.join(root, "manifest.csv")
-    if os.path.exists(manifest):
-        read = [c for c in MANIFEST_COLUMNS if c != "preset"]     # no reader needs the preset
-        for where, row in _csv_rows(manifest, read):
-            try:
-                summaries[row["id"]] = TraceSummary(
-                    id=row["id"],
-                    y_true_mbps=float(row["y_true_mbps"]),
-                    total_bytes=int(row["total_bytes"]),
-                    duration_ms=float(row["duration_ms"]),
-                    min_rtt_ms=float(row["min_rtt_ms"]),
-                    speed_tier=int(row["tier"]),
-                    rtt_bin=int(row["rtt_bin"]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    return Corpus(root, entries, summaries)
+    return Corpus(root, entries)
 
 
 def write_corpus(root: str, traces_and_presets) -> Corpus:

@@ -16,6 +16,7 @@ from speedtrim.config import RunConfig
 from speedtrim.gbdt import GbdtParams
 from speedtrim.label import EPSILON_SWEEP
 from speedtrim.mlp import MlpParams
+from speedtrim.traceio import read_corpus
 
 import util
 
@@ -359,9 +360,14 @@ class TestPipeline:
         with open(os.path.join(out, "records.csv"), newline="") as fh:
             records = list(csv.DictReader(fh))
         assert [r["param"] for r in records] == [p for p in labels for _ in range(10)]
-        if method != "static":
-            # stride stops and full runs are whole milliseconds, written as ints
-            assert all(r["stop_ms"].isdigit() for r in records)
+        corpus = read_corpus(cli_pipeline["corpus"])
+        for r in records:
+            if r["ran_to_completion"] == "1":
+                # the trace's last snapshot time, written as every method writes it
+                assert r["stop_ms"] == repr(corpus.summary(r["trace_id"]).duration_ms)
+            elif method != "static":
+                # a stride stop: a multiple of 500 ms, written as an int
+                assert r["stop_ms"].isdigit() and int(r["stop_ms"]) % 500 == 0
 
     def test_sweep_static_accepts_sizes(self, cli_pipeline, tmp_path):
         out = str(tmp_path / "sweep")
@@ -411,6 +417,15 @@ class TestPipeline:
             (dict(good, bytes_full="0"), None, "line 3: bytes_full must be positive, got 0"),
             (dict(good, ran_to_completion="7"), None,
              "line 3: ran_to_completion must be 0 or 1, got '7'"),
+            (dict(good, rel_error="nan"), None, "line 3: rel_error must be finite, got nan"),
+            (dict(good, estimate="inf"), None, "line 3: estimate_mbps must be finite, got inf"),
+            (dict(good, stop_ms="nan"), None, "line 3: stop_ms must be finite, got nan"),
+            (dict(good, stop_ms="-500"), None, "line 3: stop_ms must be >= 0, got -500.0"),
+            (dict(good, rel_error="-0.25"), None, "line 3: rel_error must be >= 0, got -0.25"),
+            (dict(good, bytes_early="-1"), None,
+             "line 3: bytes_early must be in [0, bytes_full], got -1"),
+            (dict(good, bytes_early=str(int(good["bytes_full"]) + 1)), None,
+             f"line 3: bytes_early must be in [0, bytes_full], got {int(good['bytes_full']) + 1}"),
         ]):
             path = str(tmp_path / f"bad{i}.csv")
             with open(path, "w", newline="") as fh:
@@ -449,6 +464,33 @@ class TestPipeline:
             decodes.clear()
             assert run(*argv) == 0
             assert decodes == once, argv[0]
+
+    def test_edited_manifest_changes_no_result(self, cli_pipeline, tmp_path):
+        # manifest.csv records each trace's summary; no command reads it back
+        edited = tmp_path / "edited"
+        shutil.copytree(cli_pipeline["corpus"], edited)
+        with open(edited / "manifest.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0]["y_true_mbps"] = repr(2 * float(rows[0]["y_true_mbps"]))
+        rows[0]["tier"] = str((int(rows[0]["tier"]) + 2) % 5)
+        with open(edited / "manifest.csv", "w", newline="") as fh:
+            w = csv.DictWriter(fh, list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+        models = ["--regressor", cli_pipeline["regressor"],
+                  "--models-dir", cli_pipeline["models_dir"]]
+        outputs = {}
+        for name, corpus in (("unedited", cli_pipeline["corpus"]), ("edited", str(edited))):
+            out = tmp_path / name
+            for argv in (["sweep", "--method", "ml", "--params", "15", *models,
+                          "--out", str(out / "ml")],
+                         ["sweep", "--method", "bbr", "--params", "1,3,5",
+                          "--out", str(out / "bbr")],
+                         ["select", *models, "--params", "15", "--out", str(out / "select")]):
+                assert run(argv[0], "--corpus", corpus, *argv[1:]) == 0
+            outputs[name] = {path: (out / path).read_text() for path in (
+                "ml/records.csv", "bbr/records.csv", "select/groups.csv")}
+        assert outputs["edited"] == outputs["unedited"]
 
     def test_select_writes_groups(self, cli_pipeline, tmp_path):
         out = str(tmp_path / "select")

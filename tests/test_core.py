@@ -8,7 +8,6 @@ from speedtrim.core import (
     SNAPSHOT_FIELDS,
     Snapshot,
     StopDecision,
-    Trace,
     ValidationError,
     assign_bins,
     rel_error,
@@ -152,9 +151,8 @@ class TestTrace:
 
     def test_negative_t_us_rejected(self):
         # as parse_trace rejects it, with its message
-        snaps = [util.snapshot(-150000, 0), util.snapshot(50000, 10), util.snapshot(250000, 20)]
         with pytest.raises(ValidationError, match="trace 'neg': negative t_us -150000"):
-            Trace.from_snapshots("neg", 250000, snaps)
+            util.make_trace([-150000, 50000, 250000], [0, 10, 20], id="neg")
 
     def test_cumulative_decrease_rejected(self):
         with pytest.raises(ValidationError):
@@ -168,11 +166,6 @@ class TestTrace:
         tr = util.make_trace([0, 10], [0, 1])
         with pytest.raises(ValueError):
             tr.bytes_acked[0] = 99
-
-    def test_from_snapshots_round_trip(self):
-        snaps = [util.snapshot(0, 0), util.snapshot(10000, 125), util.snapshot(20000, 250)]
-        tr = Trace.from_snapshots("x", 20000, snaps)
-        assert tr.snapshots == snaps
 
 
 class TestSummarize:

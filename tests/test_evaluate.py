@@ -1,4 +1,5 @@
 import csv
+import math
 import shutil
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 
 from speedtrim import evaluate as E
 from speedtrim.engine import Policy
-from speedtrim.traceio import read_corpus, resample
+from speedtrim.traceio import read_corpus, resample, write_corpus
 
 import util
 
 
 def rec(tid="t0", method="ml", param="15", stop=5000.0, early=50, full=100,
-        err=0.1, tier=1, rtt_bin=0, complete=False):
-    return E.Record(tid, method, param, stop, early, full, 100.0, err,
+        err=0.1, tier=1, rtt_bin=0, complete=False, estimate=100.0):
+    return E.Record(tid, method, param, stop, early, full, estimate, err,
                     tier, rtt_bin, complete)
 
 
@@ -22,6 +23,25 @@ class TestRecord:
     def test_nonpositive_full_bytes_rejected(self, full):
         with pytest.raises(ValueError, match=r"bytes_full must be positive.*trace 't7'"):
             rec(tid="t7", full=full)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("stop", math.nan, "stop_ms must be finite, got nan"),
+        ("stop", math.inf, "stop_ms must be finite, got inf"),
+        ("stop", -1.0, "stop_ms must be >= 0, got -1.0"),
+        ("estimate", math.nan, "estimate_mbps must be finite, got nan"),
+        ("estimate", -math.inf, "estimate_mbps must be finite, got -inf"),
+        ("err", math.nan, "rel_error must be finite, got nan"),
+        ("err", -0.1, "rel_error must be >= 0, got -0.1"),
+        ("early", -1, r"bytes_early must be in \[0, bytes_full\], got -1 with bytes_full 100"),
+        ("early", 101, r"bytes_early must be in \[0, bytes_full\], got 101 with bytes_full 100"),
+    ])
+    def test_unaggregatable_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message + r" \(trace 't7'\)"):
+            rec(tid="t7", **{field: value})
+
+    def test_bounds_accepted(self):
+        rec(stop=0.0, early=0, err=0.0)
+        rec(early=100, full=100, estimate=-1.0)
 
 
 class TestEvaluateMethod:
@@ -161,14 +181,29 @@ class TestOnePassSweep:
         assert decodes == {fn: 1 for fn, _ in corpus.entries}
         assert by_param[10] == E.evaluate_method(small_corpus, "tsh", 10)
 
-    def test_full_records_decode_nothing(self, small_corpus, monkeypatch):
-        corpus = read_corpus(small_corpus.root)
-        decodes = util.count_decodes(monkeypatch)
-        records = E.evaluate_method(corpus, "full")
-        assert not decodes
-        assert [r.trace_id for r in records] == corpus.ids
-        assert [r.bytes_early for r in records] == [
-            small_corpus.summary(tid).total_bytes for tid in corpus.ids]
+
+class TestRunToCompletion:
+    """Every method records a run to completion from the trace's summary."""
+
+    def test_every_method_reports_the_last_snapshot(self, tmp_path):
+        # throughput that grows ever faster for 9.95 s, with no pipe-full
+        # event: no TSH or CIS stop fires, and no cap is reached
+        t_us = np.arange(996) * 10_000
+        t_s = t_us / 1e6
+        bytes_acked = ((10.0 * t_s + 2.0 * t_s ** 3 / 3.0) * 1e6 / 8.0).astype(np.int64)
+        trace = util.make_trace(t_us, bytes_acked, id="ramp")
+        write_corpus(str(tmp_path / "c"), [(trace, "test")])
+        corpus = read_corpus(str(tmp_path / "c"))
+        s = corpus.summary("ramp")
+        assert s.duration_ms == 9950.0
+        policies = {15.0: Policy(util.constant_regressor(1.0), util.constant_classifier(0.0),
+                                 15.0)}
+        for method, param in (("full", None), ("ml", 15.0), ("static", "1GB"), ("bbr", 1),
+                              ("tsh", 0.1), ("cis", 1.0)):
+            (r,) = E.evaluate_method(corpus, method, param, policies=policies)
+            assert r.ran_to_completion, method
+            assert (r.stop_ms, r.bytes_early, r.estimate_mbps, r.rel_error) == (
+                9950.0, r.bytes_full, s.y_true_mbps, 0.0), method
 
 
 class TestNondominated:

@@ -536,22 +536,12 @@ def keep_header(rows):
     del rows[1:]
 
 
-def set_cell(line, name, value):
-    def edit(rows):
-        rows[line - 1][rows[0].index(name)] = value
-    return edit
-
-
 class TestCorpusFileErrors:
-    """A bad index.csv or manifest.csv exits 3 naming the file, and the
+    """A bad index.csv or trace file exits 3 naming the file, and the
     column or the line."""
 
     @pytest.mark.parametrize("name, edit, message", [
-        ("manifest.csv", drop_column("tier"), "manifest.csv: no column tier"),
         ("index.csv", drop_column("file"), "index.csv: no column file"),
-        ("manifest.csv", set_cell(3, "tier", "x"),
-         "manifest.csv line 3: invalid literal for int() with base 10: 'x'"),
-        ("manifest.csv", drop_column("duration_ms"), "manifest.csv: no column duration_ms"),
         ("index.csv", lambda rows: rows[2].pop(), "index.csv line 3: fewer cells than the header"),
         ("index.csv", keep_header, "index.csv: lists no trace"),
         ("index.csv", lambda rows: rows.append(rows[1]),
@@ -560,8 +550,7 @@ class TestCorpusFileErrors:
          "b.jsonl: header id 'other' is not the index id 'b'"),
         ("b.jsonl", lambda text: text.replace('"t_us": 0,', '"t_us": "0",', 1),
          "b.jsonl: line 2: non-integer field t_us='0'"),
-    ], ids=["manifest-no-tier", "index-no-file", "manifest-bad-tier",
-            "manifest-no-duration", "index-short-row", "index-empty", "index-repeated-id",
+    ], ids=["index-no-file", "index-short-row", "index-empty", "index-repeated-id",
             "trace-header-id", "trace-bad-line"])
     def test_exits_3_naming_file_and_place(self, tmp_path, capsys, name, edit, message):
         from speedtrim.cli import EXIT_DATA, main
